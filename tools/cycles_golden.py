@@ -3,17 +3,16 @@
 
 The hot-path optimizations in :mod:`repro.perf` (and any future
 pipeline refactor) must be *cycle-exact*: the same program on the same
-machine under the same protection mode must report exactly the same
+machine under the same defense must report exactly the same
 :attr:`~repro.pipeline.report.SimReport.cycles` and the same attack
 leakage verdicts as the unoptimized simulator.  This tool pins that
-contract in ``tests/data/cycles_golden.json``:
+contract in ``tests/data/cycles_golden.json`` for every registered
+defense (the four paper configurations and the zoo):
 
-- every corpus gadget driver (kind x variant) under all four
-  protection modes — committed cycles;
-- every SPEC profile at a reduced scale under all four modes —
-  committed cycles;
-- every Spectre PoC under all four modes — cycles *and* the leakage
-  verdict (did the attack recover the secret?).
+- every corpus gadget driver (kind x variant) — committed cycles;
+- every SPEC profile at a reduced scale — committed cycles;
+- every Spectre PoC — cycles *and* the leakage verdict (did the
+  attack recover the secret?).
 
 ``python tools/cycles_golden.py --write`` regenerates the file (only
 legitimate after an intentional timing-model change, never for a
@@ -46,7 +45,8 @@ from repro.attacks import (  # noqa: E402
     build_spectre_v4,
     run_attack,
 )
-from repro.core.policy import EVALUATION_MODES, SecurityConfig  # noqa: E402
+from repro.core.defense import defense_names  # noqa: E402
+from repro.core.policy import SecurityConfig  # noqa: E402
 from repro.params import paper_config  # noqa: E402
 from repro.pipeline.processor import Processor  # noqa: E402
 from repro.workloads import spec_names, spec_program  # noqa: E402
@@ -72,6 +72,7 @@ _ATTACKS = {
 def capture() -> Dict[str, Any]:
     """Run the pinned workloads and collect cycles + verdicts."""
     machine = paper_config()
+    defenses = defense_names()
     golden: Dict[str, Any] = {
         "format": "repro-cycles-golden",
         "version": 1,
@@ -83,32 +84,42 @@ def capture() -> Dict[str, Any]:
     for kind in GADGET_KINDS:
         for variant in CORPUS_VARIANTS:
             program = build_corpus_variant(kind, variant)
-            per_mode: Dict[str, int] = {}
-            for mode in EVALUATION_MODES:
+            per_defense: Dict[str, int] = {}
+            for defense in defenses:
                 cpu = Processor(program, machine=machine,
-                                security=SecurityConfig(mode=mode))
-                per_mode[mode.value] = cpu.run().cycles
-            golden["corpus"][f"{kind}:{variant}"] = per_mode
+                                security=SecurityConfig.for_defense(defense))
+                per_defense[defense] = cpu.run().cycles
+            golden["corpus"][f"{kind}:{variant}"] = per_defense
     for name in spec_names():
-        per_mode = {}
-        for mode in EVALUATION_MODES:
+        per_defense = {}
+        for defense in defenses:
             program = spec_program(name, scale=SPEC_SCALE)
             cpu = Processor(program, machine=machine,
-                            security=SecurityConfig(mode=mode))
-            per_mode[mode.value] = cpu.run().cycles
-        golden["spec"][name] = per_mode
+                            security=SecurityConfig.for_defense(defense))
+            per_defense[defense] = cpu.run().cycles
+        golden["spec"][name] = per_defense
     for name, build in _ATTACKS.items():
-        per_mode_attack: Dict[str, Dict[str, Any]] = {}
-        for mode in EVALUATION_MODES:
+        per_defense_attack: Dict[str, Dict[str, Any]] = {}
+        for defense in defenses:
             attack = build(machine=machine)
             result = run_attack(attack, machine=machine,
-                                security=SecurityConfig(mode=mode))
-            per_mode_attack[mode.value] = {
+                                security=SecurityConfig.for_defense(defense))
+            per_defense_attack[defense] = {
                 "cycles": result.report.cycles,
                 "leaked": bool(result.success),
             }
-        golden["attacks"][name] = per_mode_attack
+        golden["attacks"][name] = per_defense_attack
     return golden
+
+
+def ordered(node: Any) -> Any:
+    """``node`` with every mapping's keys sorted, except that the
+    ``origin`` column (the unprotected reference) always comes last: a
+    newly registered defense then only adds lines to the file."""
+    if not isinstance(node, dict):
+        return node
+    keys = sorted(node, key=lambda key: (key == "origin", key))
+    return {key: ordered(node[key]) for key in keys}
 
 
 def diff(expected: Dict[str, Any], actual: Dict[str, Any]) -> list:
@@ -134,7 +145,7 @@ def main(argv=None) -> int:
     if args.write:
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
         with open(GOLDEN_PATH, "w") as handle:
-            json.dump(actual, handle, indent=1, sort_keys=True)
+            json.dump(ordered(actual), handle, indent=1)
             handle.write("\n")
         print(f"wrote {os.path.relpath(GOLDEN_PATH)}")
         return 0
@@ -147,7 +158,7 @@ def main(argv=None) -> int:
             print(f"  {problem}")
         return 1
     runs = (len(expected["corpus"]) + len(expected["spec"])
-            + len(expected["attacks"])) * len(EVALUATION_MODES)
+            + len(expected["attacks"])) * len(defense_names())
     print(f"cycle-exactness golden OK ({runs} pinned runs)")
     return 0
 
