@@ -14,8 +14,9 @@ Example::
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 from .dyninst import DynInst
 
@@ -54,12 +55,13 @@ class PipelineTracer:
     get squashed.
 
     ``limit`` bounds memory use: once reached, the oldest records are
-    dropped (the tracer keeps the most recent window).
+    dropped (the tracer keeps the most recent window, a ring that costs
+    O(1) per record).
     """
 
     def __init__(self, limit: int = 10_000) -> None:
         self.limit = limit
-        self._records: List[TraceRecord] = []
+        self._records: Deque[TraceRecord] = deque(maxlen=limit)
         self.dropped = 0
 
     # ---- hooks called by the processor ---------------------------------
@@ -87,10 +89,9 @@ class PipelineTracer:
         )
 
     def _append(self, record: TraceRecord) -> None:
+        if len(self._records) == self.limit:
+            self.dropped += 1  # the append below evicts the oldest
         self._records.append(record)
-        if len(self._records) > self.limit:
-            self._records.pop(0)
-            self.dropped += 1
 
     # ---- queries ----------------------------------------------------------
 
