@@ -8,7 +8,6 @@ workloads (lbm, mcf, milc, zeusmp).
 """
 from conftest import BENCH_SCALE, run_once, suite_benchmarks
 
-from repro.core.policy import ProtectionMode
 from repro.experiments import run_figure5
 from repro.experiments.compare import compare_figure5
 
@@ -24,9 +23,9 @@ def test_bench_figure5(benchmark):
     print()
     print(compare_figure5(result))
 
-    base = result.average_overhead(ProtectionMode.BASELINE)
-    cachehit = result.average_overhead(ProtectionMode.CACHE_HIT)
-    tpbuf = result.average_overhead(ProtectionMode.CACHE_HIT_TPBUF)
+    base = result.average_overhead("baseline")
+    cachehit = result.average_overhead("cache_hit")
+    tpbuf = result.average_overhead("cache_hit_tpbuf")
     print(f"\naverage overhead: baseline={base:.1%} "
           f"cache-hit={cachehit:.1%} cache-hit+tpbuf={tpbuf:.1%} "
           f"(paper: 53.6% / 12.8% / 6.8%)")
@@ -36,5 +35,4 @@ def test_bench_figure5(benchmark):
     assert tpbuf < 0.15
     # The flagship per-benchmark result: TPBuf rescues lbm.
     lbm = result.row("lbm")
-    assert lbm.overhead(ProtectionMode.CACHE_HIT_TPBUF) \
-        < lbm.overhead(ProtectionMode.CACHE_HIT) / 2
+    assert lbm.overhead("cache_hit_tpbuf") < lbm.overhead("cache_hit") / 2

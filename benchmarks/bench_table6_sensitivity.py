@@ -7,7 +7,6 @@ platform, and average overhead grows (mildly) with core complexity
 """
 from conftest import BENCH_SCALE, run_once, suite_benchmarks
 
-from repro.core.policy import ProtectionMode
 from repro.experiments import run_table6
 
 
@@ -21,11 +20,9 @@ def test_bench_table6(benchmark):
     print(result.render())
 
     for machine in result.machines:
-        base = result.average_overhead(machine, ProtectionMode.BASELINE)
-        cachehit = result.average_overhead(machine,
-                                           ProtectionMode.CACHE_HIT)
-        tpbuf = result.average_overhead(machine,
-                                        ProtectionMode.CACHE_HIT_TPBUF)
+        base = result.average_overhead(machine, "baseline")
+        cachehit = result.average_overhead(machine, "cache_hit")
+        tpbuf = result.average_overhead(machine, "cache_hit_tpbuf")
         print(f"{machine}: baseline={base:.1%} cache-hit={cachehit:.1%} "
               f"tpbuf={tpbuf:.1%}")
         # The per-platform mechanism ordering must hold everywhere.

@@ -26,7 +26,8 @@ Quickstart::
     report = cpu.run()
     print(report.render())
 """
-from .core.policy import EVALUATION_MODES, ProtectionMode, SecurityConfig
+from .core.defense import PAPER_DEFENSES
+from .core.policy import SecurityConfig
 from .errors import CycleBudgetExceeded, DeadlockError, SimulationError
 from .isa import Instruction, Opcode, Program, ProgramBuilder, assemble
 from .isa.oracle import run_oracle
@@ -47,8 +48,7 @@ from .config_io import load_machine, machine_from_dict, save_machine
 __version__ = "1.0.0"
 
 __all__ = [
-    "EVALUATION_MODES",
-    "ProtectionMode",
+    "PAPER_DEFENSES",
     "SecurityConfig",
     "SpeculativeLRUPolicy",
     "Instruction",

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 from ..core.policy import SecurityConfig
 from ..isa.instructions import WORD_BYTES, mask64
 from ..isa.program import Program
-from ..params import MachineParams
+from ..params import MachineParams, RunOptions
 from ..pipeline.dyninst import DynInst
 from ..pipeline.processor import Processor
 from ..pipeline.trace import PipelineTracer
@@ -196,7 +196,7 @@ def _run_variant(
         machine=machine,
         security=SecurityConfig.origin(),
         tracer=probe,
-        fault_plan=fault_plan,
+        options=RunOptions(fault_plan=fault_plan),
     )
     # Warm the dependency-chain lines (see module docstring): translate
     # through the DTLB, then fill through the data hierarchy.

@@ -69,7 +69,7 @@ def run_attack(
     verdict = attack.channel.decode(timings, exclude=attack.exclude)
     return AttackResult(
         name=attack.name,
-        mode=security.defense_name,
+        mode=security.mode,
         secret=attack.layout.secret_value,
         recovered=verdict.recovered,
         leaked=verdict.leaked,

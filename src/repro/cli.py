@@ -64,7 +64,8 @@ from .attacks.sidechannel import (
     FlushReloadChannel,
     PrimeProbeChannel,
 )
-from .core.policy import EVALUATION_MODES, ProtectionMode, SecurityConfig
+from .core.defense import PAPER_DEFENSES
+from .core.policy import SecurityConfig
 from .experiments import (
     SweepEngine,
     run_area_study,
@@ -75,7 +76,7 @@ from .experiments.shootout import ATTACK_SUITE
 from .experiments.area_study import render_area_study
 from .isa import assemble
 from .config_io import load_machine
-from .params import preset
+from .params import RunOptions, preset
 from .pipeline.processor import Processor
 from .pipeline.report import compare_table
 from .pipeline.trace import PipelineTracer
@@ -100,7 +101,7 @@ _ATTACKS = {
 
 
 def _security(mode_name: str) -> SecurityConfig:
-    return SecurityConfig.for_defense(mode_name)
+    return SecurityConfig(mode_name)
 
 
 def _mode_choices() -> List[str]:
@@ -416,7 +417,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
     reports = run_modes(args.benchmarks[0], machine=machine,
                         scale=args.scale)
-    origin = reports[ProtectionMode.ORIGIN]
+    origin = reports["origin"]
     print(compare_table(list(reports.values()), origin))
     return 0
 
@@ -425,7 +426,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .robustness import FaultPlan
 
     machine = _machine(args)
-    modes = list(args.modes) if args.modes else list(EVALUATION_MODES)
+    modes = list(args.modes) if args.modes else list(PAPER_DEFENSES)
     fault_plan = None
     if args.inject:
         fault_plan = FaultPlan.moderate(seed=args.fault_seed)
@@ -434,17 +435,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         modes=modes,
         machine=machine,
         scale=args.scale,
-        max_cycles=args.max_cycles,
         checkpoint=args.checkpoint,
         resume=args.resume,
         retries=args.retries,
-        wall_clock_budget=args.wall_clock_budget,
-        fault_plan=fault_plan,
         workers=args.workers,
+        options=RunOptions(max_cycles=args.max_cycles,
+                           wall_clock_budget=args.wall_clock_budget,
+                           fault_plan=fault_plan),
     )
     result = engine.run(
         progress=lambda row: print(
-            f"  {row.benchmark}/{row.defense_name}: {row.status} "
+            f"  {row.benchmark}/{row.mode}: {row.status} "
             f"({row.cycles} cycles, {row.attempts} attempt(s))",
             file=sys.stderr,
         )

@@ -147,13 +147,13 @@ def security_from_dict(spec: Dict[str, Any]) -> "SecurityConfig":
     }
     if "lru_policy" in spec:
         overrides["lru_policy"] = SpeculativeLRUPolicy(spec["lru_policy"])
-    return SecurityConfig.for_defense(name, **overrides)
+    return SecurityConfig(name, **overrides)
 
 
 def security_to_dict(security: "SecurityConfig") -> Dict[str, Any]:
     """Inverse of :func:`security_from_dict` (canonical names only)."""
     return {
-        "defense": security.defense_name,
+        "defense": security.mode,
         "lru_policy": security.lru_policy.value,
         "clear_on_resolve": security.clear_on_resolve,
         "branch_only_matrix": security.branch_only_matrix,

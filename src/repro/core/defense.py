@@ -2,20 +2,20 @@
 
 The paper evaluates exactly one mechanism family — Conditional
 Speculation's security dependence matrix plus the Cache-hit and TPBuf
-hazard filters — and the pipeline used to hard-wire those choices as
-``ProtectionMode`` branches.  This module turns the defense into an
-explicit strategy object so new schemes from the wider literature
-(NDA-style delay variants, InvisiSpec, STT, SLH) plug into the same
-pipeline without touching it.
+hazard filters.  This module makes the defense an explicit strategy
+object, so the paper's four configurations (:data:`PAPER_DEFENSES`)
+and schemes from the wider literature (NDA-style delay variants,
+InvisiSpec, STT, SLH) plug into the same pipeline without touching it.
+A defense's registry name is its only identity: configs, reports,
+sweep rows and checkpoints all carry that one string.
 
 A :class:`Defense` declares, as class attributes, *where* the pipeline
 must consult it (``uses_matrix``, ``tags_suspect``, ``gates_issue``,
 ``filters_at_cache``, ``wants_events``, ``taints_writeback``) and
 implements the hooks for those points.  The processor reads the flags
 once at construction and only calls a hook on paths the defense opted
-into, so the four paper modes — re-expressed here as registry entries —
-make byte-identical decisions to the old enum branches and stay
-cycle-exact against ``tests/data/cycles_golden.json``.
+into.  Every entry is cycle-exact against
+``tests/data/cycles_golden.json``.
 
 Every entry also declares its hardware area through the analytic model
 in :mod:`repro.core.area_model`, which is what the
@@ -40,17 +40,17 @@ See ``docs/defenses.md`` for the full contract.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple, Type, Union
+from enum import Enum
+from typing import TYPE_CHECKING, Dict, List, Tuple, Type
 
 from ..errors import DefenseConfigError
+from ..stats import StatGroup
 from .area_model import (
     cache_area_mm2,
     comparator_area_mm2,
     matrix_area_mm2,
     tpbuf_area_mm2,
 )
-from .filters import MissVerdict
-from .policy import ProtectionMode, SecurityConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..isa.program import Program
@@ -61,15 +61,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 __all__ = [
     "DEFENSE_ALIASES",
     "DEFENSE_REGISTRY",
+    "PAPER_DEFENSES",
     "Defense",
     "DefenseConfigError",
-    "base_mode_for",
+    "MissVerdict",
     "create_defense",
-    "defense_for_config",
     "defense_names",
     "normalize_defense_name",
     "register_defense",
 ]
+
+
+class MissVerdict(Enum):
+    """Fate of a suspect load at the L1D
+    (:meth:`Defense.judge_suspect_load`)."""
+
+    PROCEED = "proceed"   # safe: access the cache as a normal load
+    BLOCK = "block"       # unsafe: discard the request, re-issue later
+    #: InvisiSpec-style: read memory at miss latency but change no
+    #: cache state; the line is exposed (filled) at commit.
+    INVISIBLE = "invisible"
 
 
 class Defense:
@@ -86,8 +97,6 @@ class Defense:
     - ``summary`` / ``provenance`` — documentation strings.
     - ``kind`` — ``"hardware"`` or ``"software"`` (software defenses
       rewrite the program and add no hardware).
-    - ``base_mode`` — the closest legacy :class:`ProtectionMode`, used
-      as the serialization anchor for records that predate the zoo.
 
     Wiring flags (each enables exactly one pipeline consultation):
 
@@ -125,7 +134,6 @@ class Defense:
     summary: str = ""
     provenance: str = ""
     kind: str = "hardware"
-    base_mode: ProtectionMode = ProtectionMode.ORIGIN
 
     uses_matrix: bool = False
     tags_suspect: bool = False
@@ -141,21 +149,16 @@ class Defense:
 
     # ---- lifecycle ---------------------------------------------------------
 
+    def __init__(self) -> None:
+        #: Counters of the cache-stage verdicts (``suspect_accesses``,
+        #: ``filtered_by_cache_hit``, ``filtered_by_tpbuf``,
+        #: ``blocked_misses``, ``invisible_misses``), reported as
+        #: ``SimReport.raw["hazard_filters"]``.
+        self.stats = StatGroup("hazard_filters")
+
     def attach(self, cpu: "Processor") -> None:
         """Initialize per-run state; called once at the end of
         ``Processor.__init__``."""
-
-    def validate(self, config: SecurityConfig,
-                 machine: "MachineParams") -> None:
-        """Reject invalid config/machine combinations with a
-        :class:`DefenseConfigError`."""
-        if config.defense and config.mode is not self.base_mode:
-            raise DefenseConfigError(
-                f"defense '{self.name}' anchors to mode "
-                f"'{self.base_mode.value}' but the config says "
-                f"'{config.mode.value}'; build configs with "
-                "SecurityConfig.for_defense()"
-            )
 
     def transform_program(self, program: "Program") -> "Program":
         """Software defenses rewrite the program here; hardware
@@ -189,15 +192,12 @@ class Defense:
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
                            l1_hit: bool) -> MissVerdict:
         """Fate of a suspect load at the L1D (``filters_at_cache``):
-        ``PROCEED`` (fill normally), ``BLOCK`` (discard, re-issue once
-        :meth:`still_blocked` clears), or ``INVISIBLE`` (read memory
-        without changing cache state; expose at commit)."""
-        decision = cpu.filters.judge_suspect_load(
-            l1_hit,
-            inst.tpbuf_index if inst.tpbuf_index is not None else 0,
-            inst.ppn if inst.ppn is not None else 0,
-        )
-        return decision.verdict
+        ``PROCEED`` (access the cache normally), ``BLOCK`` (discard,
+        re-issue once :meth:`still_blocked` clears), or ``INVISIBLE``
+        (read memory without changing cache state; expose at commit).
+        The default lets every suspect load proceed; the paper's
+        Cache-hit filter is :class:`CacheHitDefense`'s."""
+        return MissVerdict.PROCEED
 
     def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
         """Must a filter-blocked load keep waiting in the IQ?"""
@@ -231,8 +231,12 @@ class Defense:
 
 DEFENSE_REGISTRY: Dict[str, Type[Defense]] = {}
 
+#: The four evaluation configurations of the paper (Section VI.A), in
+#: Figure-5 order.
+PAPER_DEFENSES = ("origin", "baseline", "cache_hit", "cache_hit_tpbuf")
+
 #: Deprecated / alternate spellings accepted wherever a defense name is
-#: parsed (CLI, serve submissions, sweep specs).
+#: parsed (CLI, serve submissions, sweep specs, configs).
 DEFENSE_ALIASES: Dict[str, str] = {
     "none": "origin",
     "unprotected": "origin",
@@ -262,13 +266,9 @@ def defense_names() -> Tuple[str, ...]:
     return tuple(DEFENSE_REGISTRY)
 
 
-def normalize_defense_name(
-    name: Union[str, ProtectionMode],
-) -> str:
-    """Canonical registry name for ``name``; accepts legacy
-    :class:`ProtectionMode` values and deprecated alias spellings."""
-    if isinstance(name, ProtectionMode):
-        return name.value
+def normalize_defense_name(name: str) -> str:
+    """Canonical registry name for ``name`` (deprecated alias spellings
+    accepted); raises :class:`DefenseConfigError` for an unknown name."""
     key = str(name).strip().lower()
     key = DEFENSE_ALIASES.get(key, key)
     if key not in DEFENSE_REGISTRY:
@@ -279,24 +279,13 @@ def normalize_defense_name(
     return key
 
 
-def create_defense(name: Union[str, ProtectionMode]) -> Defense:
+def create_defense(name: str) -> Defense:
     """A fresh instance of the named defense (per-run state unshared)."""
     return DEFENSE_REGISTRY[normalize_defense_name(name)]()
 
 
-def base_mode_for(name: Union[str, ProtectionMode]) -> ProtectionMode:
-    """The legacy mode a defense anchors its records to."""
-    return DEFENSE_REGISTRY[normalize_defense_name(name)].base_mode
-
-
-def defense_for_config(config: SecurityConfig) -> Defense:
-    """The defense instance a :class:`SecurityConfig` names (its
-    explicit ``defense`` entry, else the legacy mode)."""
-    return create_defense(config.defense_name)
-
-
 # ---------------------------------------------------------------------------
-# The four paper modes as registry entries
+# The paper's four configurations (PAPER_DEFENSES) as registry entries
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +296,6 @@ class OriginDefense(Defense):
     name = "origin"
     summary = "unprotected out-of-order core"
     provenance = "Li et al., HPCA 2019 (Origin column)"
-    base_mode = ProtectionMode.ORIGIN
 
     def area_mm2(self, machine: "MachineParams") -> float:
         return 0.0
@@ -320,7 +308,6 @@ class BaselineDefense(Defense):
     name = "baseline"
     summary = "block every security-dependent memory access at issue"
     provenance = "Li et al., HPCA 2019 (Baseline column)"
-    base_mode = ProtectionMode.BASELINE
     uses_matrix = True
     tags_suspect = True
     blocks_at_issue = True
@@ -332,17 +319,40 @@ class BaselineDefense(Defense):
                                core.issue_width)
 
 
+class _CacheHitFilter(Defense):
+    """The Cache-hit filter's cache-stage verdict (Section V.C), shared
+    by every defense that lets suspect L1D hits proceed: a hit cannot
+    change cache content; a miss is left to :meth:`judge_suspect_miss`,
+    which blocks it unless a subclass decides otherwise."""
+
+    filters_at_cache = True
+
+    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
+                           l1_hit: bool) -> MissVerdict:
+        stats = self.stats
+        stats.incr("suspect_accesses")
+        if l1_hit:
+            stats.incr("filtered_by_cache_hit")
+            return MissVerdict.PROCEED
+        return self.judge_suspect_miss(cpu, inst)
+
+    def judge_suspect_miss(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        """A suspect L1D miss is discarded and re-issued once
+        :meth:`still_blocked` clears."""
+        self.stats.incr("blocked_misses")
+        return MissVerdict.BLOCK
+
+
 @register_defense
-class CacheHitDefense(Defense):
+class CacheHitDefense(_CacheHitFilter):
     """Conditional Speculation with the Cache-hit filter."""
 
     name = "cache_hit"
     summary = "suspect L1D hits proceed; misses discard and re-issue"
     provenance = "Li et al., HPCA 2019, Section V.C"
-    base_mode = ProtectionMode.CACHE_HIT
     uses_matrix = True
     tags_suspect = True
-    filters_at_cache = True
     covers_sources = ("branch", "indirect", "return", "store")
 
     def area_mm2(self, machine: "MachineParams") -> float:
@@ -358,8 +368,20 @@ class CacheHitTPBufDefense(CacheHitDefense):
     name = "cache_hit_tpbuf"
     summary = "cache-hit filter + TPBuf S-Pattern miss filter"
     provenance = "Li et al., HPCA 2019, Section V.D"
-    base_mode = ProtectionMode.CACHE_HIT_TPBUF
     uses_tpbuf = True
+
+    def judge_suspect_miss(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        """A miss that does not match the S-Pattern is safe and
+        proceeds as a normal miss; a matching one is blocked."""
+        tpbuf = cpu.tpbuf
+        assert tpbuf is not None  # built for every uses_tpbuf defense
+        index = inst.tpbuf_index if inst.tpbuf_index is not None else 0
+        ppn = inst.ppn if inst.ppn is not None else 0
+        if tpbuf.is_safe(index, ppn):
+            self.stats.incr("filtered_by_tpbuf")
+            return MissVerdict.PROCEED
+        return super().judge_suspect_miss(cpu, inst)
 
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
@@ -407,7 +429,7 @@ class _BranchAgeTracker(Defense):
 
 
 @register_defense
-class DelayOnMissDefense(_BranchAgeTracker):
+class DelayOnMissDefense(_BranchAgeTracker, _CacheHitFilter):
     """NDA-style delay-on-miss: loads behind an unresolved branch may
     hit the L1D but a miss is delayed until the branch resolves.
 
@@ -422,23 +444,11 @@ class DelayOnMissDefense(_BranchAgeTracker):
     name = "delay_on_miss"
     summary = "suspect = behind unresolved branch; L1D miss delays"
     provenance = "Weisse et al. NDA, MICRO 2019 / Sakalis et al., ISCA 2019"
-    base_mode = ProtectionMode.ORIGIN
     tags_suspect = True
-    filters_at_cache = True
     covers_sources = ("branch", "indirect", "return")
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
         return self._control_speculative(inst.seq)
-
-    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
-                           l1_hit: bool) -> MissVerdict:
-        stats = cpu.filters.stats
-        stats.incr("suspect_accesses")
-        if l1_hit:
-            stats.incr("filtered_by_cache_hit")
-            return MissVerdict.PROCEED
-        stats.incr("blocked_misses")
-        return MissVerdict.BLOCK
 
     def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
         return self._control_speculative(inst.seq)
@@ -457,7 +467,6 @@ class EagerDelayDefense(_BranchAgeTracker):
     name = "eager_delay"
     summary = "no memory issues behind an unresolved branch"
     provenance = "eager variant of NDA (Weisse et al., MICRO 2019)"
-    base_mode = ProtectionMode.ORIGIN
     gates_issue = True
     covers_sources = ("branch", "indirect", "return")
 
@@ -497,7 +506,6 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
     provenance = ("store-set closure of the NDA-family V4 blind spot "
                   "(this repro, via repro.analysis.memdep; cf. "
                   "Kiriansky & Waldspurger, 2018)")
-    base_mode = ProtectionMode.ORIGIN
     covers_sources = ("branch", "indirect", "return", "store")
     coverage_needs_memdep = True
 
@@ -531,38 +539,29 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
 
 
 @register_defense
-class InvisiSpecDefense(Defense):
+class InvisiSpecDefense(CacheHitDefense):
     """InvisiSpec-style invisible speculative loads.
 
     Suspect loads (matrix definition, so all speculation sources are
-    covered) that miss the L1D read their value from memory at miss
-    latency but leave *every* cache level untouched; the line is
-    exposed (filled) only when the load commits.  A squashed
-    transient load therefore never changes cache state — the
-    transmission channel the attacks in our suite rely on.  The cost
-    is the lost refill reuse on correct-path speculative misses, paid
-    as repeat outer-level accesses, modelled without an extra commit
-    stall (the exposure overlaps retirement).
+    covered) that hit the L1D proceed as under the Cache-hit filter;
+    those that miss read their value from memory at miss latency but
+    leave *every* cache level untouched; the line is exposed (filled)
+    only when the load commits.  A squashed transient load therefore
+    never changes cache state — the transmission channel the attacks
+    in our suite rely on.  The cost is the lost refill reuse on
+    correct-path speculative misses, paid as repeat outer-level
+    accesses, modelled without an extra commit stall (the exposure
+    overlaps retirement).
     """
 
     name = "invisispec"
     summary = "suspect misses stay invisible; expose line at commit"
     provenance = "Yan et al. InvisiSpec, MICRO 2018"
-    base_mode = ProtectionMode.CACHE_HIT
-    uses_matrix = True
-    tags_suspect = True
-    filters_at_cache = True
     wants_events = True
-    covers_sources = ("branch", "indirect", "return", "store")
 
-    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
-                           l1_hit: bool) -> MissVerdict:
-        stats = cpu.filters.stats
-        stats.incr("suspect_accesses")
-        if l1_hit:
-            stats.incr("filtered_by_cache_hit")
-            return MissVerdict.PROCEED
-        stats.incr("invisible_misses")
+    def judge_suspect_miss(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        self.stats.incr("invisible_misses")
         return MissVerdict.INVISIBLE
 
     def on_commit(self, cpu: "Processor", inst: "DynInst") -> None:
@@ -597,7 +596,6 @@ class STTDefense(Defense):
     name = "stt"
     summary = "taint suspect load results; gate tainted-address memory"
     provenance = "Yu et al. STT, MICRO 2019"
-    base_mode = ProtectionMode.CACHE_HIT
     uses_matrix = True
     tags_suspect = True
     gates_issue = True
@@ -687,7 +685,6 @@ class SLHDefense(Defense):
     summary = "static scan + fence before every transmit sink"
     provenance = "Kiriansky & Waldspurger / LLVM SLH, 2018"
     kind = "software"
-    base_mode = ProtectionMode.ORIGIN
     covers_sources = ("branch", "indirect", "return", "store")
 
     def transform_program(self, program: "Program") -> "Program":

@@ -1,13 +1,16 @@
-"""Protection modes and the configuration of the defense.
+"""The configuration of the defense.
 
-The four modes carry the paper's evaluation names (Section VI.A):
+A :class:`SecurityConfig` names the active defense by its
+:mod:`repro.core.defense` registry key.  The paper's four evaluation
+configurations (Section VI.A, ``PAPER_DEFENSES``) are registry entries
+like any other:
 
-- ``ORIGIN`` - unprotected out-of-order baseline.
-- ``BASELINE`` - every security-dependent memory access is unsafe: it
+- ``origin`` - unprotected out-of-order baseline.
+- ``baseline`` - every security-dependent memory access is unsafe: it
   may not issue until its security-dependence row clears.
-- ``CACHE_HIT`` - suspect accesses issue; L1D hits proceed, L1D misses
+- ``cache_hit`` - suspect accesses issue; L1D hits proceed, L1D misses
   are discarded and re-issued once the dependence clears.
-- ``CACHE_HIT_TPBUF`` - as above, but a suspect L1D miss that does not
+- ``cache_hit_tpbuf`` - as above, but a suspect L1D miss that does not
   match the S-Pattern (per TPBuf) proceeds as a normal miss.
 """
 from __future__ import annotations
@@ -15,49 +18,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..memory.replacement import SpeculativeLRUPolicy
-
-from enum import Enum
-
-
-class ProtectionMode(Enum):
-    """Which Conditional Speculation mechanism is active."""
-
-    ORIGIN = "origin"
-    BASELINE = "baseline"
-    CACHE_HIT = "cache_hit"
-    CACHE_HIT_TPBUF = "cache_hit_tpbuf"
-
-    @property
-    def uses_matrix(self) -> bool:
-        """Whether the security dependence matrix is active at all."""
-        return self is not ProtectionMode.ORIGIN
-
-    @property
-    def uses_tpbuf(self) -> bool:
-        return self is ProtectionMode.CACHE_HIT_TPBUF
-
-    @property
-    def blocks_at_issue(self) -> bool:
-        """BASELINE blocks suspect instructions in the issue stage;
-        the filter modes let them issue and decide at the cache."""
-        return self is ProtectionMode.BASELINE
+from .defense import normalize_defense_name
 
 
 @dataclass(frozen=True)
 class SecurityConfig:
     """All knobs of the Conditional Speculation mechanism.
 
-    The defense itself is referenced *by name* (:attr:`defense`, a
-    ``repro.core.defense`` registry key) so configs stay picklable for
-    spawn-based parallel executors; an empty name means "derive from
-    the legacy :attr:`mode`".  Build zoo configs with
-    :meth:`for_defense` — it anchors :attr:`mode` to the defense's
-    base mode so old records keep deserializing.
+    The defense is referenced *by name* so configs stay picklable for
+    spawn-based parallel executors.  Any registered name or alias is
+    accepted and normalized to the canonical registry name at
+    construction; an unknown name raises
+    :class:`~repro.errors.DefenseConfigError` here.
     """
 
-    mode: ProtectionMode = ProtectionMode.ORIGIN
-    #: Registry name of the active defense ("" = derive from ``mode``).
-    defense: str = ""
+    #: Registry name of the active defense (``repro.core.defense``).
+    mode: str = "origin"
     #: LRU-metadata policy for speculative L1D hits (Section VII.A).
     lru_policy: SpeculativeLRUPolicy = SpeculativeLRUPolicy.NORMAL
     #: Ablation: clear a producer's matrix column when it *resolves*
@@ -70,47 +46,26 @@ class SecurityConfig:
     #: Section VII.B extension: stall unsafe NPC fetches that miss L1I.
     icache_filter: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", normalize_defense_name(self.mode))
+
     @property
     def defense_name(self) -> str:
-        """Canonical name of the active defense."""
-        return self.defense or self.mode.value
-
-    @staticmethod
-    def for_defense(name: object, **overrides: object) -> "SecurityConfig":
-        """Registry-driven constructor: a config running the named
-        defense (zoo names, legacy mode spellings and deprecated
-        aliases all accepted)."""
-        from .defense import base_mode_for, normalize_defense_name
-
-        canonical = normalize_defense_name(name)  # type: ignore[arg-type]
-        return SecurityConfig(
-            mode=base_mode_for(canonical), defense=canonical,
-            **overrides,  # type: ignore[arg-type]
-        )
+        """Canonical name of the active defense (same as :attr:`mode`)."""
+        return self.mode
 
     @staticmethod
     def origin() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.ORIGIN)
+        return SecurityConfig("origin")
 
     @staticmethod
     def baseline() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.BASELINE)
+        return SecurityConfig("baseline")
 
     @staticmethod
     def cache_hit() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.CACHE_HIT)
+        return SecurityConfig("cache_hit")
 
     @staticmethod
     def cache_hit_tpbuf() -> "SecurityConfig":
-        return SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF)
-
-
-#: The four evaluation configurations of the paper, in Figure-5 order.
-#: Deprecated for option parsing: enumerate the zoo with
-#: :func:`repro.core.defense.defense_names` instead.
-EVALUATION_MODES = (
-    ProtectionMode.ORIGIN,
-    ProtectionMode.BASELINE,
-    ProtectionMode.CACHE_HIT,
-    ProtectionMode.CACHE_HIT_TPBUF,
-)
+        return SecurityConfig("cache_hit_tpbuf")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..attacks import build_spectre_v4, run_attack
-from ..core.policy import ProtectionMode, SecurityConfig
+from ..core.policy import SecurityConfig
 from ..errors import SimulationError
 from ..isa.builder import ProgramBuilder
 from ..isa.instructions import Opcode
@@ -84,7 +84,7 @@ def run_matrix_ablation(
             )
             branch_only = run_benchmark(
                 name, machine=machine, scale=scale,
-                security=SecurityConfig(mode=ProtectionMode.BASELINE,
+                security=SecurityConfig("baseline",
                                         branch_only_matrix=True),
             )
         except SimulationError as exc:
@@ -100,7 +100,7 @@ def run_matrix_ablation(
         }
     v4_branch_only = run_attack(
         build_spectre_v4(machine=machine), machine=machine,
-        security=SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF,
+        security=SecurityConfig("cache_hit_tpbuf",
                                 branch_only_matrix=True),
     )
     v4_full = run_attack(
@@ -162,7 +162,7 @@ def run_icache_filter_study(
             )
             with_icache = run_benchmark(
                 name, machine=machine, scale=scale,
-                security=SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF,
+                security=SecurityConfig("cache_hit_tpbuf",
                                         icache_filter=True),
             )
         except SimulationError as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.policy import ProtectionMode
 from .. import paperdata
 from .figure5 import Figure5Result
 from .formatting import percent, text_table
@@ -97,7 +96,7 @@ def compare_figure5(measured: Figure5Result) -> str:
     rank correlation (does TPBuf rescue the same benchmarks?)."""
     lines = ["Figure 5 averages, measured vs paper:"]
     for mode, paper_value in paperdata.FIGURE5_AVERAGES.items():
-        ours = measured.average_overhead(ProtectionMode(mode))
+        ours = measured.average_overhead(mode)
         lines.append(f"  {mode:<16} measured {ours:6.1%}   "
                      f"paper {paper_value:6.1%}")
     ours_gain, paper_gain = [], []
@@ -106,8 +105,7 @@ def compare_figure5(measured: Figure5Result) -> str:
         if paper is None:
             continue
         ours_gain.append(
-            row.overhead(ProtectionMode.CACHE_HIT)
-            - row.overhead(ProtectionMode.CACHE_HIT_TPBUF)
+            row.overhead("cache_hit") - row.overhead("cache_hit_tpbuf")
         )
         paper_gain.append(paper.i7_cachehit - paper.i7_tpbuf)
     if len(ours_gain) >= 3:

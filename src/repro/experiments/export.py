@@ -9,28 +9,25 @@ import json
 from typing import Any, Dict
 
 from .. import __version__
-from ..core.policy import EVALUATION_MODES, ProtectionMode
-from .figure5 import Figure5Result
+from .figure5 import PROTECTED, Figure5Result
 from .table4 import Table4Result
 from .table5 import Table5Result
 from .table6 import Table6Result
 
 
 def figure5_to_dict(result: Figure5Result) -> Dict[str, Any]:
-    modes = [m for m in EVALUATION_MODES if m is not ProtectionMode.ORIGIN]
     return {
         "artifact": "figure5",
         "benchmarks": {
             row.benchmark: {
-                "cycles": {mode.value: row.cycles[mode]
-                           for mode in row.cycles},
-                "normalized": {mode.value: row.normalized(mode)
-                               for mode in modes},
+                "cycles": dict(row.cycles),
+                "normalized": {mode: row.normalized(mode)
+                               for mode in PROTECTED},
             }
             for row in result.rows
         },
         "average_overhead": {
-            mode.value: result.average_overhead(mode) for mode in modes
+            mode: result.average_overhead(mode) for mode in PROTECTED
         },
     }
 
@@ -75,8 +72,7 @@ def table6_to_dict(result: Table6Result) -> Dict[str, Any]:
         "artifact": "table6",
         "machines": {
             machine: {
-                benchmark: {mode.value: overhead
-                            for mode, overhead in per_mode.items()}
+                benchmark: dict(per_mode)
                 for benchmark, per_mode in per_bench.items()
             }
             for machine, per_bench in result.overheads.items()

@@ -6,7 +6,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..core.policy import EVALUATION_MODES, ProtectionMode
+from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams
 from ..stats import safe_div
 from ..workloads import spec_names
@@ -14,16 +14,20 @@ from .formatting import text_table
 from .runner import SweepEngine, average, run_modes
 
 
+#: The protected configurations Figure 5 normalizes against Origin.
+PROTECTED = PAPER_DEFENSES[1:]
+
+
 @dataclass
 class Figure5Row:
     benchmark: str
-    cycles: Dict[ProtectionMode, int]
+    #: Cycles per defense registry name.
+    cycles: Dict[str, int]
 
-    def normalized(self, mode: ProtectionMode) -> float:
-        return safe_div(self.cycles[mode],
-                        self.cycles[ProtectionMode.ORIGIN], 1.0)
+    def normalized(self, mode: str) -> float:
+        return safe_div(self.cycles[mode], self.cycles["origin"], 1.0)
 
-    def overhead(self, mode: ProtectionMode) -> float:
+    def overhead(self, mode: str) -> float:
         return self.normalized(mode) - 1.0
 
 
@@ -31,7 +35,7 @@ class Figure5Row:
 class Figure5Result:
     rows: List[Figure5Row] = field(default_factory=list)
 
-    def average_overhead(self, mode: ProtectionMode) -> float:
+    def average_overhead(self, mode: str) -> float:
         return average(row.overhead(mode) for row in self.rows)
 
     def row(self, benchmark: str) -> Figure5Row:
@@ -41,17 +45,15 @@ class Figure5Result:
         raise KeyError(benchmark)
 
     def render(self) -> str:
-        modes = [mode for mode in EVALUATION_MODES
-                 if mode is not ProtectionMode.ORIGIN]
-        headers = ["benchmark"] + [mode.value for mode in modes]
+        headers = ["benchmark", *PROTECTED]
         body = [
             [row.benchmark] + [f"{row.normalized(mode):.3f}"
-                               for mode in modes]
+                               for mode in PROTECTED]
             for row in self.rows
         ]
         body.append(
             ["average"] + [f"{1.0 + self.average_overhead(mode):.3f}"
-                           for mode in modes]
+                           for mode in PROTECTED]
         )
         return text_table(
             headers, body,
@@ -61,11 +63,10 @@ class Figure5Result:
     def render_bars(self, width: int = 50) -> str:
         """ASCII bar-chart rendering of the normalized runtimes (the
         visual shape of the paper's Figure 5)."""
-        modes = [mode for mode in EVALUATION_MODES
-                 if mode is not ProtectionMode.ORIGIN]
         glyphs = {"baseline": "#", "cache_hit": "+", "cache_hit_tpbuf": "="}
         peak = max(
-            (row.normalized(mode) for row in self.rows for mode in modes),
+            (row.normalized(mode) for row in self.rows
+             for mode in PROTECTED),
             default=1.0,
         )
         scale = width / max(peak, 1.0)
@@ -73,10 +74,10 @@ class Figure5Result:
                  f"{'|' * int(round(scale))}...)"]
         for row in self.rows:
             lines.append(f"{row.benchmark}")
-            for mode in modes:
+            for mode in PROTECTED:
                 value = row.normalized(mode)
-                bar = glyphs[mode.value] * int(round(value * scale))
-                lines.append(f"  {mode.value[:9]:<9} {bar} {value:.2f}")
+                bar = glyphs[mode] * int(round(value * scale))
+                lines.append(f"  {mode[:9]:<9} {bar} {value:.2f}")
         return "\n".join(lines)
 
 
@@ -114,9 +115,9 @@ def run_figure5(
     sweep = engine.run()
     for name in engine.benchmarks:
         reports = sweep.reports_for(name)
-        if len(reports) < len(engine.modes):
+        if len(reports) < len(engine.defenses):
             print(f"figure5: skipping {name}: incomplete reports "
-                  f"({len(reports)}/{len(engine.modes)} modes ok)",
+                  f"({len(reports)}/{len(engine.defenses)} modes ok)",
                   file=sys.stderr)
             continue
         result.rows.append(Figure5Row(

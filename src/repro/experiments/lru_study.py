@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from ..core.policy import ProtectionMode, SecurityConfig
+from ..core.policy import SecurityConfig
 from ..memory.replacement import SpeculativeLRUPolicy
 from ..params import MachineParams
 from ..stats import safe_div
@@ -103,9 +103,7 @@ def run_lru_study(
     for name in benchmarks or spec_names():
         per_policy: Dict[SpeculativeLRUPolicy, int] = {}
         for policy in _POLICIES:
-            security = SecurityConfig(
-                mode=ProtectionMode.CACHE_HIT_TPBUF, lru_policy=policy,
-            )
+            security = SecurityConfig("cache_hit_tpbuf", lru_policy=policy)
             report = run_benchmark(
                 name, machine=machine, security=security, scale=scale,
             )
@@ -115,9 +113,7 @@ def run_lru_study(
         program = build_lru_stress(scale=scale)
         per_policy = {}
         for policy in _POLICIES:
-            security = SecurityConfig(
-                mode=ProtectionMode.CACHE_HIT_TPBUF, lru_policy=policy,
-            )
+            security = SecurityConfig("cache_hit_tpbuf", lru_policy=policy)
             cpu = Processor(program,
                             machine=machine or paper_config(),
                             security=security)

@@ -4,7 +4,7 @@ Two layers:
 
 - :func:`run_benchmark` / :func:`run_modes` / :func:`suite_overheads` —
   the direct API the experiment modules and tests call.
-- :class:`SweepEngine` — a crash-safe sweep over (benchmark, mode)
+- :class:`SweepEngine` — a crash-safe sweep over (benchmark, defense)
   pairs: results stream to a JSON-lines checkpoint
   (:class:`~repro.robustness.checkpoint.CheckpointStore`) as they
   complete, ``resume=True`` skips pairs already recorded, transient
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from zlib import crc32
 
-from ..core.defense import base_mode_for, normalize_defense_name
-from ..core.policy import EVALUATION_MODES, ProtectionMode, SecurityConfig
+from ..core.defense import PAPER_DEFENSES, normalize_defense_name
+from ..core.policy import SecurityConfig
 from ..errors import SimulationError
 from ..params import (
     DEFAULT_MAX_CYCLES,
@@ -60,7 +60,7 @@ def backoff_delay(backoff: float, attempt: int, key: str) -> float:
     The base delay doubles per attempt (``backoff * 2**(attempt-1)``)
     and is then scaled by a factor in ``[0.5, 1.5)`` derived from a
     CRC of ``(key, attempt)``.  Parallel workers retrying different
-    (benchmark, mode) tasks therefore never synchronize into a retry
+    (benchmark, defense) tasks therefore never synchronize into a retry
     storm, yet every task's schedule is a pure function of its key —
     reruns and resumes wait exactly the same amount.
     """
@@ -74,25 +74,16 @@ def run_benchmark(
     machine: Optional[MachineParams] = None,
     security: Optional[SecurityConfig] = None,
     scale: float = 1.0,
-    max_cycles: Optional[int] = None,
-    wall_clock_budget: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
     options: Optional[RunOptions] = None,
 ) -> SimReport:
-    """Simulate one SPEC profile under one configuration.
-
-    Budgets and fault plan may be given as the legacy keyword triplet
-    or bundled as ``options`` (:class:`repro.params.RunOptions`);
-    explicit keywords win.
-    """
+    """Simulate one SPEC profile under one configuration, with the
+    budgets and fault plan of ``options``
+    (:class:`repro.params.RunOptions`)."""
     machine = machine if machine is not None else paper_config()
     security = security if security is not None else SecurityConfig.origin()
-    resolved = RunOptions.coerce(options, max_cycles=max_cycles,
-                                 wall_clock_budget=wall_clock_budget,
-                                 fault_plan=fault_plan)
     program = spec_program(name, scale=scale)
     cpu = Processor(program, machine=machine, security=security,
-                    options=resolved)
+                    options=options)
     report = cpu.run()
     report.name = name
     return report
@@ -101,39 +92,42 @@ def run_benchmark(
 def run_modes(
     name: str,
     machine: Optional[MachineParams] = None,
-    modes: Sequence[ProtectionMode] = EVALUATION_MODES,
+    modes: Sequence[str] = PAPER_DEFENSES,
     scale: float = 1.0,
     options: Optional[RunOptions] = None,
-) -> Dict[ProtectionMode, SimReport]:
-    """Simulate one benchmark under several protection modes."""
-    return {
-        mode: run_benchmark(
-            name, machine=machine, security=SecurityConfig(mode=mode),
-            scale=scale, options=options,
+) -> Dict[str, SimReport]:
+    """Simulate one benchmark under several defenses, keyed by the
+    defenses' canonical registry names."""
+    reports: Dict[str, SimReport] = {}
+    for mode in modes:
+        security = SecurityConfig(mode)
+        reports[security.mode] = run_benchmark(
+            name, machine=machine, security=security, scale=scale,
+            options=options,
         )
-        for mode in modes
-    }
+    return reports
 
 
 def suite_overheads(
-    modes: Sequence[ProtectionMode],
+    modes: Sequence[str],
     machine: Optional[MachineParams] = None,
     benchmarks: Optional[Iterable[str]] = None,
     scale: float = 1.0,
     isolate: bool = False,
-) -> Dict[str, Dict[ProtectionMode, float]]:
-    """Per-benchmark overhead (vs Origin) for each requested mode.
+) -> Dict[str, Dict[str, float]]:
+    """Per-benchmark overhead (vs Origin) for each requested defense.
 
     With ``isolate`` a benchmark whose simulation raises
     :class:`SimulationError` is skipped (with a stderr note) instead of
     aborting the whole suite.
     """
-    result: Dict[str, Dict[ProtectionMode, float]] = {}
+    modes = [normalize_defense_name(mode) for mode in modes]
+    result: Dict[str, Dict[str, float]] = {}
     for name in benchmarks or spec_names():
         try:
             reports = run_modes(
-                name, machine=machine,
-                modes=[ProtectionMode.ORIGIN, *modes], scale=scale,
+                name, machine=machine, modes=["origin", *modes],
+                scale=scale,
             )
         except SimulationError as exc:
             if not isolate:
@@ -141,7 +135,7 @@ def suite_overheads(
             print(f"suite_overheads: skipping {name}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             continue
-        origin_cycles = reports[ProtectionMode.ORIGIN].cycles
+        origin_cycles = reports["origin"].cycles
         result[name] = {
             mode: safe_div(reports[mode].cycles, origin_cycles, 1.0) - 1.0
             for mode in modes
@@ -169,17 +163,15 @@ class SweepTask:
     """Spawn-safe description of one (benchmark, defense) run.
 
     Everything here pickles cleanly — the defense is carried *by
-    registry name* (plus its legacy base mode for old readers) — so
-    the same payload drives the in-process serial path and the
+    registry name* — so the same payload drives the in-process serial path and the
     :class:`repro.perf.parallel.ParallelSweepExecutor` worker
     processes — serial and parallel sweeps execute literally the same
     code on the same inputs, which is what makes them byte-identical.
     """
 
     benchmark: str
-    mode: ProtectionMode
-    #: Defense registry name; "" = legacy, derive from ``mode``.
-    defense: str = ""
+    #: Defense registry name.
+    mode: str
     machine: Optional[MachineParams] = None
     scale: float = 1.0
     options: RunOptions = RunOptions()
@@ -188,14 +180,8 @@ class SweepTask:
     run_fn: RunFn = run_benchmark
 
     @property
-    def defense_name(self) -> str:
-        return self.defense or self.mode.value
-
-    @property
     def security(self) -> SecurityConfig:
-        if self.defense:
-            return SecurityConfig.for_defense(self.defense)
-        return SecurityConfig(mode=self.mode)
+        return SecurityConfig(self.mode)
 
 
 def execute_sweep_task(task: SweepTask) -> SweepRow:
@@ -224,11 +210,10 @@ def execute_sweep_task(task: SweepTask) -> SweepRow:
             if attempts <= task.retries:
                 time.sleep(backoff_delay(
                     task.backoff, attempts,
-                    f"{task.benchmark}/{task.defense_name}"))
+                    f"{task.benchmark}/{task.mode}"))
                 continue
             return SweepRow(
-                benchmark=task.benchmark, mode=task.mode,
-                defense=task.defense, status="failed",
+                benchmark=task.benchmark, mode=task.mode, status="failed",
                 termination=getattr(
                     getattr(exc, "report", None), "termination", ""),
                 attempts=attempts,
@@ -237,8 +222,7 @@ def execute_sweep_task(task: SweepTask) -> SweepRow:
                 error=str(exc).splitlines()[0] if str(exc) else "",
             )
         return SweepRow(
-            benchmark=task.benchmark, mode=task.mode,
-            defense=task.defense, status="ok",
+            benchmark=task.benchmark, mode=task.mode, status="ok",
             termination=report.termination,
             cycles=report.cycles, committed=report.committed,
             attempts=attempts,
@@ -252,11 +236,9 @@ class SweepRow:
     """Result of one (benchmark, defense) pair — success or failure."""
 
     benchmark: str
-    mode: ProtectionMode
+    #: Defense registry name.
+    mode: str
     status: str                    # "ok" | "failed"
-    #: Defense registry name ("" on legacy rows: the mode *is* the
-    #: defense).
-    defense: str = ""
     termination: str = ""
     cycles: int = 0
     committed: int = 0
@@ -274,13 +256,13 @@ class SweepRow:
 
     @property
     def defense_name(self) -> str:
-        return self.defense or self.mode.value
+        """The defense registry name (same as :attr:`mode`)."""
+        return self.mode
 
     def to_record(self) -> Dict[str, object]:
         record: Dict[str, object] = {
             "benchmark": self.benchmark,
-            "mode": self.mode.value,
-            "defense": self.defense_name,
+            "mode": self.mode,
             "status": self.status,
             "termination": self.termination,
             "cycles": self.cycles,
@@ -299,12 +281,11 @@ class SweepRow:
         report = None
         if isinstance(record.get("report"), dict):
             report = SimReport.from_dict(record["report"])  # type: ignore[arg-type]
-        mode = ProtectionMode(record.get("mode"))
-        defense = str(record.get("defense", "") or "")
         return cls(
             benchmark=str(record.get("benchmark", "")),
-            mode=mode,
-            defense=defense if defense != mode.value else "",
+            # Older rows name a zoo defense in "defense" next to the
+            # paper mode it was anchored to in "mode".
+            mode=str(record.get("defense") or record["mode"]),
             status=str(record.get("status", "failed")),
             termination=str(record.get("termination", "")),
             cycles=int(record.get("cycles", 0)),
@@ -333,41 +314,26 @@ class SweepResult:
     def resumed(self) -> int:
         return sum(1 for row in self.rows if row.resumed)
 
-    def row(self, benchmark: str, mode) -> Optional[SweepRow]:
-        """Find a row by legacy mode or by defense name."""
-        if isinstance(mode, ProtectionMode):
-            wanted = mode.value
-        else:
-            wanted = normalize_defense_name(mode)
+    def row(self, benchmark: str, mode: str) -> Optional[SweepRow]:
+        """Find a row by defense name (aliases accepted)."""
+        wanted = normalize_defense_name(mode)
         for row in self.rows:
-            if row.benchmark == benchmark and row.defense_name == wanted:
+            if row.benchmark == benchmark and row.mode == wanted:
                 return row
         return None
 
-    def report_for(self, benchmark: str, mode) -> Optional[SimReport]:
+    def report_for(self, benchmark: str, mode: str) -> Optional[SimReport]:
         row = self.row(benchmark, mode)
         return row.report if row is not None and row.ok else None
 
-    def reports_for(self, benchmark: str) \
-            -> Dict[ProtectionMode, SimReport]:
-        """All successful reports of one benchmark, keyed by legacy
-        mode (zoo defenses sharing a base mode overwrite; use
-        :meth:`reports_by_defense` for the zoo)."""
-        reports: Dict[ProtectionMode, SimReport] = {}
-        for row in self.rows:
-            if row.benchmark == benchmark and row.ok \
-                    and row.report is not None:
-                reports[row.mode] = row.report
-        return reports
-
-    def reports_by_defense(self, benchmark: str) -> Dict[str, SimReport]:
+    def reports_for(self, benchmark: str) -> Dict[str, SimReport]:
         """All successful reports of one benchmark, keyed by defense
-        name (the zoo-safe view)."""
+        name."""
         reports: Dict[str, SimReport] = {}
         for row in self.rows:
             if row.benchmark == benchmark and row.ok \
                     and row.report is not None:
-                reports[row.defense_name] = row.report
+                reports[row.mode] = row.report
         return reports
 
     @property
@@ -388,7 +354,7 @@ class SweepResult:
             elif row.termination not in ("", "halt"):
                 note = (note + " " if note else "") + row.termination
             lines.append(
-                f"{row.benchmark:<14}{row.defense_name:<18}"
+                f"{row.benchmark:<14}{row.mode:<18}"
                 f"{row.status:<8}{row.cycles:>10}{row.attempts:>9}  "
                 f"{note}"
             )
@@ -403,12 +369,11 @@ class SweepResult:
 class SweepEngine:
     """Checkpointing, fault-tolerant sweep over benchmarks x defenses.
 
-    ``modes`` accepts legacy :class:`ProtectionMode` values, their
-    string spellings, and any defense-zoo registry name (aliases
-    included); everything is normalized to canonical defense names.
-    Checkpoint task keys are those names, which for the four paper
-    modes equal the old ``mode.value`` keys — existing checkpoints
-    resume unchanged.
+    ``modes`` accepts any defense registry name (aliases included);
+    everything is normalized to canonical defense names, which are
+    also the checkpoint task keys.  Budgets and the fault plan arrive
+    in ``options`` (:class:`repro.params.RunOptions`); with no cycle
+    budget there, the sweep uses :data:`DEFAULT_MAX_CYCLES`.
 
     Each completed pair is durably appended to ``checkpoint`` before
     the next one starts, so a killed sweep resumes (``resume=True``)
@@ -429,16 +394,13 @@ class SweepEngine:
     def __init__(
         self,
         benchmarks: Optional[Sequence[str]] = None,
-        modes: Sequence = EVALUATION_MODES,
+        modes: Sequence[str] = PAPER_DEFENSES,
         machine: Optional[MachineParams] = None,
         scale: float = 1.0,
-        max_cycles: Optional[int] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
         retries: int = 2,
         backoff: float = 0.25,
-        wall_clock_budget: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
         run_fn: Optional[RunFn] = None,
         workers: int = 1,
         options: Optional[RunOptions] = None,
@@ -446,36 +408,18 @@ class SweepEngine:
         self.benchmarks = list(benchmarks) if benchmarks is not None \
             else spec_names()
         self.defenses = [normalize_defense_name(mode) for mode in modes]
-        #: Legacy view: the base mode of each requested defense.
-        self.modes = [base_mode_for(name) for name in self.defenses]
         self.machine = machine
         self.scale = scale
-        self.options = RunOptions.coerce(
-            options, max_cycles=max_cycles,
-            wall_clock_budget=wall_clock_budget, fault_plan=fault_plan,
-        )
-        if self.options.max_cycles is None:
-            self.options = self.options.merged(max_cycles=DEFAULT_MAX_CYCLES)
+        options = options if options is not None else RunOptions()
+        if options.max_cycles is None:
+            options = replace(options, max_cycles=DEFAULT_MAX_CYCLES)
+        self.options = options
         self.checkpoint = checkpoint
         self.resume = resume
         self.retries = max(0, retries)
         self.backoff = max(0.0, backoff)
         self.run_fn: RunFn = run_fn if run_fn is not None else run_benchmark
         self.workers = max(1, workers)
-
-    # ---- legacy views of the bundled options -----------------------------
-
-    @property
-    def max_cycles(self) -> int:
-        return self.options.effective_max_cycles
-
-    @property
-    def wall_clock_budget(self) -> Optional[float]:
-        return self.options.wall_clock_budget
-
-    @property
-    def fault_plan(self) -> Optional[FaultPlan]:
-        return self.options.fault_plan
 
     # ---- plumbing --------------------------------------------------------
 
@@ -490,25 +434,26 @@ class SweepEngine:
             "machine": self.machine.name if self.machine is not None
             else "paper",
             "scale": self.scale,
-            "max_cycles": self.max_cycles,
-            "injecting": self.fault_plan is not None,
+            "max_cycles": self.options.max_cycles,
+            "injecting": self.options.fault_plan is not None,
         }
 
-    def _plan_for(self, benchmark: str, defense: str) \
-            -> Optional[FaultPlan]:
-        if self.fault_plan is None:
-            return None
-        return self.fault_plan.derive(f"{benchmark}/{defense}")
+    def _options_for(self, benchmark: str, defense: str) -> RunOptions:
+        """The sweep's options with a :class:`FaultPlan` derived per
+        pair (a pre-built injector, or none, passes through)."""
+        plan = self.options.fault_plan
+        if not isinstance(plan, FaultPlan):
+            return self.options
+        return replace(self.options,
+                       fault_plan=plan.derive(f"{benchmark}/{defense}"))
 
     def task_for(self, benchmark: str, defense: str) -> SweepTask:
         """The spawn-safe payload for one pair (shared by both paths)."""
         defense = normalize_defense_name(defense)
         return SweepTask(
-            benchmark=benchmark, mode=base_mode_for(defense),
-            defense=defense, machine=self.machine,
+            benchmark=benchmark, mode=defense, machine=self.machine,
             scale=self.scale,
-            options=self.options.merged(
-                fault_plan=self._plan_for(benchmark, defense)),
+            options=self._options_for(benchmark, defense),
             retries=self.retries, backoff=self.backoff,
             run_fn=self.run_fn,
         )
@@ -572,7 +517,7 @@ class SweepEngine:
         checkpoint the row, slot it into task order, report progress."""
         if store is not None:
             store.append(
-                CheckpointStore.task_key(row.benchmark, row.defense_name),
+                CheckpointStore.task_key(row.benchmark, row.mode),
                 row.to_record(),
             )
         slots[index] = row

@@ -269,7 +269,7 @@ def run_defense_shootout(
                           summary=defense.summary,
                           area_mm2=defense.area_mm2(machine),
                           area_fraction=defense.area_fraction(machine))
-        security = SecurityConfig.for_defense(name)
+        security = SecurityConfig(name)
         for attack in attack_names:
             progress(f"{name}: attack {attack}")
             sweep = sweep_attack(ATTACK_SUITE[attack], security,

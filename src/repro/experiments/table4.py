@@ -23,7 +23,8 @@ from ..attacks.sidechannel import (
     FlushReloadChannel,
     PrimeProbeChannel,
 )
-from ..core.policy import ProtectionMode, SecurityConfig
+from ..core.defense import PAPER_DEFENSES
+from ..core.policy import SecurityConfig
 from ..params import MachineParams, paper_config
 from .formatting import text_table
 
@@ -69,32 +70,25 @@ SCENARIOS: List[tuple] = [
     ),
 ]
 
-_MODES = (
-    ProtectionMode.ORIGIN,
-    ProtectionMode.BASELINE,
-    ProtectionMode.CACHE_HIT,
-    ProtectionMode.CACHE_HIT_TPBUF,
-)
-
 
 @dataclass
 class Table4Row:
     scenario: str
-    #: mode value -> the attack result under that mode.
+    #: defense name -> the attack result under that defense.
     results: Dict[str, AttackResult]
     expected: Dict[str, bool]
 
-    def protected(self, mode: ProtectionMode) -> bool:
-        return not self.results[mode.value].success
+    def protected(self, mode: str) -> bool:
+        return not self.results[mode].success
 
     def matches_paper(self) -> bool:
         """Origin must leak; each mechanism must match the paper's
         check/cross for this scenario."""
-        if self.protected(ProtectionMode.ORIGIN):
+        if self.protected("origin"):
             return False
         return all(
-            self.protected(mode) == self.expected[mode.value]
-            for mode in _MODES[1:]
+            self.protected(mode) == self.expected[mode]
+            for mode in PAPER_DEFENSES[1:]
         )
 
 
@@ -111,7 +105,7 @@ class Table4Result:
         body = []
         for row in self.rows:
             cells = [row.scenario]
-            for mode in _MODES:
+            for mode in PAPER_DEFENSES:
                 cells.append("safe" if row.protected(mode) else "LEAK")
             cells.append("match" if row.matches_paper() else "MISMATCH")
             body.append(cells)
@@ -141,11 +135,10 @@ def run_table4(
             continue
         results: Dict[str, AttackResult] = {}
         try:
-            for mode in _MODES:
+            for mode in PAPER_DEFENSES:
                 attack: AttackProgram = build(machine)
-                results[mode.value] = run_attack(
-                    attack, machine=machine,
-                    security=SecurityConfig(mode=mode),
+                results[mode] = run_attack(
+                    attack, machine=machine, security=SecurityConfig(mode),
                 )
         except SimulationError as exc:
             if not isolate:

@@ -7,7 +7,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
-from ..core.policy import ProtectionMode
 from ..params import MachineParams
 from ..workloads import spec_names
 from .formatting import percent, text_table
@@ -96,10 +95,10 @@ def run_table5(
                 continue
         else:
             reports = run_modes(name, machine=machine, scale=scale)
-        origin = reports[ProtectionMode.ORIGIN]
-        baseline = reports[ProtectionMode.BASELINE]
-        cachehit = reports[ProtectionMode.CACHE_HIT]
-        tpbuf = reports[ProtectionMode.CACHE_HIT_TPBUF]
+        origin = reports["origin"]
+        baseline = reports["baseline"]
+        cachehit = reports["cache_hit"]
+        tpbuf = reports["cache_hit_tpbuf"]
         result.rows.append(Table5Row(
             benchmark=name,
             l1_hit_rate=origin.l1d_hit_rate,

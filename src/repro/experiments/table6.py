@@ -5,16 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..core.policy import ProtectionMode
+from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams, a57_like, i7_like, xeon_like
 from .formatting import percent, text_table
 from .runner import average, suite_overheads
 
-_MODES = (
-    ProtectionMode.BASELINE,
-    ProtectionMode.CACHE_HIT,
-    ProtectionMode.CACHE_HIT_TPBUF,
-)
+#: The three mechanisms (every paper defense but Origin).
+_MODES = PAPER_DEFENSES[1:]
 
 
 def default_machines() -> List[MachineParams]:
@@ -23,12 +20,11 @@ def default_machines() -> List[MachineParams]:
 
 @dataclass
 class Table6Result:
-    #: machine name -> benchmark -> mode -> overhead.
-    overheads: Dict[str, Dict[str, Dict[ProtectionMode, float]]] = \
+    #: machine name -> benchmark -> defense name -> overhead.
+    overheads: Dict[str, Dict[str, Dict[str, float]]] = \
         field(default_factory=dict)
 
-    def average_overhead(self, machine: str,
-                         mode: ProtectionMode) -> float:
+    def average_overhead(self, machine: str, mode: str) -> float:
         per_bench = self.overheads[machine]
         return average(per_bench[name][mode] for name in per_bench)
 
@@ -41,7 +37,7 @@ class Table6Result:
         headers = ["benchmark"]
         for machine in machines:
             for mode in _MODES:
-                headers.append(f"{machine}:{mode.value[:4]}")
+                headers.append(f"{machine}:{mode[:4]}")
         benchmarks = list(next(iter(self.overheads.values())))
         body = []
         for name in benchmarks:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.defense import PAPER_DEFENSES
 from ..core.policy import SecurityConfig
 from ..isa.assembler import assemble, disassemble
 from ..isa.instructions import WORD_BYTES
@@ -27,29 +28,9 @@ from ..pipeline.processor import Processor
 
 _WORD_ALIGN = ~(WORD_BYTES - 1)
 
-#: The four defense configurations of the paper, by mode name.
-MODE_FACTORIES = {
-    "origin": SecurityConfig.origin,
-    "baseline": SecurityConfig.baseline,
-    "cache_hit": SecurityConfig.cache_hit,
-    "cache_hit_tpbuf": SecurityConfig.cache_hit_tpbuf,
-}
-#: The paper's four modes — the default differential matrix.  Zoo
-#: defenses are added below so ``--modes`` / campaigns can target any
-#: registered scheme by name without widening the default set.
-ALL_MODES: Tuple[str, ...] = tuple(MODE_FACTORIES)
-
-
-def _register_zoo_factories() -> None:
-    from ..core.defense import defense_names
-
-    for name in defense_names():
-        if name not in MODE_FACTORIES:
-            MODE_FACTORIES[name] = (
-                lambda _name=name: SecurityConfig.for_defense(_name))
-
-
-_register_zoo_factories()
+#: The paper's four modes — the default differential matrix.
+#: ``--modes`` / campaigns can target any registered defense by name.
+ALL_MODES: Tuple[str, ...] = PAPER_DEFENSES
 
 
 @dataclass(frozen=True)
@@ -175,8 +156,8 @@ def differential_check(
         return DiffOutcome(valid=False, modes=tuple(modes))
     mismatches: List[Mismatch] = []
     for mode in modes:
-        security = MODE_FACTORIES[mode]()
-        cpu = Processor(program, machine=machine, security=security)
+        cpu = Processor(program, machine=machine,
+                        security=SecurityConfig(mode))
         report = cpu.run(max_cycles=max_cycles)
         mismatches.extend(_compare_state(
             cpu, oracle, mode, report.committed, report.halted))

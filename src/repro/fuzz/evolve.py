@@ -31,7 +31,6 @@ from ..isa.instructions import WORD_BYTES, Instruction, Opcode, mask64
 from ..isa.program import Program
 from ..params import MachineParams, tiny_config
 from .agreement import SECRET_VALUE_A, SECRET_VALUE_B, two_secret_probe
-from .differential import MODE_FACTORIES
 from .minimize import MinimizeResult, minimize_program
 
 #: Second secret value pair used only for survivor re-verification
@@ -188,12 +187,10 @@ def leak_fitness(
 ) -> Optional[int]:
     """Leaked transient line count under ``mode``; ``None`` = invalid
     (a mutant that no longer halts)."""
-    security: SecurityConfig = (
-        MODE_FACTORIES[mode]() if mode in MODE_FACTORIES
-        else SecurityConfig.for_defense(mode))
     diff = two_secret_probe(
         program, secret_words,
-        machine=machine, max_cycles=max_cycles, security=security,
+        machine=machine, max_cycles=max_cycles,
+        security=SecurityConfig(mode),
         values=values, warm_words=warm_words)
     if diff is None:
         return None

@@ -7,12 +7,12 @@ sensitivity study of Table VI (Section VI.D).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
-    from .robustness.faults import FaultPlan
+    from .robustness.faults import FaultInjector, FaultPlan
 
 #: Default simulation cycle budget, shared by :meth:`Processor.run`,
 #: the experiment runner and the CLI so a benchmark behaves the same
@@ -24,24 +24,22 @@ DEFAULT_MAX_CYCLES = 8_000_000
 class RunOptions:
     """Execution budgets and perturbations for one simulation run.
 
-    The same triplet — cycle budget, wall-clock budget, fault plan —
-    used to be threaded as three separate keyword arguments through
-    :meth:`repro.pipeline.processor.Processor.run`,
-    :func:`repro.experiments.runner.run_benchmark`,
-    :func:`repro.experiments.runner.run_modes` and
-    :class:`repro.experiments.runner.SweepEngine`.  ``RunOptions``
-    bundles them; every one of those entry points accepts
-    ``options=RunOptions(...)`` while still honoring the old keywords
-    (an explicit old-style keyword overrides the corresponding
-    ``RunOptions`` field).
+    The one way to hand a cycle budget, wall-clock budget, fault plan
+    or cancellation hook to :class:`repro.pipeline.processor.Processor`,
+    :func:`repro.experiments.runner.run_benchmark` and
+    :class:`repro.experiments.runner.SweepEngine`.  Only
+    :meth:`Processor.run <repro.pipeline.processor.Processor.run>` also
+    takes per-call ``max_cycles``/``wall_clock_budget`` overrides.
     """
 
     #: Cycle budget; ``None`` means :data:`DEFAULT_MAX_CYCLES`.
     max_cycles: Optional[int] = None
     #: Wall-clock budget in seconds (polled coarsely); ``None`` = none.
     wall_clock_budget: Optional[float] = None
-    #: Fault-injection plan (see :mod:`repro.robustness.faults`).
-    fault_plan: Optional["FaultPlan"] = None
+    #: Fault-injection plan (see :mod:`repro.robustness.faults`), or a
+    #: pre-built :class:`~repro.robustness.faults.FaultInjector` for a
+    #: custom fault model.
+    fault_plan: Optional[Union["FaultPlan", "FaultInjector"]] = None
     #: Cooperative cancellation hook, polled at the same coarse cadence
     #: as the wall-clock budget.  Returning ``True`` ends the run with
     #: ``termination="cancelled"`` (the ``repro serve`` job manager
@@ -68,41 +66,18 @@ class RunOptions:
         self,
         max_cycles: Optional[int] = None,
         wall_clock_budget: Optional[float] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        cancel_check: Optional[Callable[[], bool]] = None,
     ) -> "RunOptions":
-        """A copy with any explicitly-given legacy keyword overriding
-        the corresponding field (the old-keywords-win rule)."""
-        if max_cycles is None and wall_clock_budget is None \
-                and fault_plan is None and cancel_check is None:
+        """A copy in which each budget given here overrides the
+        corresponding field (``None`` keeps it)."""
+        if max_cycles is None and wall_clock_budget is None:
             return self
-        return RunOptions(
+        return replace(
+            self,
             max_cycles=max_cycles if max_cycles is not None
             else self.max_cycles,
             wall_clock_budget=wall_clock_budget
             if wall_clock_budget is not None else self.wall_clock_budget,
-            fault_plan=fault_plan if fault_plan is not None
-            else self.fault_plan,
-            cancel_check=cancel_check if cancel_check is not None
-            else self.cancel_check,
         )
-
-    @classmethod
-    def coerce(
-        cls,
-        options: Optional["RunOptions"],
-        max_cycles: Optional[int] = None,
-        wall_clock_budget: Optional[float] = None,
-        fault_plan: Optional["FaultPlan"] = None,
-        cancel_check: Optional[Callable[[], bool]] = None,
-    ) -> "RunOptions":
-        """Resolve the ``options``-plus-legacy-keywords calling
-        convention into one :class:`RunOptions`."""
-        base = options if options is not None else cls()
-        return base.merged(max_cycles=max_cycles,
-                           wall_clock_budget=wall_clock_budget,
-                           fault_plan=fault_plan,
-                           cancel_check=cancel_check)
 
 
 def _power_of_two(value: int) -> bool:

@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.policy import EVALUATION_MODES, ProtectionMode
+from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams, RunOptions
 from ..experiments.runner import SweepEngine, SweepResult
 from ..stats import safe_div
@@ -106,7 +106,7 @@ class BenchResult:
 def _row_signature(result: SweepResult) -> Dict[Any, Any]:
     """What must agree between a serial and a parallel sweep."""
     return {
-        (row.benchmark, row.mode.value):
+        (row.benchmark, row.mode):
             (row.status, row.cycles, row.committed)
         for row in result.rows
     }
@@ -114,7 +114,7 @@ def _row_signature(result: SweepResult) -> Dict[Any, Any]:
 
 def run_bench(
     benchmarks: Optional[Sequence[str]] = None,
-    modes: Sequence[ProtectionMode] = EVALUATION_MODES,
+    modes: Sequence[str] = PAPER_DEFENSES,
     machine: Optional[MachineParams] = None,
     scale: float = 1.0,
     workers: Optional[int] = None,
@@ -135,7 +135,7 @@ def run_bench(
         machine=machine.name if machine is not None else "paper",
         scale=scale,
         benchmarks=names,
-        modes=[mode.value for mode in mode_list],
+        modes=mode_list,
         workers=workers if parallel else 1,
     )
 

@@ -31,8 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Union
 
-from ..core.defense import defense_for_config
-from ..core.filters import HazardFilters, MissVerdict
+from ..core.defense import MissVerdict, create_defense
 from ..core.icache_filter import ICacheHitFilter
 from ..core.policy import SecurityConfig
 from ..core.tpbuf import TPBuf
@@ -62,7 +61,7 @@ from ..params import (
     RunOptions,
     paper_config,
 )
-from ..robustness.faults import FaultInjector, FaultPlan
+from ..robustness.faults import FaultInjector
 from ..robustness.watchdog import (
     DEFAULT_WATCHDOG_CYCLES,
     ForwardProgressWatchdog,
@@ -112,7 +111,6 @@ class Processor:
         initial_registers: Optional[Dict[int, int]] = None,
         tracer: Optional["PipelineTracer"] = None,
         check_invariants: bool = False,
-        fault_plan: Optional[Union[FaultPlan, FaultInjector]] = None,
         watchdog_cycles: int = DEFAULT_WATCHDOG_CYCLES,
         options: Optional[RunOptions] = None,
     ) -> None:
@@ -121,11 +119,9 @@ class Processor:
         core = self.machine.core
 
         # The defense strategy: one fresh instance per processor (it
-        # may keep per-run state), validated here so every bad
-        # name/config/machine combination fails construction with one
-        # structured DefenseConfigError.
-        self.defense = defense_for_config(self.security)
-        self.defense.validate(self.security, self.machine)
+        # may keep per-run state).  The config already rejected an
+        # unknown name with a DefenseConfigError.
+        self.defense = create_defense(self.security.mode)
 
         if isinstance(program, Program):
             program = self.defense.transform_program(program)
@@ -170,7 +166,6 @@ class Processor:
             self.tpbuf = TPBuf(core.ldq_entries + core.stq_entries)
         self.lsq = LoadStoreQueue(core.ldq_entries, core.stq_entries,
                                   tpbuf=self.tpbuf)
-        self.filters = HazardFilters(self.security, self.tpbuf)
         self.icache_filter = ICacheHitFilter(self.security.icache_filter)
         self.store_buffer = StoreBuffer(core.store_buffer_entries,
                                         self.hierarchy)
@@ -202,15 +197,14 @@ class Processor:
         #: Debug flag: run the structural invariant lint every cycle
         #: (see :mod:`repro.pipeline.invariants`).
         self.check_invariants = check_invariants
-        #: Bundled budgets/fault plan (see :class:`repro.params.
-        #: RunOptions`); ``run()`` falls back to these when called
-        #: without explicit budget keywords.
+        #: Budgets and fault plan (see :class:`repro.params.RunOptions`);
+        #: ``run()`` falls back to these when called without explicit
+        #: budget keywords.
         self.options = options if options is not None else RunOptions()
-        #: Fault injection (see :mod:`repro.robustness.faults`); a
-        #: pre-built injector may be passed for custom fault models.
-        #: The legacy ``fault_plan`` keyword wins over ``options``.
-        if fault_plan is None:
-            fault_plan = self.options.fault_plan
+        #: Fault injection (see :mod:`repro.robustness.faults`); the
+        #: options may carry a pre-built injector for custom fault
+        #: models.
+        fault_plan = self.options.fault_plan
         if fault_plan is None:
             self.faults: Optional[FaultInjector] = None
         elif isinstance(fault_plan, FaultInjector):
@@ -220,8 +214,7 @@ class Processor:
         self._filter_bypass = False
         self.watchdog = ForwardProgressWatchdog(limit=watchdog_cycles)
         self.stats = StatGroup("processor")
-        self.report = SimReport(name="run", mode=self.security.mode,
-                                defense=self.security.defense_name)
+        self.report = SimReport(name="run", mode=self.security.mode)
         # Defense wiring flags, hoisted off the hot paths.
         self._tags_suspect = self.defense.tags_suspect
         self._filters_at_cache = self.defense.filters_at_cache
@@ -238,16 +231,14 @@ class Processor:
         max_cycles: Optional[int] = None,
         wall_clock_budget: Optional[float] = None,
         raise_on_budget: bool = False,
-        options: Optional[RunOptions] = None,
     ) -> SimReport:
         """Simulate until HALT commits or a budget runs out.
 
         ``max_cycles`` defaults to :data:`repro.params.DEFAULT_MAX_CYCLES`;
-        ``wall_clock_budget`` is in seconds and polled coarsely.  The
-        budgets may also arrive bundled as ``options``
-        (:class:`repro.params.RunOptions`, here or at construction);
-        an explicit keyword always wins.  When a budget expires the run
-        terminates and the report's
+        ``wall_clock_budget`` is in seconds and polled coarsely.  Both
+        override, for this call, the budgets of the construction-time
+        ``options`` (:class:`repro.params.RunOptions`).  When a budget
+        expires the run terminates and the report's
         :attr:`~repro.pipeline.report.SimReport.termination` records
         which budget did; with ``raise_on_budget`` a
         :class:`~repro.errors.CycleBudgetExceeded` (carrying the report)
@@ -259,11 +250,8 @@ class Processor:
         with ``termination="cancelled"`` (``raise_on_budget`` turns
         that into :class:`~repro.errors.RunCancelled`).
         """
-        resolved = RunOptions.coerce(
-            options if options is not None else self.options,
-            max_cycles=max_cycles,
-            wall_clock_budget=wall_clock_budget,
-        )
+        resolved = self.options.merged(
+            max_cycles=max_cycles, wall_clock_budget=wall_clock_budget)
         max_cycles = resolved.effective_max_cycles
         wall_clock_budget = resolved.wall_clock_budget
         cancel_check = resolved.cancel_check
@@ -1061,7 +1049,7 @@ class Processor:
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,
             self.hierarchy.l3.stats, self.predictor.stats,
-            self.filters.stats, self.iq.matrix.stats, self.itlb.stats,
+            self.defense.stats, self.iq.matrix.stats, self.itlb.stats,
             self.dtlb.stats, self.store_buffer.stats,
             self.icache_filter.stats,
         ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List
 
-from ..core.policy import ProtectionMode
 from ..stats import safe_div
 
 
@@ -26,11 +25,8 @@ class SimReport:
     """
 
     name: str
-    mode: ProtectionMode
     #: Registry name of the active defense (``repro.core.defense``).
-    #: Equals ``mode.value`` for the four legacy modes; zoo defenses
-    #: keep ``mode`` as their legacy anchor and identify here.
-    defense: str = ""
+    mode: str
     cycles: int = 0
     committed: int = 0
     committed_loads: int = 0
@@ -122,9 +118,7 @@ class SimReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict (checkpoint rows, exports)."""
-        data = asdict(self)
-        data["mode"] = self.mode.value
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SimReport":
@@ -132,23 +126,16 @@ class SimReport:
         checkpoints stay loadable across report-schema growth."""
         fields = {f for f in cls.__dataclass_fields__}
         payload = {k: v for k, v in data.items() if k in fields}
-        payload["mode"] = ProtectionMode(payload["mode"])
-        payload.setdefault("defense", payload["mode"].value)
+        # Older records name a zoo defense in "defense" next to the
+        # paper mode it was anchored to in "mode".
+        payload["mode"] = data.get("defense") or data["mode"]
         return cls(**payload)
-
-    @property
-    def defense_name(self) -> str:
-        """Canonical defense name (falls back to the legacy mode)."""
-        return self.defense or self.mode.value
 
     # ---- rendering --------------------------------------------------------------
 
     def render(self) -> str:
-        label = f"mode={self.mode.value}"
-        if self.defense and self.defense != self.mode.value:
-            label += f" defense={self.defense}"
         lines = [
-            f"run '{self.name}' {label}",
+            f"run '{self.name}' mode={self.mode}",
             f"  cycles={self.cycles} committed={self.committed} "
             f"ipc={self.ipc:.3f} halted={self.halted}"
             + (f" termination={self.termination}"
@@ -179,7 +166,7 @@ def compare_table(reports: List[SimReport], origin: SimReport) -> str:
     for report in reports:
         norm = safe_div(report.cycles, origin.cycles, default=1.0)
         lines.append(
-            f"{report.defense_name:<18}{report.cycles:>10}"
+            f"{report.mode:<18}{report.cycles:>10}"
             f"{norm:>8.3f}{report.ipc:>8.3f}"
         )
     return "\n".join(lines)

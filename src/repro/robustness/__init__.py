@@ -9,7 +9,8 @@ cases on demand and to prove the machine survives them:
 
 - :mod:`faults` — a seeded, deterministic :class:`FaultInjector` that
   the :class:`~repro.pipeline.processor.Processor` consults at its
-  speculation decision points (``Processor(fault_plan=...)``);
+  speculation decision points
+  (``Processor(options=RunOptions(fault_plan=...))``);
 - :mod:`watchdog` — the livelock/deadlock detector behind
   :class:`~repro.errors.DeadlockError`, with occupancy snapshots and a
   structured diagnostic dump;

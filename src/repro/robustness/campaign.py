@@ -22,7 +22,7 @@ from ..errors import SimulationError
 from ..isa.instructions import Opcode
 from ..isa.oracle import run_oracle
 from ..isa.program import Program
-from ..params import MachineParams, tiny_config
+from ..params import MachineParams, RunOptions, tiny_config
 from .faults import FaultPlan
 
 #: SPEC profiles the default campaign exercises (cheap but distinct:
@@ -141,7 +141,8 @@ def run_fault_case(
 
     started = time.monotonic()
     cpu = Processor(case.program, machine=machine, security=security,
-                    fault_plan=plan, check_invariants=check_invariants)
+                    options=RunOptions(fault_plan=plan),
+                    check_invariants=check_invariants)
     report = None
     try:
         report = cpu.run(max_cycles=case.max_cycles)

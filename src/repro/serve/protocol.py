@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple, Type, TypeVar
 
-from ..core.policy import ProtectionMode
 from ..errors import AssemblyError, ServeError
 from ..isa.assembler import assemble, disassemble
 from ..isa.program import Program
@@ -166,15 +165,11 @@ class Submission:
             return None
         return FaultPlan(**dict(self.fault))  # type: ignore[arg-type]
 
-    def protection_mode(self) -> ProtectionMode:
-        from ..core.defense import base_mode_for
-        return base_mode_for(self.mode)
-
     def security_config(self) -> "SecurityConfig":
         """The full defense configuration (``mode`` accepts any
         registered zoo name, not just the paper's four)."""
         from ..core.policy import SecurityConfig
-        return SecurityConfig.for_defense(self.mode)
+        return SecurityConfig(self.mode)
 
     def cache_key(self) -> str:
         """Content-addressed identity: canonical program text plus

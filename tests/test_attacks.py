@@ -19,7 +19,6 @@ from repro.attacks.sidechannel import (
     PrimeProbeChannel,
 )
 from repro.core.defense import defense_names
-from repro.core.policy import ProtectionMode
 
 ORIGIN = SecurityConfig.origin()
 BASELINE = SecurityConfig.baseline()
@@ -40,7 +39,7 @@ class TestSpectreV1:
     @pytest.mark.parametrize("defense", ZOO)
     def test_defeated_by_every_registered_defense(self, defense):
         result = run_attack(build_spectre_v1(),
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
         assert not result.success
         assert not result.leaked
         assert result.mode == defense
@@ -59,7 +58,7 @@ class TestSpectreV2:
         assert result.success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT, TPBUF],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.mode)
     def test_defeated_by_all_mechanisms(self, security):
         result = run_attack(build_spectre_v2(), security=security)
         assert not result.success
@@ -71,7 +70,7 @@ class TestSpectreV4:
         assert result.success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT, TPBUF],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.mode)
     def test_defeated_by_all_mechanisms(self, security):
         result = run_attack(build_spectre_v4(), security=security)
         assert not result.success
@@ -79,7 +78,7 @@ class TestSpectreV4:
     def test_branch_only_matrix_misses_v4(self):
         """Section VI.C(1): without memory-memory dependence edges the
         store-bypass attack evades the defense."""
-        weakened = SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF,
+        weakened = SecurityConfig(mode="cache_hit_tpbuf",
                                   branch_only_matrix=True)
         result = run_attack(build_spectre_v4(), security=weakened)
         assert result.success
@@ -87,7 +86,7 @@ class TestSpectreV4:
     @pytest.mark.parametrize("defense", ["invisispec", "stt", "slh"])
     def test_defeated_by_new_zoo_schemes(self, defense):
         result = run_attack(build_spectre_v4(),
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
         assert not result.success
 
     @pytest.mark.parametrize("defense", ["delay_on_miss", "eager_delay"])
@@ -96,7 +95,7 @@ class TestSpectreV4:
         off unresolved branches alone cannot see the store-bypass
         window, so V4 rides through (see docs/defenses.md)."""
         result = run_attack(build_spectre_v4(),
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
         assert result.success
 
     def test_store_set_variant_closes_the_blind_spot(self):
@@ -105,11 +104,11 @@ class TestSpectreV4:
         gadget delay_on_miss provably leaks is blocked."""
         leaky = run_attack(
             build_spectre_v4(),
-            security=SecurityConfig.for_defense("delay_on_miss"))
+            security=SecurityConfig("delay_on_miss"))
         assert leaky.success  # the blind spot is real ...
         result = run_attack(
             build_spectre_v4(),
-            security=SecurityConfig.for_defense("delay_on_miss_ss"))
+            security=SecurityConfig("delay_on_miss_ss"))
         assert not result.success  # ... and the store sets close it
 
 
@@ -163,7 +162,7 @@ class TestNonSharedScenarios:
         assert run_attack(self._prime_probe(), security=TPBUF).success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.mode)
     def test_prime_probe_blocked_by_strict_modes(self, security):
         assert not run_attack(self._prime_probe(),
                               security=security).success
@@ -175,7 +174,7 @@ class TestNonSharedScenarios:
         assert run_attack(self._evict_time(), security=TPBUF).success
 
     @pytest.mark.parametrize("security", [BASELINE, CACHE_HIT],
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.mode)
     def test_evict_time_blocked_by_strict_modes(self, security):
         assert not run_attack(self._evict_time(),
                               security=security).success

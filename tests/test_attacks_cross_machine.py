@@ -25,7 +25,7 @@ class TestV1AcrossMachines:
         machine = machine_factory()
         result = run_attack(build_spectre_v1(machine=machine),
                             machine=machine,
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
         assert not result.success
 
 

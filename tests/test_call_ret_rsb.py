@@ -142,7 +142,7 @@ class TestSpectreRSB:
     @pytest.mark.parametrize("security", [
         SecurityConfig.baseline(), SecurityConfig.cache_hit(),
         SecurityConfig.cache_hit_tpbuf(),
-    ], ids=lambda s: s.mode.value)
+    ], ids=lambda s: s.mode)
     def test_defeated_by_all_mechanisms(self, security):
         result = run_attack(build_spectre_rsb(), security=security)
         assert not result.success

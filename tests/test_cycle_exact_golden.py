@@ -47,7 +47,7 @@ class TestCycleExactness:
         program = build_corpus_variant(kind, "unsafe")
         for defense in defense_names():
             cpu = Processor(program, machine=machine,
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
             assert cpu.run().cycles == expected[defense], \
                 f"{kind}:unsafe cycles drifted under {defense}"
 
@@ -58,7 +58,7 @@ class TestCycleExactness:
         for defense in defense_names():
             program = spec_program(name, scale=scale)
             cpu = Processor(program, machine=machine,
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
             assert cpu.run().cycles == expected[defense], \
                 f"{name} cycles drifted under {defense}"
 
@@ -67,7 +67,7 @@ class TestCycleExactness:
         for defense in defense_names():
             attack = build_spectre_v1(machine=machine)
             result = run_attack(attack, machine=machine,
-                                security=SecurityConfig.for_defense(defense))
+                                security=SecurityConfig(defense))
             assert result.report.cycles == \
                 expected[defense]["cycles"], \
                 f"v1 attack cycles drifted under {defense}"

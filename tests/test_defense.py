@@ -1,12 +1,13 @@
 """Tests of the Conditional Speculation mechanisms on hand-crafted
 programs: suspect tagging, Baseline issue-blocking, the Cache-hit
-filter and the TPBuf filter, plus the filter-decision logic."""
+filter and the TPBuf filter, plus the defenses' cache-stage verdicts."""
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
-from repro.core.filters import HazardFilters, MissVerdict
-from repro.core.policy import ProtectionMode
+from repro.core.defense import MissVerdict, create_defense
 from repro.core.tpbuf import TPBuf
 from repro.isa import ProgramBuilder
 from repro.memory.replacement import SpeculativeLRUPolicy
@@ -142,16 +143,35 @@ class TestTPBufFilter:
         assert tpbuf.block_events <= cachehit.block_events
 
 
+def _load(tpbuf_index=0, ppn=0x100):
+    """The fields of a suspect load the cache-stage verdict reads."""
+    return SimpleNamespace(tpbuf_index=tpbuf_index, ppn=ppn)
+
+
 class TestFilterDecisionLogic:
+    """``judge_suspect_load`` of the defenses that filter at the L1D."""
+
     def test_hit_always_proceeds(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        decision = filters.judge_suspect_load(True, 0, 0x100)
-        assert decision.verdict is MissVerdict.PROCEED
+        for name in ("cache_hit", "cache_hit_tpbuf", "delay_on_miss",
+                     "delay_on_miss_ss", "invisispec"):
+            defense = create_defense(name)
+            assert defense.judge_suspect_load(None, _load(), True) \
+                is MissVerdict.PROCEED, name
+            assert defense.stats.as_dict() == {
+                "suspect_accesses": 1, "filtered_by_cache_hit": 1}, name
 
     def test_cache_hit_mode_blocks_misses(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        decision = filters.judge_suspect_load(False, 0, 0x100)
-        assert decision.verdict is MissVerdict.BLOCK
+        for name in ("cache_hit", "delay_on_miss"):
+            defense = create_defense(name)
+            assert defense.judge_suspect_load(None, _load(), False) \
+                is MissVerdict.BLOCK, name
+            assert defense.stats.get("blocked_misses") == 1, name
+
+    def test_invisispec_misses_stay_invisible(self):
+        defense = create_defense("invisispec")
+        assert defense.judge_suspect_load(None, _load(), False) \
+            is MissVerdict.INVISIBLE
+        assert defense.stats.get("invisible_misses") == 1
 
     def test_tpbuf_mode_consults_buffer(self):
         tpbuf = TPBuf(4)
@@ -160,22 +180,32 @@ class TestFilterDecisionLogic:
         tpbuf.set_suspect(0, True)
         tpbuf.set_writeback(0)
         tpbuf.allocate(1)
-        filters = HazardFilters(SecurityConfig.cache_hit_tpbuf(), tpbuf)
-        assert filters.judge_suspect_load(False, 1, 0x100).verdict \
+        cpu = SimpleNamespace(tpbuf=tpbuf)
+        defense = create_defense("cache_hit_tpbuf")
+        assert defense.judge_suspect_load(cpu, _load(1, 0x100), False) \
             is MissVerdict.PROCEED
-        assert filters.judge_suspect_load(False, 1, 0x200).verdict \
+        assert defense.judge_suspect_load(cpu, _load(1, 0x200), False) \
             is MissVerdict.BLOCK
+        assert defense.stats.get("filtered_by_tpbuf") == 1
+        assert defense.stats.get("blocked_misses") == 1
 
     def test_tpbuf_mode_requires_buffer(self):
-        from repro.core.defense import DefenseConfigError
-        with pytest.raises(DefenseConfigError):
-            HazardFilters(SecurityConfig.cache_hit_tpbuf(), None)
+        # The TPBuf defense declares the buffer; the processor builds
+        # one for it and for no other defense.
+        for name in ("cache_hit", "cache_hit_tpbuf"):
+            cpu = Processor(suspect_scenario_program(),
+                            machine=tiny_config(),
+                            security=SecurityConfig(name))
+            assert (cpu.tpbuf is not None) is (name == "cache_hit_tpbuf")
 
     def test_safe_fraction(self):
-        filters = HazardFilters(SecurityConfig.cache_hit())
-        filters.judge_suspect_load(True, 0, 0)
-        filters.judge_suspect_load(False, 0, 0)
-        assert filters.safe_fraction() == 0.5
+        defense = create_defense("cache_hit")
+        defense.judge_suspect_load(None, _load(), True)
+        defense.judge_suspect_load(None, _load(), False)
+        stats = defense.stats
+        safe = stats.get("filtered_by_cache_hit") \
+            + stats.get("filtered_by_tpbuf")
+        assert safe / stats.get("suspect_accesses") == 0.5
 
 
 class TestLRUPolicies:
@@ -203,7 +233,7 @@ class TestLRUPolicies:
         program, machine, a, b_addr, set_span = self._probe_recency_program()
         cpu, _ = run_to_halt(program, machine=machine,
                              security=SecurityConfig(
-                                 mode=ProtectionMode.CACHE_HIT_TPBUF,
+                                 mode="cache_hit_tpbuf",
                                  lru_policy=SpeculativeLRUPolicy.NORMAL))
         # Fill the set with two more lines: with A touched (MRU), B is
         # the victim.
@@ -219,7 +249,7 @@ class TestLRUPolicies:
         program, machine, a, b_addr, set_span = self._probe_recency_program()
         cpu, _ = run_to_halt(program, machine=machine,
                              security=SecurityConfig(
-                                 mode=ProtectionMode.CACHE_HIT_TPBUF,
+                                 mode="cache_hit_tpbuf",
                                  lru_policy=SpeculativeLRUPolicy.NO_UPDATE))
         pa = cpu.vaddr_to_paddr(a)
         set_index = cpu.hierarchy.l1d.set_index(pa)
@@ -233,7 +263,7 @@ class TestLRUPolicies:
         program, machine, a, b_addr, set_span = self._probe_recency_program()
         cpu, _ = run_to_halt(program, machine=machine,
                              security=SecurityConfig(
-                                 mode=ProtectionMode.CACHE_HIT_TPBUF,
+                                 mode="cache_hit_tpbuf",
                                  lru_policy=SpeculativeLRUPolicy.DELAYED))
         pa = cpu.vaddr_to_paddr(a)
         set_index = cpu.hierarchy.l1d.set_index(pa)

@@ -12,13 +12,11 @@ from repro.core.defense import (
     DEFENSE_REGISTRY,
     Defense,
     DefenseConfigError,
-    base_mode_for,
     create_defense,
     defense_names,
     normalize_defense_name,
 )
-from repro.core.policy import ProtectionMode
-from repro.experiments.runner import SweepTask
+from repro.experiments.runner import SweepRow, SweepTask
 from repro.isa import ProgramBuilder
 from repro.pipeline.report import SimReport
 
@@ -56,7 +54,6 @@ class TestRegistry:
         assert defense.summary
         assert defense.provenance
         assert defense.kind in ("hardware", "software")
-        assert isinstance(defense.base_mode, ProtectionMode)
         # Every entry must declare its hardware cost (0.0 is a valid
         # declaration; *not implementing it* is not).
         area = defense.area_mm2(tiny_config())
@@ -82,19 +79,9 @@ class TestNaming:
         for alias, target in DEFENSE_ALIASES.items():
             assert normalize_defense_name(alias) == target
 
-    def test_protection_mode_accepted(self):
-        assert normalize_defense_name(ProtectionMode.CACHE_HIT) \
-            == "cache_hit"
-
     def test_unknown_name_is_structured_error(self):
         with pytest.raises(DefenseConfigError, match="registered"):
             normalize_defense_name("retpoline")
-
-    def test_legacy_names_equal_mode_values(self):
-        """Checkpoint/task-key compatibility hinges on this."""
-        for mode in ProtectionMode:
-            assert normalize_defense_name(mode.value) == mode.value
-            assert base_mode_for(mode.value) is mode
 
 
 class TestPickling:
@@ -102,40 +89,35 @@ class TestPickling:
 
     @pytest.mark.parametrize("name", ALL)
     def test_security_config_round_trips(self, name):
-        config = SecurityConfig.for_defense(name)
+        config = SecurityConfig(name)
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
         assert clone.defense_name == name
 
     @pytest.mark.parametrize("name", ALL)
     def test_sweep_task_round_trips(self, name):
-        task = SweepTask(benchmark="bzip2", mode=base_mode_for(name),
-                         defense=normalize_defense_name(name),
+        task = SweepTask(benchmark="bzip2", mode=name,
                          machine=tiny_config(), scale=0.01)
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.defense_name == name
+        assert clone.mode == name
         assert clone.security == task.security
 
 
 class TestConstructionValidation:
-    def test_mismatched_mode_and_defense_rejected(self):
-        bad = SecurityConfig(mode=ProtectionMode.ORIGIN,
-                             defense="cache_hit_tpbuf")
-        with pytest.raises(DefenseConfigError):
-            Processor(zoo_program(), machine=tiny_config(), security=bad)
-
     def test_software_defense_needs_a_program(self):
         from repro.isa.program import InstructionMemory
         imem = InstructionMemory(zoo_program())
         with pytest.raises(DefenseConfigError, match="software"):
             Processor(imem, machine=tiny_config(),
-                      security=SecurityConfig.for_defense("slh"))
+                      security=SecurityConfig("slh"))
 
     def test_unknown_defense_rejected_at_construction(self):
-        bad = SecurityConfig(mode=ProtectionMode.ORIGIN,
-                             defense="retpoline")
-        with pytest.raises(DefenseConfigError):
-            Processor(zoo_program(), machine=tiny_config(), security=bad)
+        with pytest.raises(DefenseConfigError, match="retpoline"):
+            SecurityConfig("retpoline")
+
+    def test_config_holds_the_canonical_name(self):
+        assert SecurityConfig("tpbuf") == SecurityConfig("cache_hit_tpbuf")
+        assert SecurityConfig("tpbuf").mode == "cache_hit_tpbuf"
 
 
 class TestPipelineRuns:
@@ -144,18 +126,18 @@ class TestPipelineRuns:
         """Every defense runs the mixed program to HALT with the
         structural + defense-wiring invariant lint on every cycle."""
         cpu = Processor(zoo_program(), machine=tiny_config(),
-                        security=SecurityConfig.for_defense(name),
+                        security=SecurityConfig(name),
                         check_invariants=True)
         report = cpu.run(max_cycles=100_000)
         assert report.halted
-        assert report.defense_name == name
+        assert report.mode == name
 
     @pytest.mark.parametrize("name", ALL)
     def test_architectural_state_matches_origin(self, name):
         """Defenses change timing, never architected results."""
         base_cpu, _ = run_to_halt(zoo_program())
         cpu, report = run_to_halt(
-            zoo_program(), security=SecurityConfig.for_defense(name))
+            zoo_program(), security=SecurityConfig(name))
         assert report.halted
         for reg in range(1, 8):
             assert cpu.arch_reg(reg) == base_cpu.arch_reg(reg), \
@@ -165,20 +147,33 @@ class TestPipelineRuns:
 class TestReportPlumbing:
     def test_report_round_trips_defense(self):
         _, report = run_to_halt(
-            zoo_program(), security=SecurityConfig.for_defense("stt"))
+            zoo_program(), security=SecurityConfig("stt"))
         payload = report.to_dict()
-        assert payload["defense"] == "stt"
+        assert payload["mode"] == "stt" and "defense" not in payload
         clone = SimReport.from_dict(payload)
-        assert clone.defense_name == "stt"
+        assert clone.mode == "stt"
         assert "stt" in clone.render()
 
     def test_legacy_payload_defaults_to_mode(self):
         _, report = run_to_halt(zoo_program(),
                                 security=SecurityConfig.baseline())
         payload = report.to_dict()
-        payload.pop("defense", None)
-        clone = SimReport.from_dict(payload)
-        assert clone.defense_name == "baseline"
+        # Before the defense registry: the paper mode alone.
+        assert SimReport.from_dict(payload).mode == "baseline"
+        # Zoo records anchored to a paper mode name the defense apart.
+        payload.update(mode="origin", defense="delay_on_miss")
+        assert SimReport.from_dict(payload).mode == "delay_on_miss"
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_every_name_round_trips(self, name):
+        report = SimReport(name="bzip2", mode=name, cycles=7)
+        clone = SimReport.from_dict(report.to_dict())
+        assert clone == report
+        row = SweepRow(benchmark="bzip2", mode=name, status="ok",
+                       cycles=7, report=report)
+        back = SweepRow.from_record(row.to_record())
+        assert back.mode == back.defense_name == name
+        assert back.report == report
 
 
 class TestServeSubmissions:
@@ -206,5 +201,5 @@ class TestConfigIO:
     def test_security_dict_round_trip(self):
         from repro.config_io import security_from_dict, security_to_dict
         for name in ALL:
-            config = SecurityConfig.for_defense(name)
+            config = SecurityConfig(name)
             assert security_from_dict(security_to_dict(config)) == config

@@ -121,12 +121,12 @@ def assert_equivalent(program, security):
     assert report.halted, f"core did not halt under {security.mode}"
     for reg in range(32):
         assert cpu.arch_reg(reg) == oracle.reg(reg), (
-            f"r{reg} mismatch under {security.mode.value}"
+            f"r{reg} mismatch under {security.mode}"
         )
     for word in range(_MEM_WORDS):
         vaddr = _MEM_BASE + word * 8
         assert cpu.read_vword(vaddr) == oracle.mem(vaddr), (
-            f"mem[{vaddr:#x}] mismatch under {security.mode.value}"
+            f"mem[{vaddr:#x}] mismatch under {security.mode}"
         )
     assert report.committed == oracle.retired
     # Microarchitectural invariants must hold at rest too.
@@ -202,11 +202,10 @@ def test_function_call_bodies_match_oracle(data):
 @given(programs)
 def test_lru_policies_do_not_change_semantics(data):
     from repro.memory.replacement import SpeculativeLRUPolicy
-    from repro.core.policy import ProtectionMode
     body, iterations, memory = data
     program = build_program(body, iterations, memory)
     for policy in (SpeculativeLRUPolicy.NO_UPDATE,
                    SpeculativeLRUPolicy.DELAYED):
         assert_equivalent(program, SecurityConfig(
-            mode=ProtectionMode.CACHE_HIT_TPBUF, lru_policy=policy,
+            mode="cache_hit_tpbuf", lru_policy=policy,
         ))

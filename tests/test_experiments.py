@@ -6,7 +6,6 @@ checked.
 """
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.experiments import (
     run_area_study,
     run_benchmark,
@@ -51,16 +50,16 @@ class TestRunner:
 
     def test_run_modes_covers_requested(self):
         reports = run_modes("hmmer", scale=_SCALE,
-                            modes=[ProtectionMode.ORIGIN,
-                                   ProtectionMode.BASELINE])
-        assert set(reports) == {ProtectionMode.ORIGIN,
-                                ProtectionMode.BASELINE}
+                            modes=["origin",
+                                   "baseline"])
+        assert set(reports) == {"origin",
+                                "baseline"}
 
     def test_suite_overheads_shape(self):
-        result = suite_overheads([ProtectionMode.BASELINE],
+        result = suite_overheads(["baseline"],
                                  benchmarks=_BENCH, scale=_SCALE)
         assert set(result) == set(_BENCH)
-        assert ProtectionMode.BASELINE in result["hmmer"]
+        assert "baseline" in result["hmmer"]
 
 
 class TestFigure5:
@@ -68,7 +67,7 @@ class TestFigure5:
         result = run_figure5(benchmarks=_BENCH, scale=_SCALE)
         assert len(result.rows) == 1
         row = result.row("hmmer")
-        assert row.normalized(ProtectionMode.ORIGIN) == 1.0
+        assert row.normalized("origin") == 1.0
         text = result.render()
         assert "hmmer" in text and "average" in text
 
@@ -104,7 +103,7 @@ class TestTable6:
                             scale=_SCALE)
         assert result.machines == ["a57-like"]
         value = result.average_overhead("a57-like",
-                                        ProtectionMode.BASELINE)
+                                        "baseline")
         assert isinstance(value, float)
         assert "a57-like" in result.render()
 

@@ -3,9 +3,9 @@ neutral (the oracle stays ground truth), deterministic under a seed,
 and fully logged."""
 import pytest
 
-from repro import Processor, SecurityConfig, tiny_config
-from repro.core.policy import EVALUATION_MODES
+from repro import PAPER_DEFENSES, Processor, SecurityConfig, tiny_config
 from repro.isa import ProgramBuilder, run_oracle
+from repro.params import RunOptions
 from repro.robustness import (
     FAULT_KINDS,
     FaultInjector,
@@ -39,20 +39,20 @@ def _branchy_program():
 
 def _run(plan, mode_config, program):
     cpu = Processor(program, machine=tiny_config(),
-                    security=mode_config, fault_plan=plan,
+                    security=mode_config,
+                    options=RunOptions(fault_plan=plan),
                     check_invariants=True)
     report = cpu.run(max_cycles=500_000)
     return cpu, report
 
 
 class TestOracleNeutrality:
-    @pytest.mark.parametrize("mode", EVALUATION_MODES,
-                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("mode", PAPER_DEFENSES)
     def test_architectural_state_matches_oracle(self, mode):
         program = _branchy_program()
         oracle = run_oracle(program)
         plan = FaultPlan.aggressive(seed=3)
-        cpu, report = _run(plan, SecurityConfig(mode=mode), program)
+        cpu, report = _run(plan, SecurityConfig(mode), program)
         assert report.halted
         for reg in range(1, 8):
             assert cpu.arch_reg(reg) == oracle.reg(reg), f"r{reg}"

@@ -2,14 +2,13 @@
 the Section VII.A study."""
 
 from repro import Processor, SecurityConfig, paper_config, run_oracle
-from repro.core.policy import ProtectionMode
 from repro.experiments.lru_study import STRESS_NAME, run_lru_study
 from repro.memory.replacement import SpeculativeLRUPolicy
 from repro.workloads.synthetic import build_lru_stress
 
 
 def run_policy(program, policy):
-    security = SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF,
+    security = SecurityConfig(mode="cache_hit_tpbuf",
                               lru_policy=policy)
     cpu = Processor(program, machine=paper_config(), security=security)
     report = cpu.run(max_cycles=8_000_000)

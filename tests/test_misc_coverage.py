@@ -3,7 +3,6 @@ safe-fraction, and the remaining CLI subcommands."""
 import pytest
 
 from repro.cli import main
-from repro.core.policy import ProtectionMode
 from repro.pipeline.report import SimReport
 from repro.stats import summarize
 
@@ -17,13 +16,13 @@ class TestStatsSummarize:
 
 class TestSafeFraction:
     def test_all_hits_are_safe(self):
-        report = SimReport(name="t", mode=ProtectionMode.CACHE_HIT,
+        report = SimReport(name="t", mode="cache_hit",
                            suspect_accesses=10, suspect_l1_hits=10)
         assert report.safe_fraction == 1.0
 
     def test_mixed(self):
         report = SimReport(name="t",
-                           mode=ProtectionMode.CACHE_HIT_TPBUF,
+                           mode="cache_hit_tpbuf",
                            suspect_accesses=10, suspect_l1_hits=5,
                            tpbuf_queries=5, tpbuf_safe=3)
         assert report.safe_fraction == pytest.approx(0.8)

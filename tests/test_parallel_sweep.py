@@ -1,10 +1,10 @@
 """Parallel sweep execution: determinism, resume, the single-writer
 lock, and the RunOptions parameter object."""
+import dataclasses
 import os
 
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.errors import ConfigError, SimulationError
 from repro.experiments.runner import (
     SweepEngine,
@@ -14,14 +14,16 @@ from repro.experiments.runner import (
 )
 from repro.params import DEFAULT_MAX_CYCLES, RunOptions
 from repro.perf.parallel import ParallelSweepExecutor
+from repro.pipeline.processor import Processor
 from repro.robustness.checkpoint import (
     CheckpointStore,
     CheckpointWriterConflict,
 )
 from repro.robustness.faults import FaultPlan
+from repro.workloads import spec_program
 
 BENCHMARKS = ["bzip2", "mcf"]
-MODES = [ProtectionMode.ORIGIN, ProtectionMode.CACHE_HIT_TPBUF]
+MODES = ["origin", "cache_hit_tpbuf"]
 OPTIONS = RunOptions(max_cycles=60_000)
 SCALE = 0.05
 
@@ -43,7 +45,7 @@ def _engine(workers, fault_seed=None, **kwargs):
         if fault_seed is not None else None
     return SweepEngine(
         benchmarks=BENCHMARKS, modes=MODES, scale=SCALE,
-        options=OPTIONS.merged(fault_plan=fault_plan),
+        options=dataclasses.replace(OPTIONS, fault_plan=fault_plan),
         workers=workers, **kwargs,
     )
 
@@ -136,7 +138,7 @@ class TestSingleWriterInvariant:
 
 class TestSpawnSafety:
     def test_unpicklable_run_fn_fails_with_clear_error(self):
-        task = SweepTask(benchmark="bzip2", mode=ProtectionMode.ORIGIN,
+        task = SweepTask(benchmark="bzip2", mode="origin",
                          scale=SCALE, options=OPTIONS,
                          run_fn=lambda *a, **k: None)
         executor = ParallelSweepExecutor(workers=2)
@@ -150,7 +152,7 @@ class TestSpawnSafety:
             ParallelSweepExecutor(workers=4, max_in_flight=2)
 
     def test_worker_failure_degrades_to_row(self):
-        task = SweepTask(benchmark="nope", mode=ProtectionMode.ORIGIN,
+        task = SweepTask(benchmark="nope", mode="origin",
                          options=OPTIONS, retries=0)
         rows = ParallelSweepExecutor(workers=2).run_tasks([task])
         assert len(rows) == 1 and not rows[0].ok
@@ -172,26 +174,29 @@ class TestRunOptions:
         with pytest.raises(ConfigError):
             RunOptions(wall_clock_budget=-1.0)
 
-    def test_coerce_legacy_keywords_win(self):
+    def test_merged_per_call_budgets_win(self):
         base = RunOptions(max_cycles=10_000, wall_clock_budget=5.0)
-        merged = RunOptions.coerce(base, max_cycles=99)
+        merged = base.merged(max_cycles=99)
         assert merged.max_cycles == 99
         assert merged.wall_clock_budget == 5.0
-        assert RunOptions.coerce(None).max_cycles is None
+        assert base.merged() is base
 
     def test_run_benchmark_options_equals_legacy(self):
-        legacy = run_benchmark("bzip2", scale=SCALE, max_cycles=60_000)
+        """The bundled budget and ``Processor.run``'s per-call keyword
+        (the spelling one-shot callers keep) run the same simulation."""
+        legacy = Processor(spec_program("bzip2", scale=SCALE)).run(
+            max_cycles=60_000)
         bundled = run_benchmark("bzip2", scale=SCALE,
                                 options=RunOptions(max_cycles=60_000))
         assert legacy.cycles == bundled.cycles
         assert legacy.committed == bundled.committed
 
-    def test_engine_legacy_views(self):
-        engine = SweepEngine(benchmarks=["bzip2"], max_cycles=12_345,
-                             wall_clock_budget=9.0)
-        assert engine.max_cycles == 12_345
-        assert engine.wall_clock_budget == 9.0
-        assert engine.options.fault_plan is None
+    def test_engine_default_cycle_budget(self):
+        engine = SweepEngine(benchmarks=["bzip2"])
+        assert engine.options.max_cycles == DEFAULT_MAX_CYCLES
+        bounded = RunOptions(max_cycles=12_345, wall_clock_budget=9.0)
+        engine = SweepEngine(benchmarks=["bzip2"], options=bounded)
+        assert engine.options == bounded
 
 
 class TestBudgetEnforcement:

@@ -201,7 +201,7 @@ class TestTermination:
         assert report.cycles >= 2000
 
     @pytest.mark.parametrize("security", ALL_SECURITY_CONFIGS,
-                             ids=lambda s: s.mode.value)
+                             ids=lambda s: s.mode)
     def test_all_modes_halt_and_agree(self, security):
         b = ProgramBuilder()
         b.data_words(0x4000, [3, 1, 4, 1, 5])

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
-from repro.core.policy import ProtectionMode
 from repro.isa import ProgramBuilder, run_oracle
 from repro.isa.program import InstructionMemory
 from repro.params import with_core
@@ -148,12 +147,11 @@ class TestClearOnResolve:
         return b.build()
 
     def _config(self, mode):
-        return SecurityConfig(mode=mode, clear_on_resolve=True)
+        return SecurityConfig(mode, clear_on_resolve=True)
 
     @pytest.mark.parametrize("mode", [
-        ProtectionMode.BASELINE, ProtectionMode.CACHE_HIT,
-        ProtectionMode.CACHE_HIT_TPBUF,
-    ], ids=lambda m: m.value)
+        "baseline", "cache_hit", "cache_hit_tpbuf",
+    ])
     def test_architecturally_equivalent(self, mode):
         program = self._program()
         oracle = run_oracle(program)
@@ -167,14 +165,14 @@ class TestClearOnResolve:
         _, issue_clear = run_to_halt(
             program, security=SecurityConfig.baseline())
         _, resolve_clear = run_to_halt(
-            program, security=self._config(ProtectionMode.BASELINE))
+            program, security=self._config("baseline"))
         assert resolve_clear.block_events >= issue_clear.block_events
 
     def test_still_blocks_spectre_v1(self):
         from repro.attacks import build_spectre_v1, run_attack
         result = run_attack(
             build_spectre_v1(),
-            security=SecurityConfig(mode=ProtectionMode.CACHE_HIT_TPBUF,
+            security=SecurityConfig("cache_hit_tpbuf",
                                     clear_on_resolve=True),
         )
         assert not result.success

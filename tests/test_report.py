@@ -1,12 +1,11 @@
 """Tests for SimReport derived metrics and rendering."""
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.pipeline.report import SimReport, compare_table
 
 
 def make_report(**kwargs):
-    defaults = dict(name="t", mode=ProtectionMode.ORIGIN)
+    defaults = dict(name="t", mode="origin")
     defaults.update(kwargs)
     return SimReport(**defaults)
 
@@ -63,7 +62,7 @@ class TestRendering:
 
     def test_compare_table(self):
         origin = make_report(cycles=100, committed=80)
-        other = make_report(mode=ProtectionMode.BASELINE, cycles=150,
+        other = make_report(mode="baseline", cycles=150,
                             committed=80)
         text = compare_table([origin, other], origin)
         assert "baseline" in text

@@ -2,16 +2,27 @@
 isolation — exercised with a fake run function so the tests are fast
 and failure timing is exact."""
 import json
+import os
+import shutil
 
 import pytest
 
-from repro.core.policy import ProtectionMode
 from repro.errors import SimulationError
 from repro.experiments.runner import SweepEngine, SweepRow
+from repro.params import tiny_config
 from repro.pipeline.report import SimReport
 from repro.robustness.checkpoint import CheckpointError, CheckpointStore
 
-_MODES = (ProtectionMode.ORIGIN, ProtectionMode.BASELINE)
+_MODES = ("origin", "baseline")
+
+#: hmmer at scale 0.02 on the tiny machine, written by an earlier
+#: SweepEngine: zoo rows carry the paper mode they were anchored to in
+#: "mode" and their own name in "defense"; the baseline row has no
+#: "defense" keys at all, like rows written before the defense zoo.
+LEGACY_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data",
+                                 "legacy_sweep.jsonl")
+LEGACY_MODES = ("origin", "baseline", "cache_hit", "cache_hit_tpbuf",
+                "delay_on_miss", "stt")
 
 
 def _fake_report(name, mode, cycles=1000):
@@ -174,7 +185,7 @@ class TestSweepEngine:
         result = self._engine(tmp_path).run()
         assert len(result.rows) == 4
         assert not result.failures
-        report = result.report_for("alpha", ProtectionMode.ORIGIN)
+        report = result.report_for("alpha", "origin")
         assert report is not None and report.cycles == 1000
 
     def test_killed_sweep_resumes_without_rerunning(self, tmp_path):
@@ -183,7 +194,7 @@ class TestSweepEngine:
         def crashing(name, security=None, **kwargs):
             if len(calls) == 2:
                 raise KeyboardInterrupt  # simulated Ctrl-C / kill
-            calls.append((name, security.mode.value))
+            calls.append((name, security.mode))
             return _fake_report(name, security.mode)
 
         engine = self._engine(tmp_path, run_fn=crashing)
@@ -194,7 +205,7 @@ class TestSweepEngine:
         resumed_calls = []
 
         def counting(name, security=None, **kwargs):
-            resumed_calls.append((name, security.mode.value))
+            resumed_calls.append((name, security.mode))
             return _fake_report(name, security.mode)
 
         engine2 = self._engine(tmp_path, run_fn=counting, resume=True)
@@ -203,7 +214,7 @@ class TestSweepEngine:
         assert result.resumed == 2
         # Only the two pairs lost to the crash re-ran.
         assert sorted(resumed_calls) == sorted(
-            set((b, m.value) for b in ("alpha", "beta") for m in _MODES)
+            set((b, m) for b in ("alpha", "beta") for m in _MODES)
             - set(calls)
         )
 
@@ -221,7 +232,7 @@ class TestSweepEngine:
             assert row.error_type == "SimulationError"
             assert row.error == "boom"
         # beta still succeeded
-        assert result.report_for("beta", ProtectionMode.ORIGIN) is not None
+        assert result.report_for("beta", "origin") is not None
 
     def test_transient_failure_retries_then_succeeds(self, tmp_path):
         attempts = {}
@@ -241,28 +252,52 @@ class TestSweepEngine:
         engine = self._engine(tmp_path)
         engine.run()
         result = self._engine(tmp_path, resume=True).run()
-        row = result.row("alpha", ProtectionMode.BASELINE)
+        row = result.row("alpha", "baseline")
         assert row.resumed
         assert row.report is not None
-        assert row.report.mode is ProtectionMode.BASELINE
+        assert row.report.mode == "baseline"
         assert row.report.termination == "halt"
 
+    def test_reports_for_keeps_every_defense(self, tmp_path):
+        """A zoo defense does not shadow the paper defense it once
+        shared a record anchor with."""
+        result = self._engine(
+            tmp_path, modes=("origin", "delay_on_miss")).run()
+        reports = result.reports_for("alpha")
+        assert set(reports) == {"origin", "delay_on_miss"}
+        assert reports["delay_on_miss"].mode == "delay_on_miss"
+
+    def test_legacy_checkpoint_resumes_without_rerunning(self, tmp_path):
+        path = str(tmp_path / "legacy.jsonl")
+        shutil.copyfile(LEGACY_CHECKPOINT, path)
+
+        def rerun(name, security=None, **kwargs):
+            raise AssertionError(f"re-ran {name}/{security.mode}")
+
+        result = SweepEngine(
+            benchmarks=["hmmer"], modes=LEGACY_MODES,
+            machine=tiny_config(), scale=0.02, checkpoint=path,
+            resume=True, run_fn=rerun).run()
+        assert result.resumed == len(result.rows) == len(LEGACY_MODES)
+        assert [row.mode for row in result.rows] == list(LEGACY_MODES)
+        reports = result.reports_for("hmmer")
+        assert {name: report.mode for name, report in reports.items()} \
+            == {name: name for name in LEGACY_MODES}
+
     def test_sweep_row_record_round_trip(self):
-        row = SweepRow(benchmark="x", mode=ProtectionMode.ORIGIN,
+        row = SweepRow(benchmark="x", mode="origin",
                        status="ok", termination="halt", cycles=5,
                        committed=2, attempts=1, duration_s=0.5,
-                       report=_fake_report("x", ProtectionMode.ORIGIN))
+                       report=_fake_report("x", "origin"))
         back = SweepRow.from_record(row.to_record())
-        assert back.benchmark == "x" and back.mode is ProtectionMode.ORIGIN
+        assert back.benchmark == "x" and back.mode == "origin"
         assert back.resumed and back.report.cycles == 1000
 
     def test_real_single_pair_sweep(self, tmp_path):
         """One genuine (benchmark, mode) simulation through the engine,
         so the default run path stays covered."""
-        from repro.params import tiny_config
-
         engine = SweepEngine(benchmarks=["hmmer"],
-                             modes=[ProtectionMode.ORIGIN],
+                             modes=["origin"],
                              machine=tiny_config(), scale=0.05,
                              checkpoint=str(tmp_path / "real.jsonl"))
         result = engine.run()

@@ -5,6 +5,7 @@ import pytest
 from repro import Processor, SecurityConfig, tiny_config
 from repro.errors import CycleBudgetExceeded, DeadlockError
 from repro.isa import ProgramBuilder
+from repro.params import RunOptions
 from repro.robustness import FaultInjector, FaultPlan
 from repro.robustness.watchdog import ForwardProgressWatchdog
 
@@ -41,7 +42,8 @@ class TestDeadlockDetection:
         cpu = Processor(
             _load_program(), machine=tiny_config(),
             security=SecurityConfig.origin(),
-            fault_plan=_NeverFillingInjector(FaultPlan(seed=0)),
+            options=RunOptions(
+                fault_plan=_NeverFillingInjector(FaultPlan(seed=0))),
             watchdog_cycles=2_000,
         )
         with pytest.raises(DeadlockError) as excinfo:
@@ -103,8 +105,6 @@ class TestCooperativeCancellation:
     cadence ends the run with ``termination="cancelled"``."""
 
     def _cancelling_cpu(self, fire_after_polls=1):
-        from repro.params import RunOptions
-
         polls = []
 
         def cancel_check():

@@ -106,13 +106,11 @@ class TestSpecCharacteristics:
     @pytest.fixture(scope="class")
     def reports(self):
         from repro.experiments import run_modes
-        from repro.core.policy import ProtectionMode
         names = ("lbm", "GemsFDTD", "libquantum")
         return {name: run_modes(name) for name in names}
 
     def test_hit_rate_bands(self, reports):
-        from repro.core.policy import ProtectionMode
-        origin = {n: r[ProtectionMode.ORIGIN] for n, r in reports.items()}
+        origin = {n: r["origin"] for n, r in reports.items()}
         assert origin["GemsFDTD"].l1d_hit_rate > 0.93
         assert 0.45 < origin["lbm"].l1d_hit_rate < 0.75
         assert origin["GemsFDTD"].l1d_hit_rate > origin["lbm"].l1d_hit_rate
@@ -120,34 +118,31 @@ class TestSpecCharacteristics:
     def test_lbm_tpbuf_rescue(self, reports):
         """The paper's flagship result: TPBuf recovers most of lbm's
         Cache-hit-filter loss (38.1% improvement in the paper)."""
-        from repro.core.policy import ProtectionMode
         lbm = reports["lbm"]
-        origin = lbm[ProtectionMode.ORIGIN].cycles
-        cachehit = lbm[ProtectionMode.CACHE_HIT].cycles / origin - 1
-        tpbuf = lbm[ProtectionMode.CACHE_HIT_TPBUF].cycles / origin - 1
+        origin = lbm["origin"].cycles
+        cachehit = lbm["cache_hit"].cycles / origin - 1
+        tpbuf = lbm["cache_hit_tpbuf"].cycles / origin - 1
         assert tpbuf < cachehit / 2
-        assert lbm[ProtectionMode.CACHE_HIT_TPBUF].spattern_mismatch_rate \
+        assert lbm["cache_hit_tpbuf"].spattern_mismatch_rate \
             > 0.4
 
     def test_libquantum_spattern_pathology(self, reports):
         """libquantum's misses overwhelmingly match the S-Pattern, so
         TPBuf gains almost nothing over the Cache-hit filter."""
-        from repro.core.policy import ProtectionMode
         lib = reports["libquantum"]
-        assert lib[ProtectionMode.CACHE_HIT_TPBUF].spattern_mismatch_rate \
+        assert lib["cache_hit_tpbuf"].spattern_mismatch_rate \
             < 0.1
-        origin = lib[ProtectionMode.ORIGIN].cycles
-        cachehit = lib[ProtectionMode.CACHE_HIT].cycles / origin
-        tpbuf = lib[ProtectionMode.CACHE_HIT_TPBUF].cycles / origin
+        origin = lib["origin"].cycles
+        cachehit = lib["cache_hit"].cycles / origin
+        tpbuf = lib["cache_hit_tpbuf"].cycles / origin
         assert abs(tpbuf - cachehit) < 0.05
 
     def test_mode_ordering(self, reports):
         """Baseline >= Cache-hit >= TPBuf (within noise) per benchmark."""
-        from repro.core.policy import ProtectionMode
         for name, per_mode in reports.items():
-            origin = per_mode[ProtectionMode.ORIGIN].cycles
-            base = per_mode[ProtectionMode.BASELINE].cycles / origin
-            cachehit = per_mode[ProtectionMode.CACHE_HIT].cycles / origin
-            tpbuf = per_mode[ProtectionMode.CACHE_HIT_TPBUF].cycles / origin
+            origin = per_mode["origin"].cycles
+            base = per_mode["baseline"].cycles / origin
+            cachehit = per_mode["cache_hit"].cycles / origin
+            tpbuf = per_mode["cache_hit_tpbuf"].cycles / origin
             assert base >= cachehit - 0.05, name
             assert cachehit >= tpbuf - 0.05, name

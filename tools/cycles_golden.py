@@ -87,7 +87,7 @@ def capture() -> Dict[str, Any]:
             per_defense: Dict[str, int] = {}
             for defense in defenses:
                 cpu = Processor(program, machine=machine,
-                                security=SecurityConfig.for_defense(defense))
+                                security=SecurityConfig(defense))
                 per_defense[defense] = cpu.run().cycles
             golden["corpus"][f"{kind}:{variant}"] = per_defense
     for name in spec_names():
@@ -95,7 +95,7 @@ def capture() -> Dict[str, Any]:
         for defense in defenses:
             program = spec_program(name, scale=SPEC_SCALE)
             cpu = Processor(program, machine=machine,
-                            security=SecurityConfig.for_defense(defense))
+                            security=SecurityConfig(defense))
             per_defense[defense] = cpu.run().cycles
         golden["spec"][name] = per_defense
     for name, build in _ATTACKS.items():
@@ -103,7 +103,7 @@ def capture() -> Dict[str, Any]:
         for defense in defenses:
             attack = build(machine=machine)
             result = run_attack(attack, machine=machine,
-                                security=SecurityConfig.for_defense(defense))
+                                security=SecurityConfig(defense))
             per_defense_attack[defense] = {
                 "cycles": result.report.cycles,
                 "leaked": bool(result.success),

@@ -59,8 +59,7 @@ def check_store_sets() -> List[str]:
 def check_blind_spot_closure() -> List[str]:
     problems: List[str] = []
     leaky = run_attack(build_spectre_v4(),
-                       security=SecurityConfig.for_defense(
-                           "delay_on_miss"))
+                       security=SecurityConfig("delay_on_miss"))
     print(leaky.render())
     if not leaky.success:
         problems.append("delay_on_miss no longer leaks V4 — the "
@@ -68,8 +67,7 @@ def check_blind_spot_closure() -> List[str]:
                         "docs/defenses.md and the pinned tests if "
                         "this is intentional")
     blocked = run_attack(build_spectre_v4(),
-                         security=SecurityConfig.for_defense(
-                             "delay_on_miss_ss"))
+                         security=SecurityConfig("delay_on_miss_ss"))
     print(blocked.render())
     if blocked.success:
         problems.append("delay_on_miss_ss leaked the V4 secret — the "
