@@ -348,8 +348,11 @@ def _back_edges(cfg: ControlFlowGraph, reachable: Set[int],
     return edges
 
 
-def _natural_loop(cfg: ControlFlowGraph, source: int,
-                  header: int) -> Set[int]:
+def _natural_loop(cfg: ControlFlowGraph, source: int, header: int,
+                  reachable: Set[int]) -> Set[int]:
+    """Blocks of the loop closed by the back edge ``source -> header``.
+    Unreachable predecessors (dead code jumping into the body) are not
+    part of it."""
     body = {header}
     work = [source]
     while work:
@@ -357,7 +360,8 @@ def _natural_loop(cfg: ControlFlowGraph, source: int,
         if node in body:
             continue
         body.add(node)
-        work.extend(cfg.blocks[node].predecessors)
+        work.extend(pred for pred in cfg.blocks[node].predecessors
+                    if pred in reachable)
     return body
 
 
@@ -520,7 +524,7 @@ def summarize_program(program: Program, *, window: int,
     loop_sources: Dict[int, List[int]] = {}
     for source, header in back:
         loop_bodies.setdefault(header, set()).update(
-            _natural_loop(cfg, source, header))
+            _natural_loop(cfg, source, header, reachable))
         loop_sources.setdefault(header, []).append(source)
 
     loops: List[LoopSummary] = []

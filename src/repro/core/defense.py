@@ -186,7 +186,9 @@ class Defense:
         return cpu.iq.has_security_dependence(inst)
 
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
-        """May this memory instruction issue now?  (``gates_issue``)"""
+        """May this memory instruction issue now?  (``gates_issue``)
+        A "no" must be a pure function of pipeline state: quiet cycles
+        that only ask this are skipped (``docs/defenses.md``)."""
         return True
 
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
@@ -200,7 +202,8 @@ class Defense:
         return MissVerdict.PROCEED
 
     def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
-        """Must a filter-blocked load keep waiting in the IQ?"""
+        """Must a filter-blocked load keep waiting in the IQ?  A pure
+        function of pipeline state, like :meth:`gate_issue`."""
         assert inst.iq_pos is not None
         return cpu.iq.matrix.has_dependence(inst.iq_pos)
 

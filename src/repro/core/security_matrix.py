@@ -90,15 +90,17 @@ class SecurityDependenceMatrix:
         when the instruction at ``pos`` issues)."""
         self._update_vector |= 1 << pos
 
-    def apply_clears(self) -> None:
-        """End-of-cycle: zero every staged column in one pass."""
+    def apply_clears(self) -> bool:
+        """End-of-cycle: zero every staged column in one pass; returns
+        whether any column was staged."""
         if not self._update_vector:
-            return
+            return False
         # Replicate the staged columns into every row, then mask out.
         self._bits &= ~(self._update_vector * self._col_ones)
         self.stats.incr("columns_cleared",
                         bin(self._update_vector).count("1"))
         self._update_vector = 0
+        return True
 
     def clear_entry(self, pos: int) -> None:
         """Remove ``pos`` entirely (deallocation or squash): zero its

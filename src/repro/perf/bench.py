@@ -21,6 +21,7 @@ CI) and writes ``BENCH_sweep.json``; the committed baseline under
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -71,6 +72,8 @@ class BenchResult:
     deterministic: bool = True
     failures: int = 0
     python: str = field(default_factory=platform.python_version)
+    #: CPUs of the host that took the measurement.
+    cpu_count: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def to_dict(self) -> Dict[str, Any]:
         data = asdict(self)
@@ -88,7 +91,8 @@ class BenchResult:
             f"bench: {len(self.benchmarks)} benchmarks x "
             f"{len(self.modes)} modes on '{self.machine}' "
             f"(scale={self.scale}, {self.rows} rows, "
-            f"{self.failures} failures)",
+            f"{self.failures} failures; {self.cpu_count} CPUs, "
+            f"Python {self.python})",
             f"  simulated throughput : "
             f"{self.instructions_per_sec:,.0f} instructions/s "
             f"({self.cycles_per_sec:,.0f} cycles/s)",

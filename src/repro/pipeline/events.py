@@ -8,7 +8,7 @@ mirroring how real pipelines let in-flight operations drain.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, DefaultDict, List
+from typing import Callable, DefaultDict, List, Optional
 
 Action = Callable[[], None]
 
@@ -33,6 +33,10 @@ class EventQueue:
         for action in actions:
             action()
         return len(actions)
+
+    def next_deadline(self) -> Optional[int]:
+        """The earliest cycle with a scheduled event (None if none)."""
+        return min(self._events, default=None)
 
     @property
     def pending(self) -> int:

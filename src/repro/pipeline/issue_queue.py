@@ -147,12 +147,14 @@ class IssueQueue:
         self._deferred_free.append(pos)
         inst.iq_pos = None
 
-    def end_cycle(self) -> None:
+    def end_cycle(self) -> bool:
         """Apply staged matrix column clears (next-cycle semantics) and
-        recycle the slots released this cycle."""
-        self.matrix.apply_clears()
+        recycle the slots released this cycle; returns whether a clear
+        was staged (every release stages one)."""
+        cleared = self.matrix.apply_clears()
         if self._deferred_free:
             for pos in self._deferred_free:
                 self.matrix.clear_entry(pos)
                 self._free.append(pos)
             self._deferred_free.clear()
+        return cleared

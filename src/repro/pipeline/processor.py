@@ -9,8 +9,17 @@ policy described by :class:`~repro.core.policy.SecurityConfig`.
 The pipeline is cycle-driven.  Each cycle, in order: fire deferred
 events (FU/cache completions, branch resolution), apply the oldest
 pending squash, commit, replay waiting memory operations, issue,
-dispatch, fetch, then apply the security matrix's staged column clears
-and tick the store buffer.
+dispatch, fetch, then apply the security matrix's staged column clears,
+tick the store buffer and let the watchdog observe.
+
+A cycle in which none of those stages does anything is *quiet*: it
+changes no state and only bumps waiting counters (block events,
+dispatch and commit stalls, load waits), so every following cycle
+repeats it exactly until a wake point - the next event, stall
+deadline, fetch-buffer head, store-buffer drain completion, watchdog
+snapshot or deadlock, budget poll or cycle budget.  :meth:`Processor.run`
+jumps over such stretches and adds their counters at once; the result
+is identical to stepping every cycle.
 
 Fidelity notes (also in DESIGN.md):
 
@@ -192,10 +201,16 @@ class Processor:
         self._stores_waiting_data: List[DynInst] = []
         self._commit_stall_until = 0
         self._last_commit_cycle = 0
+        #: Whether the last :meth:`step` was quiet (see the module
+        #: docstring); :meth:`run` fast-forwards after a quiet step.
+        self.quiet = False
+        #: Instructions the last issue stage held back (block events).
+        self._issue_blocked: List[DynInst] = []
 
         self.tracer = tracer
-        #: Debug flag: run the structural invariant lint every cycle
-        #: (see :mod:`repro.pipeline.invariants`).
+        #: Debug flag: run the structural invariant lint every step
+        #: (see :mod:`repro.pipeline.invariants`); a skipped quiet
+        #: cycle has the state of the step before it.
         self.check_invariants = check_invariants
         #: Budgets and fault plan (see :class:`repro.params.RunOptions`);
         #: ``run()`` falls back to these when called without explicit
@@ -249,6 +264,11 @@ class Processor:
         budget; when it returns ``True`` the run stops cooperatively
         with ``termination="cancelled"`` (``raise_on_budget`` turns
         that into :class:`~repro.errors.RunCancelled`).
+
+        Quiet stretches are skipped (see :meth:`_fast_forward`) unless
+        the run injects faults, whose injector draws every cycle; the
+        report, architectural state and trace are the same as from
+        calling :meth:`step` until HALT.
         """
         resolved = self.options.merged(
             max_cycles=max_cycles, wall_clock_budget=wall_clock_budget)
@@ -260,6 +280,7 @@ class Processor:
             deadline = time.monotonic() + wall_clock_budget
         budget = ""
         poll = deadline is not None or cancel_check is not None
+        fast_forward = self.faults is None
         while not self.halted and self.cycle < max_cycles:
             self.step()
             if poll and self.cycle % _WALL_CLOCK_POLL_CYCLES == 0:
@@ -270,6 +291,12 @@ class Processor:
                         and time.monotonic() >= deadline:
                     budget = "wall_clock"
                     break
+            if fast_forward and self.quiet:
+                limit = max_cycles
+                if poll:
+                    limit = min(limit, self.cycle + _WALL_CLOCK_POLL_CYCLES
+                                - self.cycle % _WALL_CLOCK_POLL_CYCLES)
+                self._fast_forward(limit)
         if not self.halted and not budget and self.cycle >= max_cycles:
             budget = "cycle_budget"
         if budget:
@@ -292,23 +319,67 @@ class Processor:
         return report
 
     def step(self) -> None:
-        """Advance the machine by one cycle."""
+        """Advance the machine by one cycle and record in :attr:`quiet`
+        whether the cycle did nothing but wait."""
         self.cycle += 1
         if self.faults is not None:
             self._filter_bypass = self.faults.filter_disabled(self.cycle)
             self._inject_spurious_squash()
-        self.events.fire(self.cycle)
-        self._apply_pending_squash()
+        seq = self._seq
+        busy = self.events.fire(self.cycle)
+        busy = self._apply_pending_squash() or busy
         self._commit()
-        self._retry_waiting_memory()
-        self._issue()
+        busy = self._retry_waiting_memory() or busy
+        busy = self._issue() or busy
         self._dispatch()
-        self._fetch()
-        self.iq.end_cycle()
-        self.store_buffer.tick(self.cycle)
+        busy = self._fetch() or busy
+        busy = self.iq.end_cycle() or busy
+        busy = self.store_buffer.tick(self.cycle) or busy
         if self.check_invariants:
             check_processor_invariants(self)
         self.watchdog.observe(self)
+        dispatched = self._seq != seq
+        committed = self._last_commit_cycle == self.cycle
+        self.quiet = not (busy or dispatched or committed)
+
+    def _fast_forward(self, limit: int) -> None:
+        """Jump over the quiet cycles before the next wake point.
+
+        Called after a quiet step.  Up to the wake point every cycle
+        would repeat that step exactly, so one more step measures the
+        waiting counters a quiet cycle bumps; they are added once for
+        the cycles left, and ``cycle`` moves to just before the wake
+        point (at most ``limit``), which the next step then runs.
+        """
+        wake = min(limit, self._next_wake())
+        skip = wake - self.cycle - 2  # cycles left after the measuring step
+        if skip < 1:
+            return
+        groups = [self.stats]
+        if self.memdep is not None:
+            groups.append(self.memdep.stats)
+        before = [group.as_dict() for group in groups]
+        self.step()
+        if not self.quiet:  # its counters are not a quiet cycle's
+            return
+        for group, snapshot in zip(groups, before):
+            _add_repeats(group, snapshot, skip)
+        self._count_blocks(self._issue_blocked, skip)
+        self.cycle += skip
+
+    def _next_wake(self) -> int:
+        """The first future cycle whose step could differ from a quiet
+        one: an event, a fetch or commit stall ending, the fetch-buffer
+        head becoming ready, a store-buffer drain completing, or the
+        watchdog acting (always ahead, so there is one)."""
+        deadlines = [self.watchdog.next_deadline(self),
+                     self.events.next_deadline(),
+                     self.store_buffer.next_deadline(),
+                     self._fetch_stall_until, self._commit_stall_until]
+        if self._fetch_buffer:
+            deadlines.append(self._fetch_buffer[0].ready_cycle)
+        return min(deadline for deadline in deadlines
+                   if deadline is not None and deadline > self.cycle)
 
     # ---- architectural inspection helpers ---------------------------------
 
@@ -335,27 +406,28 @@ class Processor:
     # Fetch
     # ------------------------------------------------------------------
 
-    def _fetch(self) -> None:
+    def _fetch(self) -> bool:
+        """Fetch one group; returns whether the I-side was accessed."""
         if self._halt_in_fetch or self.cycle < self._fetch_stall_until:
-            return
+            return False
         if len(self._fetch_buffer) >= self._fetch_buffer_cap:
-            return
+            return False
         core = self.machine.core
 
         # One I-cache access per cycle for the current fetch line.
         translation = self.itlb.translate(self.fetch_pc)
         if not translation.tlb_hit:
             self._fetch_stall_until = self.cycle + translation.latency
-            return
+            return True
         line_hit = self.hierarchy.inst_hit_l1(translation.paddr)
         unsafe_npc = self._unresolved_branches > 0
         if not self.icache_filter.allow_fetch(line_hit, unsafe_npc):
             self.report.icache_stall_cycles += 1
-            return
+            return True
         result = self.hierarchy.inst_access(translation.paddr)
         if not result.l1_hit:
             self._fetch_stall_until = self.cycle + result.latency
-            return
+            return True
 
         ready = self.cycle + core.frontend_depth
         line_mask = ~(self.machine.memory.line_bytes - 1)
@@ -386,6 +458,7 @@ class Processor:
                                  ready)
                 )
                 self.fetch_pc = pc + INSTRUCTION_BYTES
+        return True
 
     # ------------------------------------------------------------------
     # Dispatch (rename + allocate ROB/IQ/LSQ)
@@ -464,12 +537,14 @@ class Processor:
     # Issue
     # ------------------------------------------------------------------
 
-    def _issue(self) -> None:
+    def _issue(self) -> bool:
+        """Select and issue; returns whether anything issued."""
         # The issue loop dominates simulation time, so locals are
         # hoisted and the readiness / security-dependence checks are
         # inlined rather than going through RenameState.is_ready /
         # IssueQueue.has_security_dependence per instruction.
         eligible: List[DynInst] = []
+        blocked: List[DynInst] = []
         barrier = self._barrier_seqs[0] if self._barrier_seqs else None
         defense = self.defense
         baseline = defense.blocks_at_issue
@@ -512,23 +587,20 @@ class Processor:
                     and has_dependence(inst.iq_pos):
                 # BASELINE: security-dependent memory accesses are
                 # unsafe and may not issue speculatively.
-                if not inst.ever_blocked:
-                    inst.ever_blocked = True
-                inst.block_events += 1
-                self.report.block_events += 1
+                blocked.append(inst)
                 continue
             elif gated and instr.is_memory \
                     and not defense.gate_issue(self, inst):
                 # Zoo defenses with their own issue gate (eager delay,
                 # STT tainted-address transmitters, ...).
-                if not inst.ever_blocked:
-                    inst.ever_blocked = True
-                inst.block_events += 1
-                self.report.block_events += 1
+                blocked.append(inst)
                 continue
             eligible.append(inst)
+        self._issue_blocked = blocked
+        if blocked:
+            self._count_blocks(blocked, 1)
         if not eligible:
-            return
+            return False
         eligible.sort(key=_SEQ_KEY)
         issued = 0
         issue_width = self.machine.core.issue_width
@@ -541,6 +613,15 @@ class Processor:
                 continue
             self._issue_inst(inst)
             issued += 1
+        return True
+
+    def _count_blocks(self, blocked: List[DynInst], cycles: int) -> None:
+        """Count ``cycles`` issue-stage block events on each of
+        ``blocked``."""
+        for inst in blocked:
+            inst.ever_blocked = True
+            inst.block_events += cycles
+        self.report.block_events += cycles * len(blocked)
 
     def _issue_inst(self, inst: DynInst) -> None:
         instr = inst.instr
@@ -871,7 +952,10 @@ class Processor:
     # Replay of waiting memory operations
     # ------------------------------------------------------------------
 
-    def _retry_waiting_memory(self) -> None:
+    def _retry_waiting_memory(self) -> bool:
+        """Retry stores waiting for data and loads waiting to access
+        memory; returns whether any of them stopped waiting."""
+        moved = False
         if self._stores_waiting_data:
             still_waiting: List[DynInst] = []
             for store in self._stores_waiting_data:
@@ -880,6 +964,8 @@ class Processor:
                 self._try_capture_store_data(store)
                 if not store.store_data_ready:
                     still_waiting.append(store)
+                else:
+                    moved = True
             self._stores_waiting_data = still_waiting
         if self._load_replay:
             replays = [
@@ -888,6 +974,9 @@ class Processor:
             self._load_replay = []
             for load in replays:
                 self._load_cache_stage(load)
+            # A load that waits again re-queues itself.
+            moved = moved or len(self._load_replay) < len(replays)
+        return moved
 
     # ------------------------------------------------------------------
     # Squash
@@ -931,12 +1020,13 @@ class Processor:
                 and kind != "injected":
             self._pending_squash = (keep_seq, redirect_pc, kind)
 
-    def _apply_pending_squash(self) -> None:
+    def _apply_pending_squash(self) -> bool:
         if self._pending_squash is None:
-            return
+            return False
         keep_seq, redirect_pc, kind = self._pending_squash
         self._pending_squash = None
         self._squash(keep_seq, redirect_pc, kind)
+        return True
 
     def _squash(self, keep_seq: int, redirect_pc: int, kind: str) -> None:
         squashed = self.rob.squash_younger_than(keep_seq)
@@ -1057,3 +1147,13 @@ class Processor:
             groups.append(self.tpbuf.stats)
         report.raw = combine(groups)
         return report
+
+
+def _add_repeats(group: StatGroup, before: Dict[str, int],
+                 times: int) -> None:
+    """Add ``times`` more of every counter change in ``group`` since the
+    snapshot ``before``."""
+    for key, value in group.as_dict().items():
+        delta = value - before.get(key, 0)
+        if delta:
+            group.incr(key, delta * times)

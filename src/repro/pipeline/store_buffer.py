@@ -42,14 +42,17 @@ class StoreBuffer:
         self._entries.append(paddr)
         self.stats.incr("accepted")
 
-    def tick(self, cycle: int) -> None:
-        """Advance the drain engine by one cycle."""
+    def tick(self, cycle: int) -> bool:
+        """Advance the drain engine by one cycle; returns whether a
+        drain finished or started."""
+        finished = False
         if self._drain_done_cycle is not None:
             if cycle < self._drain_done_cycle:
-                return
+                return False
             self._entries.popleft()
             self._drain_done_cycle = None
             self.stats.incr("drained")
+            finished = True
         if self._entries and self._drain_done_cycle is None:
             result = self._hierarchy.data_access(self._entries[0])
             self._drain_done_cycle = cycle + result.latency
@@ -57,6 +60,12 @@ class StoreBuffer:
                 self.stats.incr("drain_l1_hits")
             else:
                 self.stats.incr("drain_l1_misses")
+            return True
+        return finished
+
+    def next_deadline(self) -> Optional[int]:
+        """The cycle the drain in flight completes (None when idle)."""
+        return self._drain_done_cycle
 
     def drain_all(self, cycle: int) -> int:
         """Flush everything (end of simulation); returns cycles spent."""

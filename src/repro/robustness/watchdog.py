@@ -186,6 +186,13 @@ class ForwardProgressWatchdog:
             snapshots=list(self.snapshots),
         )
 
+    def next_deadline(self, cpu: "Processor") -> int:
+        """The next cycle at which :meth:`observe` acts: its next
+        snapshot, or the cycle it raises if nothing commits before."""
+        interval = self.snapshot_interval
+        next_snapshot = (cpu.cycle // interval + 1) * interval
+        return min(next_snapshot, cpu._last_commit_cycle + self.limit + 1)
+
     def observe(self, cpu: "Processor") -> None:
         """Called once per cycle from :meth:`Processor.step`."""
         if cpu.cycle % self.snapshot_interval == 0:

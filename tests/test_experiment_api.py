@@ -108,8 +108,11 @@ class TestBenchHarness:
         assert loaded.instructions_per_sec == \
             result.instructions_per_sec
         assert loaded.benchmarks == ["bzip2"]
+        assert loaded.cpu_count == result.cpu_count >= 1
         with open(path) as handle:
-            assert json.load(handle)["format"] == "repro-bench-sweep"
+            data = json.load(handle)
+        assert data["format"] == "repro-bench-sweep"
+        assert data["cpu_count"] >= 1 and data["python"]
 
     def test_check_regression(self):
         baseline = BenchResult(machine="paper", scale=1.0,

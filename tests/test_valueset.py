@@ -449,3 +449,45 @@ class TestAcceleratedWidening:
         assert {r.finding.sink_pc for r in accel.refuted} >= \
             {r.finding.sink_pc for r in plain.refuted}
         assert len(accel.confirmed) <= len(plain.confirmed)
+
+
+class TestDeadCodeIntoLoop:
+    """A dead block that jumps into a loop body is a predecessor of the
+    body but not part of the loop: the natural-loop walk must stay
+    inside the reachable blocks."""
+
+    def test_dead_jump_into_loop_body(self):
+        from repro.analysis.summaries import summarize_program
+
+        b = ProgramBuilder()
+        b.li(1, 0).li(9, 4)
+        b.label("loop")
+        b.addi(1, 1, 1)
+        b.label("latch")
+        b.blt(1, 9, "loop")
+        b.halt()
+        b.label("dead")
+        b.jmp("latch")
+        program = b.build()
+        summaries = summarize_program(program, window=16)
+        (loop,) = summaries.loops
+        assert loop.header == program.labels["loop"]
+        assert loop.blocks == (program.labels["loop"],
+                               program.labels["latch"])
+
+    def test_generator_case_certifies(self):
+        from repro.analysis import certify_program
+        from repro.analysis.summaries import summarize_program
+        from repro.analysis.taint import DEFAULT_WINDOW
+        from repro.fuzz.generator import (GeneratorConfig, case_seed,
+                                          generate_program)
+
+        generated = generate_program(case_seed(7, 26),
+                                     GeneratorConfig(secret=True))
+        summaries = summarize_program(generated.program,
+                                      window=DEFAULT_WINDOW)
+        assert summaries.loops
+        result = certify_program(
+            generated.program, secret_words=tuple(generated.secret_words),
+            summaries=summaries)
+        assert result.verdict.value == "LEAKY"
