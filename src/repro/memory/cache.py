@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..params import CacheParams
 from ..stats import StatGroup
-from .replacement import LRUState
 
 
 @dataclass
@@ -18,12 +17,19 @@ class CacheAccess:
 
 
 class SetAssociativeCache:
-    """One cache level.
+    """One cache level with true-LRU replacement.
 
     All addresses handed to the cache are *physical* byte addresses;
     the cache reasons at line granularity.  The cache tracks no data
     (functional values live in the architectural memory image); it only
-    models presence, which is all the side channel and the defense need.
+    models presence and recency, which is all the side channel and the
+    defense need.
+
+    Each set is a list of its resident line numbers (``address >>
+    log2(line_bytes)``), least recently used first, created on the
+    set's first fill.  A set holding fewer than ``ways`` lines fills
+    without evicting (an invalidated line frees its way); a full set
+    evicts its least recently used line.
     """
 
     def __init__(self, params: CacheParams) -> None:
@@ -32,50 +38,26 @@ class SetAssociativeCache:
         self._line_shift = params.line_bytes.bit_length() - 1
         self._num_sets = params.num_sets
         self._set_mask = self._num_sets - 1
-        self._tags: List[List[Optional[int]]] = [
-            [None] * params.ways for _ in range(self._num_sets)
-        ]
-        self._lru: List[LRUState] = [
-            LRUState(params.ways) for _ in range(self._num_sets)
-        ]
+        self._ways = params.ways
+        self._sets: Dict[int, List[int]] = {}
 
     # ---- address helpers -------------------------------------------------
 
-    def line_address(self, address: int) -> int:
-        return address >> self._line_shift << self._line_shift
-
     def set_index(self, address: int) -> int:
         return (address >> self._line_shift) & self._set_mask
-
-    def _tag(self, address: int) -> int:
-        return address >> self._line_shift >> (self._num_sets.bit_length() - 1)
-
-    def _find_way(self, address: int) -> Optional[int]:
-        tag = self._tag(address)
-        for way, stored in enumerate(self._tags[self.set_index(address)]):
-            if stored == tag:
-                return way
-        return None
 
     # ---- queries (no state change) ----------------------------------------
 
     def contains(self, address: int) -> bool:
         """Presence probe; never perturbs replacement state."""
-        return self._find_way(address) is not None
+        line = address >> self._line_shift
+        return line in self._sets.get(line & self._set_mask, ())
 
-    def lines_in_set(self, set_index: int) -> List[Optional[int]]:
-        """Line addresses currently resident in ``set_index`` (None for
-        invalid ways); used by eviction-set tooling and tests."""
-        result: List[Optional[int]] = []
-        for tag in self._tags[set_index]:
-            if tag is None:
-                result.append(None)
-            else:
-                result.append(
-                    ((tag << (self._num_sets.bit_length() - 1)) | set_index)
-                    << self._line_shift
-                )
-        return result
+    def lines_in_set(self, set_index: int) -> List[int]:
+        """Line addresses resident in ``set_index``, least recently used
+        first; used by eviction-set tooling and tests."""
+        return [line << self._line_shift
+                for line in self._sets.get(set_index, ())]
 
     @property
     def num_sets(self) -> int:
@@ -83,51 +65,52 @@ class SetAssociativeCache:
 
     @property
     def ways(self) -> int:
-        return self.params.ways
+        return self._ways
 
     # ---- state-changing operations ------------------------------------------
 
     def lookup(self, address: int, update_lru: bool = True) -> bool:
         """Lookup without fill.  Returns hit/miss."""
-        way = self._find_way(address)
-        if way is None:
+        line = address >> self._line_shift
+        lines = self._sets.get(line & self._set_mask)
+        if lines is None or line not in lines:
             self.stats.incr("misses")
             return False
         self.stats.incr("hits")
         if update_lru:
-            self._lru[self.set_index(address)].touch(way)
+            lines.remove(line)
+            lines.append(line)
         return True
 
     def touch(self, address: int) -> bool:
         """Apply only the LRU update for a line (the DELAYED policy's
         commit-time action).  Returns False if the line is gone."""
-        way = self._find_way(address)
-        if way is None:
+        line = address >> self._line_shift
+        lines = self._sets.get(line & self._set_mask)
+        if lines is None or line not in lines:
             return False
-        self._lru[self.set_index(address)].touch(way)
+        lines.remove(line)
+        lines.append(line)
         return True
 
     def fill(self, address: int) -> Optional[int]:
         """Insert the line containing ``address``; returns the evicted
         line address, if any.  Filling a resident line just refreshes
         its recency."""
-        set_index = self.set_index(address)
-        way = self._find_way(address)
-        if way is not None:
-            self._lru[set_index].touch(way)
+        line = address >> self._line_shift
+        set_index = line & self._set_mask
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = []
+        elif line in lines:
+            lines.remove(line)
+            lines.append(line)
             return None
-        tags = self._tags[set_index]
-        valid = [tag is not None for tag in tags]
-        victim_way = self._lru[set_index].victim(valid)
         evicted: Optional[int] = None
-        if tags[victim_way] is not None:
-            evicted = (
-                (tags[victim_way] << (self._num_sets.bit_length() - 1))
-                | set_index
-            ) << self._line_shift
+        if len(lines) == self._ways:
+            evicted = lines.pop(0) << self._line_shift
             self.stats.incr("evictions")
-        tags[victim_way] = self._tag(address)
-        self._lru[set_index].touch(victim_way)
+        lines.append(line)
         self.stats.incr("fills")
         return evicted
 
@@ -139,28 +122,23 @@ class SetAssociativeCache:
 
     def invalidate(self, address: int) -> bool:
         """Remove the line containing ``address``; True if it was present."""
-        set_index = self.set_index(address)
-        way = self._find_way(address)
-        if way is None:
+        line = address >> self._line_shift
+        lines = self._sets.get(line & self._set_mask)
+        if lines is None or line not in lines:
             return False
-        self._tags[set_index][way] = None
+        lines.remove(line)
         self.stats.incr("invalidations")
         return True
 
     def flush_all(self) -> None:
         """Empty the cache (used between attack phases in tests)."""
-        for tags in self._tags:
-            for way in range(len(tags)):
-                tags[way] = None
+        self._sets.clear()
 
     def resident_lines(self) -> List[int]:
         """All resident line addresses (tests and debugging)."""
-        lines: List[int] = []
-        for set_index in range(self._num_sets):
-            for line in self.lines_in_set(set_index):
-                if line is not None:
-                    lines.append(line)
-        return lines
+        return [line << self._line_shift
+                for set_index in sorted(self._sets)
+                for line in self._sets[set_index]]
 
     def hit_rate(self) -> float:
         lookups = self.stats.get("hits") + self.stats.get("misses")

@@ -86,9 +86,8 @@ class MemoryHierarchy:
         if l1.lookup(paddr, update_lru=update_l1_lru):
             return AccessResult(latency=l1_latency, level="l1", l1_hit=True)
         level, outer_latency = self._fill_outer(paddr)
-        evicted = l1.fill(paddr)
         # L1 evictions need no action (outer levels keep the line).
-        del evicted
+        l1.fill(paddr)
         return AccessResult(
             latency=l1_latency + outer_latency, level=level, l1_hit=False
         )
@@ -106,14 +105,7 @@ class MemoryHierarchy:
         hit optionally updates LRU state (policy-controlled); a miss
         changes nothing - the request is discarded."""
         self.stats.incr("l1_filter_checks")
-        way_hit = self.l1d.contains(paddr)
-        if way_hit and update_lru:
-            self.l1d.touch(paddr)
-        if way_hit:
-            self.l1d.stats.incr("hits")
-        else:
-            self.l1d.stats.incr("misses")
-        return way_hit
+        return self.l1d.lookup(paddr, update_lru=update_lru)
 
     def complete_miss(self, paddr: int) -> AccessResult:
         """Finish a demand miss whose L1D lookup was already performed

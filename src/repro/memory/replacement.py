@@ -1,5 +1,4 @@
-"""Cache replacement state and the speculative-update policies of
-Section VII.A of the paper.
+"""The speculative-update LRU policies of Section VII.A of the paper.
 
 The paper observes that even a speculative L1D *hit* leaks through the
 replacement metadata (LRU bits) and proposes:
@@ -10,12 +9,12 @@ replacement metadata (LRU bits) and proposes:
   applied when the access becomes non-speculative (commit time).
 
 The policy only governs *speculative hits*; fills and non-speculative
-accesses always update recency.
+accesses always update recency.  The recency itself lives in each
+:class:`~repro.memory.cache.SetAssociativeCache` set.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional
 
 
 class SpeculativeLRUPolicy(Enum):
@@ -24,68 +23,3 @@ class SpeculativeLRUPolicy(Enum):
     NORMAL = "normal"
     NO_UPDATE = "no_update"
     DELAYED = "delayed"
-
-
-class LRUState:
-    """True-LRU recency tracking for one cache set.
-
-    Ways are kept in a list ordered from least- to most-recently used.
-    ``victim`` prefers an invalid way, then the LRU valid way.
-    """
-
-    def __init__(self, ways: int) -> None:
-        self._order: List[int] = list(range(ways))
-
-    def touch(self, way: int) -> None:
-        """Mark ``way`` most recently used."""
-        self._order.remove(way)
-        self._order.append(way)
-
-    def victim(self, valid: List[bool]) -> int:
-        """Way to evict: first invalid way, else least recently used."""
-        for way in self._order:
-            if not valid[way]:
-                return way
-        return self._order[0]
-
-    def recency_order(self) -> List[int]:
-        """Ways ordered least- to most-recently used (for tests)."""
-        return list(self._order)
-
-    def lru_way(self) -> int:
-        return self._order[0]
-
-    def mru_way(self) -> int:
-        return self._order[-1]
-
-
-class PendingLRUUpdates:
-    """Queue of delayed LRU touches (the ``DELAYED`` policy).
-
-    The processor records a pending touch when a speculative hit
-    occurs, and drains it when the instruction commits; squashed
-    instructions' pending touches are dropped, which is exactly what
-    makes the policy leak-free.
-    """
-
-    def __init__(self) -> None:
-        self._pending: dict[int, int] = {}
-        self._next_token = 0
-
-    def record(self, address: int) -> int:
-        """Remember a pending touch; returns a token for commit/squash."""
-        token = self._next_token
-        self._next_token += 1
-        self._pending[token] = address
-        return token
-
-    def commit(self, token: int) -> Optional[int]:
-        """Consume a token at commit; returns the address to touch."""
-        return self._pending.pop(token, None)
-
-    def squash(self, token: int) -> None:
-        """Drop a pending touch for a squashed instruction."""
-        self._pending.pop(token, None)
-
-    def __len__(self) -> int:
-        return len(self._pending)

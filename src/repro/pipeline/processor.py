@@ -155,10 +155,21 @@ class Processor:
         self.hierarchy = MemoryHierarchy(self.machine.memory)
         self.itlb = TLB(self.machine.memory.itlb, self.page_table, "itlb")
         self.dtlb = TLB(self.machine.memory.dtlb, self.page_table, "dtlb")
-        self.memory_image: Dict[int, int] = {}
-        for vaddr, value in self.imem.initial_memory().items():
-            paddr = self.page_table.physical_address(vaddr)
-            self.memory_image[paddr & _WORD_ALIGN] = value
+        # The initial data image, translated a page at a time in
+        # first-touch order: the page table hands out the same PPNs in
+        # the same order as a per-word walk.
+        image = self.imem.initial_memory()
+        shift = self.page_table.page_shift
+        offset_mask = self.page_table.page_bytes - 1
+        page_base = {
+            vpn: self.page_table.translate_vpn(vpn) << shift
+            for vpn in dict.fromkeys(vaddr >> shift for vaddr in image)
+        }
+        self.memory_image: Dict[int, int] = {
+            (page_base[vaddr >> shift] | (vaddr & offset_mask))
+            & _WORD_ALIGN: value
+            for vaddr, value in image.items()
+        }
 
         # Core structures.
         self.predictor = BranchPredictor(core.bp_history_bits,

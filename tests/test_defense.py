@@ -253,9 +253,7 @@ class TestLRUPolicies:
                                  lru_policy=SpeculativeLRUPolicy.NO_UPDATE))
         pa = cpu.vaddr_to_paddr(a)
         set_index = cpu.hierarchy.l1d.set_index(pa)
-        lru_way = cpu.hierarchy.l1d._lru[set_index].lru_way()
-        lines = cpu.hierarchy.l1d.lines_in_set(set_index)
-        assert lines[lru_way] == pa
+        assert cpu.hierarchy.l1d.lines_in_set(set_index)[0] == pa
 
     def test_delayed_policy_touches_at_commit(self):
         """Delayed update applies the touch when the load commits, so
@@ -267,6 +265,4 @@ class TestLRUPolicies:
                                  lru_policy=SpeculativeLRUPolicy.DELAYED))
         pa = cpu.vaddr_to_paddr(a)
         set_index = cpu.hierarchy.l1d.set_index(pa)
-        lru_way = cpu.hierarchy.l1d._lru[set_index].lru_way()
-        lines = cpu.hierarchy.l1d.lines_in_set(set_index)
-        assert lines[lru_way] != pa
+        assert cpu.hierarchy.l1d.lines_in_set(set_index)[0] != pa

@@ -1,9 +1,14 @@
 """End-to-end tests of the out-of-order core on small programs."""
+import copy
+
 import pytest
 
 from conftest import ALL_SECURITY_CONFIGS, run_to_halt
-from repro import Processor, tiny_config
+from repro import Processor, paper_config, tiny_config
+from repro.attacks import build_spectre_v1
 from repro.isa import ProgramBuilder, run_oracle
+from repro.memory import PageTable
+from repro.workloads import spec_program
 
 
 class TestArithmetic:
@@ -214,3 +219,33 @@ class TestTermination:
         expected = run_oracle(program)
         cpu, _ = run_to_halt(program, security=security)
         assert cpu.arch_reg(3) == expected.reg(3) == 14
+
+
+class TestInitialImage:
+    """The constructor translates the initial data image a page at a
+    time; the result must equal a per-word walk of the page table."""
+
+    @staticmethod
+    def assert_matches_per_word_walk(cpu, page_table):
+        image = {}
+        for vaddr, value in cpu.imem.initial_memory().items():
+            image[page_table.physical_address(vaddr) & ~7] = value
+        assert list(cpu.memory_image.items()) == list(image.items())
+        assert list(cpu.page_table._mapping.items()) == \
+            list(page_table._mapping.items())
+        assert cpu.page_table._next_ppn == page_table._next_ppn
+
+    def test_multi_page_spec_profile(self):
+        machine = paper_config()
+        cpu = Processor(spec_program("mcf", scale=0.06), machine=machine)
+        self.assert_matches_per_word_walk(
+            cpu, PageTable(page_bytes=machine.memory.dtlb.page_bytes))
+        assert len(cpu.page_table._mapping) > 1
+
+    def test_prebuilt_page_table_with_shared_aliases(self):
+        attack = build_spectre_v1()
+        ppns = list(attack.page_table._mapping.values())
+        assert len(set(ppns)) < len(ppns)   # map_shared aliases
+        before = copy.deepcopy(attack.page_table)
+        cpu = Processor(attack.program, page_table=attack.page_table)
+        self.assert_matches_per_word_walk(cpu, before)

@@ -19,14 +19,22 @@ legitimate after an intentional timing-model change, never for a
 performance-only PR); without flags it verifies and exits non-zero on
 any drift.  ``tests/test_cycle_exact_golden.py`` runs the same
 comparison inside the tier-1 suite.
+
+``--digest`` prints one line per pinned run: section, key, defense and
+a hash of the full report (``raw`` counters included), registers,
+memory image and page table (report and verdict for attacks).  Two
+checkouts are identical on every counter when their outputs ``diff``
+clean.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import os
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -69,10 +77,37 @@ _ATTACKS = {
 }
 
 
-def capture() -> Dict[str, Any]:
-    """Run the pinned workloads and collect cycles + verdicts."""
+def pinned_runs() -> Iterator[Tuple[str, str, str, Optional[Processor],
+                                    Any]]:
+    """Simulate every pinned run, yielding ``(section, key, defense,
+    cpu, outcome)``.  ``outcome`` is the run's ``SimReport``, or for an
+    attack its ``AttackResult`` (``run_attack`` builds its own
+    processor, so ``cpu`` is None there)."""
     machine = paper_config()
     defenses = defense_names()
+    for kind in GADGET_KINDS:
+        for variant in CORPUS_VARIANTS:
+            program = build_corpus_variant(kind, variant)
+            for defense in defenses:
+                cpu = Processor(program, machine=machine,
+                                security=SecurityConfig(defense))
+                yield "corpus", f"{kind}:{variant}", defense, cpu, cpu.run()
+    for name in spec_names():
+        for defense in defenses:
+            program = spec_program(name, scale=SPEC_SCALE)
+            cpu = Processor(program, machine=machine,
+                            security=SecurityConfig(defense))
+            yield "spec", name, defense, cpu, cpu.run()
+    for name, build in _ATTACKS.items():
+        for defense in defenses:
+            attack = build(machine=machine)
+            result = run_attack(attack, machine=machine,
+                                security=SecurityConfig(defense))
+            yield "attacks", name, defense, None, result
+
+
+def capture() -> Dict[str, Any]:
+    """Run the pinned workloads and collect cycles + verdicts."""
     golden: Dict[str, Any] = {
         "format": "repro-cycles-golden",
         "version": 1,
@@ -81,35 +116,31 @@ def capture() -> Dict[str, Any]:
         "spec": {},
         "attacks": {},
     }
-    for kind in GADGET_KINDS:
-        for variant in CORPUS_VARIANTS:
-            program = build_corpus_variant(kind, variant)
-            per_defense: Dict[str, int] = {}
-            for defense in defenses:
-                cpu = Processor(program, machine=machine,
-                                security=SecurityConfig(defense))
-                per_defense[defense] = cpu.run().cycles
-            golden["corpus"][f"{kind}:{variant}"] = per_defense
-    for name in spec_names():
-        per_defense = {}
-        for defense in defenses:
-            program = spec_program(name, scale=SPEC_SCALE)
-            cpu = Processor(program, machine=machine,
-                            security=SecurityConfig(defense))
-            per_defense[defense] = cpu.run().cycles
-        golden["spec"][name] = per_defense
-    for name, build in _ATTACKS.items():
-        per_defense_attack: Dict[str, Dict[str, Any]] = {}
-        for defense in defenses:
-            attack = build(machine=machine)
-            result = run_attack(attack, machine=machine,
-                                security=SecurityConfig(defense))
-            per_defense_attack[defense] = {
-                "cycles": result.report.cycles,
-                "leaked": bool(result.success),
-            }
-        golden["attacks"][name] = per_defense_attack
+    for section, key, defense, _, outcome in pinned_runs():
+        if section == "attacks":
+            value = {"cycles": outcome.report.cycles,
+                     "leaked": bool(outcome.success)}
+        else:
+            value = outcome.cycles
+        golden[section].setdefault(key, {})[defense] = value
     return golden
+
+
+def digest(cpu: Optional[Processor], outcome: Any) -> str:
+    """Hash of everything a pinned run leaves behind: the full report
+    (``raw`` counters included), final registers, memory image and
+    page table; for an attack, its report and verdict."""
+    if cpu is None:
+        state = dataclasses.asdict(outcome)
+    else:
+        state = {
+            "report": outcome.to_dict(),
+            "registers": [cpu.arch_reg(index) for index in range(32)],
+            "memory": cpu.memory_image,
+            "pages": vars(cpu.page_table),
+        }
+    blob = json.dumps(state, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def ordered(node: Any) -> Any:
@@ -138,9 +169,17 @@ def diff(expected: Dict[str, Any], actual: Dict[str, Any]) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write", action="store_true",
-                        help="(re)write the golden file")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help="(re)write the golden file")
+    mode.add_argument("--digest", action="store_true",
+                      help="print one state hash per pinned run instead "
+                           "of checking cycles")
     args = parser.parse_args(argv)
+    if args.digest:
+        for section, key, defense, cpu, outcome in pinned_runs():
+            print(section, key, defense, digest(cpu, outcome))
+        return 0
     actual = capture()
     if args.write:
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
