@@ -9,13 +9,12 @@ InvisiSpec, STT, SLH) plug into the same pipeline without touching it.
 A defense's registry name is its only identity: configs, reports,
 sweep rows and checkpoints all carry that one string.
 
-A :class:`Defense` declares, as class attributes, *where* the pipeline
-must consult it (``uses_matrix``, ``tags_suspect``, ``gates_issue``,
-``filters_at_cache``, ``wants_events``, ``taints_writeback``) and
-implements the hooks for those points.  The processor reads the flags
-once at construction and only calls a hook on paths the defense opted
-into.  Every entry is cycle-exact against
-``tests/data/cycles_golden.json``.
+A :class:`Defense` declares its hardware (``uses_matrix``,
+``uses_tpbuf``) and overrides the hooks it needs; nothing else.  The
+hooks a class overrides are its wiring: the pipeline calls a hook only
+on defenses that override it, through flags derived once per class
+(:meth:`Defense.__init_subclass__`).  Every entry is cycle-exact
+against ``tests/data/cycles_golden.json``.
 
 Every entry also declares its hardware area through the analytic model
 in :mod:`repro.core.area_model`, which is what the
@@ -28,7 +27,6 @@ Adding a scheme::
         name = "my_defense"
         summary = "one-line description"
         provenance = "Authors, Venue Year"
-        gates_issue = True
 
         def gate_issue(self, cpu, inst):
             return not self._looks_dangerous(inst)
@@ -98,22 +96,21 @@ class Defense:
     - ``kind`` — ``"hardware"`` or ``"software"`` (software defenses
       rewrite the program and add no hardware).
 
-    Wiring flags (each enables exactly one pipeline consultation):
+    Hardware declarations, the only wiring a class writes:
 
     - ``uses_matrix`` — install security-dependence rows at dispatch.
-    - ``tags_suspect`` — evaluate :meth:`is_suspect` for memory ops at
-      issue select.
     - ``uses_tpbuf`` — build the TPBuf and mirror suspect/PPN state.
-    - ``blocks_at_issue`` — BASELINE-style matrix gate in the issue
-      loop (kept inline in the processor for the hot path).
-    - ``gates_issue`` — consult :meth:`gate_issue` per memory
-      instruction in the issue loop.
-    - ``filters_at_cache`` — consult :meth:`judge_suspect_load` when a
-      suspect load reaches the L1D.
-    - ``wants_events`` — receive ``on_dispatch`` / ``on_resolve`` /
-      ``on_commit`` / ``on_squash``.
-    - ``taints_writeback`` — receive :meth:`on_writeback` after every
-      register writeback.
+
+    Derived wiring, set once per class by :meth:`__init_subclass__`
+    from the hooks it overrides; the pipeline skips the hooks of a
+    flag that is false:
+
+    - ``tags_suspect`` — ``uses_matrix``, or :meth:`is_suspect`;
+    - ``gates_issue`` — :meth:`gate_issue`;
+    - ``filters_at_cache`` — :meth:`judge_suspect_load`;
+    - ``wants_events`` — any of :meth:`on_dispatch`,
+      :meth:`on_resolve`, :meth:`on_commit`, :meth:`on_squash`;
+    - ``taints_writeback`` — :meth:`on_writeback`.
 
     Coverage declaration (consumed by the static pre-screen in
     :mod:`repro.analysis.prescreen`):
@@ -136,16 +133,22 @@ class Defense:
     kind: str = "hardware"
 
     uses_matrix: bool = False
-    tags_suspect: bool = False
     uses_tpbuf: bool = False
-    blocks_at_issue: bool = False
-    gates_issue: bool = False
-    filters_at_cache: bool = False
-    wants_events: bool = False
-    taints_writeback: bool = False
+
+    tags_suspect: bool
+    gates_issue: bool
+    filters_at_cache: bool
+    wants_events: bool
+    taints_writeback: bool
 
     covers_sources: Tuple[str, ...] = ()
     coverage_needs_memdep: bool = False
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        # At class creation, not per Processor: perfbench's tracer
+        # rebinds the hooks of every class after import.
+        super().__init_subclass__(**kwargs)
+        _derive_wiring(cls)
 
     # ---- lifecycle ---------------------------------------------------------
 
@@ -182,32 +185,30 @@ class Defense:
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
         """Is this memory instruction an unsafe speculative access?
-        Sampled once at issue select (``tags_suspect``)."""
-        return cpu.iq.has_security_dependence(inst)
+        Sampled at issue select, and asked again each cycle a
+        filter-blocked load waits: a pure function of pipeline state,
+        like :meth:`gate_issue`.  The default is the security
+        dependence row (Section V.B)."""
+        assert inst.iq_pos is not None
+        return cpu.iq.matrix.has_dependence(inst.iq_pos)
 
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
-        """May this memory instruction issue now?  (``gates_issue``)
-        A "no" must be a pure function of pipeline state: quiet cycles
-        that only ask this are skipped (``docs/defenses.md``)."""
+        """May this memory instruction issue now?  A "no" must be a
+        pure function of pipeline state: quiet cycles that only ask
+        this are skipped (``docs/defenses.md``)."""
         return True
 
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
                            l1_hit: bool) -> MissVerdict:
-        """Fate of a suspect load at the L1D (``filters_at_cache``):
-        ``PROCEED`` (access the cache normally), ``BLOCK`` (discard,
-        re-issue once :meth:`still_blocked` clears), or ``INVISIBLE``
-        (read memory without changing cache state; expose at commit).
-        The default lets every suspect load proceed; the paper's
-        Cache-hit filter is :class:`CacheHitDefense`'s."""
+        """Fate of a suspect load at the L1D: ``PROCEED`` (access the
+        cache normally), ``BLOCK`` (discard, re-issue once
+        :meth:`is_suspect` turns false), or ``INVISIBLE`` (read memory
+        without changing cache state; expose at commit).  The default
+        lets every suspect load proceed; the paper's Cache-hit filter
+        is :class:`CacheHitDefense`'s."""
         return MissVerdict.PROCEED
 
-    def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
-        """Must a filter-blocked load keep waiting in the IQ?  A pure
-        function of pipeline state, like :meth:`gate_issue`."""
-        assert inst.iq_pos is not None
-        return cpu.iq.matrix.has_dependence(inst.iq_pos)
-
-    # ---- event hooks (``wants_events`` / ``taints_writeback``) -----------
+    # ---- event hooks -------------------------------------------------------
 
     def on_dispatch(self, cpu: "Processor", inst: "DynInst") -> None:
         """Every instruction entering the ROB."""
@@ -222,10 +223,33 @@ class Defense:
         """An instruction was squashed (youngest first)."""
 
     def on_writeback(self, cpu: "Processor", inst: "DynInst") -> None:
-        """A register value was written back (``taints_writeback``)."""
+        """A register value was written back."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Defense {self.name}>"
+
+
+#: Derived wiring flag -> the hooks whose override sets it.
+_HOOK_FLAGS = {
+    "gates_issue": ("gate_issue",),
+    "filters_at_cache": ("judge_suspect_load",),
+    "wants_events": ("on_dispatch", "on_resolve", "on_commit",
+                     "on_squash"),
+    "taints_writeback": ("on_writeback",),
+}
+
+
+def _derive_wiring(cls: Type[Defense]) -> None:
+    """Set ``cls``'s derived wiring flags from the hooks it overrides."""
+    def overrides(hook: str) -> bool:
+        return getattr(cls, hook) is not getattr(Defense, hook)
+
+    cls.tags_suspect = cls.uses_matrix or overrides("is_suspect")
+    for flag, hooks in _HOOK_FLAGS.items():
+        setattr(cls, flag, any(overrides(hook) for hook in hooks))
+
+
+_derive_wiring(Defense)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +336,13 @@ class BaselineDefense(Defense):
     summary = "block every security-dependent memory access at issue"
     provenance = "Li et al., HPCA 2019 (Baseline column)"
     uses_matrix = True
-    tags_suspect = True
-    blocks_at_issue = True
     covers_sources = ("branch", "indirect", "return", "store")
+
+    def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
+        """Not while suspect: the default :meth:`is_suspect`, inlined
+        because the issue loop asks it per memory instruction."""
+        assert inst.iq_pos is not None
+        return not cpu.iq.matrix.has_dependence(inst.iq_pos)
 
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
@@ -328,8 +356,6 @@ class _CacheHitFilter(Defense):
     change cache content; a miss is left to :meth:`judge_suspect_miss`,
     which blocks it unless a subclass decides otherwise."""
 
-    filters_at_cache = True
-
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
                            l1_hit: bool) -> MissVerdict:
         stats = self.stats
@@ -342,7 +368,7 @@ class _CacheHitFilter(Defense):
     def judge_suspect_miss(self, cpu: "Processor",
                            inst: "DynInst") -> MissVerdict:
         """A suspect L1D miss is discarded and re-issued once
-        :meth:`still_blocked` clears."""
+        :meth:`is_suspect` turns false."""
         self.stats.incr("blocked_misses")
         return MissVerdict.BLOCK
 
@@ -355,7 +381,6 @@ class CacheHitDefense(_CacheHitFilter):
     summary = "suspect L1D hits proceed; misses discard and re-issue"
     provenance = "Li et al., HPCA 2019, Section V.C"
     uses_matrix = True
-    tags_suspect = True
     covers_sources = ("branch", "indirect", "return", "store")
 
     def area_mm2(self, machine: "MachineParams") -> float:
@@ -403,8 +428,6 @@ class _BranchAgeTracker(Defense):
     defenses that reason about control speculation without the
     security dependence matrix."""
 
-    wants_events = True
-
     def attach(self, cpu: "Processor") -> None:
         self._branch_seqs: List[int] = []
 
@@ -447,13 +470,9 @@ class DelayOnMissDefense(_BranchAgeTracker, _CacheHitFilter):
     name = "delay_on_miss"
     summary = "suspect = behind unresolved branch; L1D miss delays"
     provenance = "Weisse et al. NDA, MICRO 2019 / Sakalis et al., ISCA 2019"
-    tags_suspect = True
     covers_sources = ("branch", "indirect", "return")
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
-        return self._control_speculative(inst.seq)
-
-    def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
         return self._control_speculative(inst.seq)
 
     def area_mm2(self, machine: "MachineParams") -> float:
@@ -470,7 +489,6 @@ class EagerDelayDefense(_BranchAgeTracker):
     name = "eager_delay"
     summary = "no memory issues behind an unresolved branch"
     provenance = "eager variant of NDA (Weisse et al., MICRO 2019)"
-    gates_issue = True
     covers_sources = ("branch", "indirect", "return")
 
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
@@ -530,9 +548,6 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
         return (inst.pc in self._store_sets
                 and cpu.lsq.unresolved_store_older_than(inst.seq))
 
-    def still_blocked(self, cpu: "Processor", inst: "DynInst") -> bool:
-        return self.is_suspect(cpu, inst)
-
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
         # Branch-age comparator as delay_on_miss, plus an STQ
@@ -560,7 +575,6 @@ class InvisiSpecDefense(CacheHitDefense):
     name = "invisispec"
     summary = "suspect misses stay invisible; expose line at commit"
     provenance = "Yan et al. InvisiSpec, MICRO 2018"
-    wants_events = True
 
     def judge_suspect_miss(self, cpu: "Processor",
                            inst: "DynInst") -> MissVerdict:
@@ -600,10 +614,6 @@ class STTDefense(Defense):
     summary = "taint suspect load results; gate tainted-address memory"
     provenance = "Yu et al. STT, MICRO 2019"
     uses_matrix = True
-    tags_suspect = True
-    gates_issue = True
-    wants_events = True
-    taints_writeback = True
     covers_sources = ("branch", "indirect", "return", "store")
 
     def attach(self, cpu: "Processor") -> None:

@@ -20,10 +20,11 @@ Checked invariants:
 - **LSQ**: occupancy bookkeeping exact, backlinks correct, and every
   resident also lives in the ROB.
 - **Rename**: free list and active mappings disjoint.
-- **Defense wiring**: a defense that declares no security matrix must
-  never accumulate dependence rows; suspect/blocked flags only appear
-  on instructions a tagging defense could have marked, and a blocked
-  instruction is always an un-issued memory resident.
+- **Defense wiring**: the processor honours the defense's flags.  A
+  defense that declares no security matrix never accumulates
+  dependence rows; only a defense that tags suspects (it declares the
+  matrix or overrides ``is_suspect``) marks an instruction suspect;
+  a blocked instruction is always an un-issued memory resident.
 """
 from __future__ import annotations
 
@@ -106,7 +107,8 @@ def check_security_matrix(cpu: "Processor") -> None:
 
 
 def check_defense_wiring(cpu: "Processor") -> None:
-    """The declared defense flags bound what may appear in flight."""
+    """The defense's declared hardware and derived wiring bound what
+    may appear in flight."""
     defense = cpu.defense
     if not defense.uses_matrix:
         for pos in range(cpu.iq.entries):

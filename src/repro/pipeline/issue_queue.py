@@ -112,18 +112,6 @@ class IssueQueue:
     def is_issued(self, pos: int) -> bool:
         return self._issued[pos]
 
-    def has_security_dependence(self, inst: DynInst) -> bool:
-        """Is ``inst`` security-dependent on an in-flight producer?
-
-        This is the default suspect predicate of the matrix-based
-        entries in :mod:`repro.core.defense`
-        (:meth:`~repro.core.defense.Defense.is_suspect`); defenses
-        that track speculation differently (branch-age, taint) never
-        call it.
-        """
-        assert inst.iq_pos is not None
-        return self.matrix.has_dependence(inst.iq_pos)
-
     # ---- release / squash ---------------------------------------------------------
 
     def release(self, inst: DynInst) -> None:

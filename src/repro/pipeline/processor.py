@@ -241,7 +241,8 @@ class Processor:
         self.watchdog = ForwardProgressWatchdog(limit=watchdog_cycles)
         self.stats = StatGroup("processor")
         self.report = SimReport(name="run", mode=self.security.mode)
-        # Defense wiring flags, hoisted off the hot paths.
+        # Defense wiring flags (derived from the hooks the defense
+        # overrides), hoisted off the hot paths.
         self._tags_suspect = self.defense.tags_suspect
         self._filters_at_cache = self.defense.filters_at_cache
         self._defense_events = self.defense.wants_events
@@ -551,17 +552,14 @@ class Processor:
     def _issue(self) -> bool:
         """Select and issue; returns whether anything issued."""
         # The issue loop dominates simulation time, so locals are
-        # hoisted and the readiness / security-dependence checks are
-        # inlined rather than going through RenameState.is_ready /
-        # IssueQueue.has_security_dependence per instruction.
+        # hoisted and the readiness check is inlined rather than going
+        # through RenameState.is_ready per instruction.
         eligible: List[DynInst] = []
         blocked: List[DynInst] = []
         barrier = self._barrier_seqs[0] if self._barrier_seqs else None
         defense = self.defense
-        baseline = defense.blocks_at_issue
         gated = defense.gates_issue
         ready = self.rename.ready
-        has_dependence = self.iq.matrix.has_dependence
         dispatched = InstState.DISPATCHED
         for inst in self.iq._slots:
             if inst is None or inst.state is not dispatched:
@@ -588,22 +586,15 @@ class Processor:
                 if not sources_ready:
                     continue
             if inst.blocked:
-                # Filter-blocked load: wait until the defense's blocking
-                # condition clears (legacy: the security dependence
-                # row, Section V.C), then re-issue.
-                if defense.still_blocked(self, inst):
+                # Filter-blocked load: re-issue once the defense no
+                # longer finds it suspect (Section V.C).
+                if defense.is_suspect(self, inst):
                     continue
                 inst.blocked = False
-            elif baseline and instr.is_memory \
-                    and has_dependence(inst.iq_pos):
-                # BASELINE: security-dependent memory accesses are
-                # unsafe and may not issue speculatively.
-                blocked.append(inst)
-                continue
             elif gated and instr.is_memory \
                     and not defense.gate_issue(self, inst):
-                # Zoo defenses with their own issue gate (eager delay,
-                # STT tainted-address transmitters, ...).
+                # The defense holds it at issue (baseline's dependence
+                # row, eager delay, STT tainted-address transmitters).
                 blocked.append(inst)
                 continue
             eligible.append(inst)
@@ -642,8 +633,8 @@ class Processor:
         self.stats.incr("issued")
 
         # Security hazard detection: sample the defense's suspect
-        # predicate at select time (legacy: the matrix row, Figure 2,
-        # stage 3).
+        # predicate at select time (by default the matrix row, Figure
+        # 2, stage 3).
         if self._tags_suspect and instr.is_memory:
             inst.suspect = self.defense.is_suspect(self, inst)
             if inst.suspect:

@@ -43,7 +43,7 @@ class TestSuspectTagging:
                                   machine=tiny_config(), security=security)
         assert report.suspect_issues > 0
 
-    def test_baseline_blocks_at_issue(self):
+    def test_baseline_holds_suspects_at_issue(self):
         cpu, report = run_to_halt(suspect_scenario_program(),
                                   machine=tiny_config(),
                                   security=SecurityConfig.baseline())

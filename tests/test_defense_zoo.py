@@ -71,6 +71,64 @@ class TestRegistry:
             assert cls.name == name
 
 
+#: The wiring each entry ends up with: its hardware declarations plus
+#: the flags derived from the hooks it overrides.
+WIRING = {
+    "origin": set(),
+    "baseline": {"uses_matrix", "tags_suspect", "gates_issue"},
+    "cache_hit": {"uses_matrix", "tags_suspect", "filters_at_cache"},
+    "cache_hit_tpbuf": {"uses_matrix", "tags_suspect", "filters_at_cache",
+                        "uses_tpbuf"},
+    "delay_on_miss": {"tags_suspect", "filters_at_cache", "wants_events"},
+    "eager_delay": {"gates_issue", "wants_events"},
+    "delay_on_miss_ss": {"tags_suspect", "filters_at_cache",
+                         "wants_events"},
+    "invisispec": {"uses_matrix", "tags_suspect", "filters_at_cache",
+                   "wants_events"},
+    "stt": {"uses_matrix", "tags_suspect", "gates_issue", "wants_events",
+            "taints_writeback"},
+    "slh": set(),
+}
+FLAGS = ("uses_matrix", "uses_tpbuf", "tags_suspect", "gates_issue",
+         "filters_at_cache", "wants_events", "taints_writeback")
+
+
+class TestDerivedWiring:
+    @pytest.mark.parametrize("name", ALL)
+    def test_entry_wiring_is_pinned(self, name):
+        cls = DEFENSE_REGISTRY[name]
+        assert {flag for flag in FLAGS if getattr(cls, flag)} \
+            == WIRING[name]
+
+    def test_overridden_hooks_are_called(self, monkeypatch):
+        """A defense that only overrides hooks, setting no flag, has
+        every one of them called."""
+        class Probe(Defense):
+            name = "probe"
+
+            def attach(self, cpu):
+                self.gate_calls = 0
+                self.commits = 0
+
+            def gate_issue(self, cpu, inst):
+                self.gate_calls += 1
+                return True
+
+            def on_commit(self, cpu, inst):
+                self.commits += 1
+
+        monkeypatch.setitem(DEFENSE_REGISTRY, "probe", Probe)
+        b = ProgramBuilder()
+        b.data_word(0x4000, 7)
+        b.li(1, 0x4000).load(2, 1).store(1, 2).halt()
+        cpu = Processor(b.build(), machine=tiny_config(),
+                        security=SecurityConfig("probe"))
+        report = cpu.run(max_cycles=10_000)
+        assert report.halted
+        assert cpu.defense.gate_calls > 0
+        assert cpu.defense.commits == report.committed > 0
+
+
 class TestNaming:
     def test_aliases_normalize(self):
         assert normalize_defense_name("tpbuf") == "cache_hit_tpbuf"

@@ -152,7 +152,7 @@ class TestIssueQueue:
         iq.insert(branch, 0)
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, iq.producer_mask())
-        assert iq.has_security_dependence(load)
+        assert iq.matrix.has_dependence(load.iq_pos)
 
     def test_non_memory_consumer_gets_empty_row(self):
         iq = IssueQueue(8)
@@ -160,7 +160,7 @@ class TestIssueQueue:
         iq.insert(branch, 0)
         alu = dyninst(2, Opcode.ADD, rd=1, rs1=2, rs2=3)
         iq.insert(alu, iq.producer_mask())
-        assert not iq.has_security_dependence(alu)
+        assert not iq.matrix.has_dependence(alu.iq_pos)
 
     def test_dependence_clears_next_cycle_after_producer_issue(self):
         iq = IssueQueue(8)
@@ -169,9 +169,9 @@ class TestIssueQueue:
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, iq.producer_mask())
         iq.mark_issued(branch)
-        assert iq.has_security_dependence(load)   # same cycle: suspect
+        assert iq.matrix.has_dependence(load.iq_pos)   # same cycle: suspect
         iq.end_cycle()
-        assert not iq.has_security_dependence(load)
+        assert not iq.matrix.has_dependence(load.iq_pos)
 
     def test_load_keeps_slot_at_issue(self):
         iq = IssueQueue(8)

@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Memory-dependence analysis smoke (CI entry point).
 
-Drives the whole memdep stack end-to-end on the corpus V4 gadgets and
-the attack suite::
+Drives the memdep stack end-to-end on the corpus V4 gadgets and the
+Spectre V4 attack::
 
     python tools/memdep_smoke.py
 
-Checks, all of which must hold (exit 1 otherwise):
+Checks, both of which must hold (exit 1 otherwise):
 
 1. **Static store sets** — the unsafe V4 corpus gadget has a non-empty
    may-bypass table, the fenced variant has zero pairs, and the
    summary's content hash is deterministic across recomputation.
 2. **The V4 blind spot and its closure** — run the Spectre V4 attack
    dynamically: ``delay_on_miss`` must leak the secret (the documented
-   blind spot stays reproduced) and ``delay_on_miss_ss`` must block it
-   while staying clean on every other suite attack.
-3. **Pre-screen cross-validation** — the static defense-coverage
-   matrix must agree with the dynamic shootout on every
-   (attack, defense) cell; disagreeing cells are printed verbatim.
+   blind spot stays reproduced) and ``delay_on_miss_ss`` must block it.
+
+The static pre-screen's cross-validation against the dynamic shootout
+is ``python -m repro prescreen``, which exits 1 naming every
+disagreeing (attack, defense) cell.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from repro import SecurityConfig  # noqa: E402
 from repro.analysis.corpus import build_corpus_variant  # noqa: E402
 from repro.analysis.memdep import compute_memdep_summary  # noqa: E402
 from repro.attacks import build_spectre_v4, run_attack  # noqa: E402
-from repro.experiments.prescreen import run_defense_prescreen  # noqa: E402
 
 
 def check_store_sets() -> List[str]:
@@ -75,28 +74,15 @@ def check_blind_spot_closure() -> List[str]:
     return problems
 
 
-def check_prescreen() -> List[str]:
-    validation = run_defense_prescreen(trials=1)
-    print(validation.render())
-    return [f"prescreen disagreement: {entry}"
-            for entry in validation.disagreements]
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--skip-prescreen", action="store_true",
-                        help="skip the (slow) full matrix "
-                             "cross-validation leg")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(
+        description=__doc__.splitlines()[0]).parse_args(argv)
 
     problems = []
     print("== static store sets ==")
     problems += check_store_sets()
     print("\n== V4 blind spot and closure ==")
     problems += check_blind_spot_closure()
-    if not args.skip_prescreen:
-        print("\n== pre-screen cross-validation ==")
-        problems += check_prescreen()
 
     if problems:
         print("\nmemdep smoke FAILED:", file=sys.stderr)
@@ -104,7 +90,7 @@ def main(argv=None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     print("\nmemdep smoke OK: store sets populated, blind spot "
-          "reproduced and closed, pre-screen agrees with the shootout")
+          "reproduced and closed")
     return 0
 
 
