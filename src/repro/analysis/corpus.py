@@ -10,10 +10,10 @@ three flavours:
   value-set refinement (it can really read a secret);
 - ``fenced`` — serializing-FENCE mitigation; must analyze clean;
 - ``masked`` — index-masking mitigation; still an S-Pattern to the
-  taint pass (the precision cost of PR 1's over-approximation) but
+  taint pass (the precision cost of its over-approximation) but
   provably in-bounds, so value-set refinement must refute it.
 
-They serve three masters: ``tools/scan_gadgets.py`` asserts the
+They serve three masters: ``tests/test_taint_analysis.py`` asserts the
 flag/clean split, the cross-validation tests check static coverage of
 the dynamic suspect set, and :func:`repro.analysis.verify.corpus_precision`
 measures the false-positive rate before/after refinement.

@@ -19,7 +19,7 @@ corpus gadget is hill-climbed against the defense, and any verified
 survivor (a mutant that still leaks) is reported on the row.
 
 ``run_experiment("defense_shootout")`` and ``repro shootout`` are the
-entry points; ``tools/shootout_smoke.py`` pins a reduced-scale run in
+entry points; ``tools/ratchet.py shootout`` pins a reduced-scale run in
 CI against a committed baseline.
 """
 from __future__ import annotations

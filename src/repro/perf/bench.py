@@ -14,9 +14,10 @@ The parallel pass also double-checks determinism: every row it
 produces must match the serial row for the same pair (cycles,
 committed count, status), or the result is flagged.
 
-``tools/bench.py`` drives this module from the command line (and in
-CI) and writes ``BENCH_sweep.json``; the committed baseline under
-``benchmarks/`` turns it into a regression guard.
+``repro bench --suite`` runs it at any size and writes
+``BENCH_sweep.json``; ``tools/ratchet.py bench`` runs it at the size
+``benchmarks/BENCH_baseline.json`` was recorded at and holds it to that
+floor.
 """
 from __future__ import annotations
 
@@ -38,8 +39,6 @@ __all__ = [
     "BenchResult",
     "run_bench",
     "write_bench_json",
-    "load_bench_json",
-    "check_regression",
 ]
 
 #: JSON schema version of ``BENCH_sweep.json``.
@@ -80,11 +79,6 @@ class BenchResult:
         data["format"] = BENCH_FORMAT
         data["version"] = BENCH_VERSION
         return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BenchResult":
-        fields = set(cls.__dataclass_fields__)
-        return cls(**{k: v for k, v in data.items() if k in fields})
 
     def render(self) -> str:
         lines = [
@@ -173,77 +167,7 @@ def run_bench(
     return result
 
 
-# ---------------------------------------------------------------------------
-# JSON + regression guard
-# ---------------------------------------------------------------------------
-
-
 def write_bench_json(result: BenchResult, path: str) -> None:
     with open(path, "w") as handle:
         json.dump(result.to_dict(), handle, indent=1, sort_keys=True)
         handle.write("\n")
-
-
-def load_bench_json(path: str) -> BenchResult:
-    with open(path) as handle:
-        data = json.load(handle)
-    if data.get("format") not in (None, BENCH_FORMAT):
-        raise ValueError(f"{path}: not a bench result "
-                         f"(format={data.get('format')!r})")
-    return BenchResult.from_dict(data)
-
-
-def check_regression(
-    result: BenchResult,
-    baseline: BenchResult,
-    tolerance: float = 0.2,
-) -> List[str]:
-    """Regression-guard verdict: problems (empty list = pass).
-
-    Fails when simulated-instructions/sec drops more than ``tolerance``
-    (default 20%) below the committed baseline, when the parallel pass
-    lost determinism, or when rows failed that the baseline completed.
-    """
-    problems: List[str] = []
-    floor = baseline.instructions_per_sec * (1.0 - tolerance)
-    if result.instructions_per_sec < floor:
-        problems.append(
-            f"simulated-instructions/sec regressed: "
-            f"{result.instructions_per_sec:,.0f} < {floor:,.0f} "
-            f"(baseline {baseline.instructions_per_sec:,.0f} "
-            f"- {tolerance:.0%})"
-        )
-    if not result.deterministic:
-        problems.append("parallel sweep rows diverged from serial rows")
-    if result.failures > baseline.failures:
-        problems.append(
-            f"sweep failures increased: {result.failures} > "
-            f"baseline {baseline.failures}"
-        )
-    return problems
-
-
-#: Improvement margin before ``--raise-floor`` rewrites the baseline:
-#: a run must beat it by more than 10% — genuine speedups ratchet the
-#: floor up, ordinary run-to-run noise does not churn the file.
-RAISE_FLOOR_MARGIN = 0.1
-
-
-def should_raise_floor(
-    result: BenchResult,
-    baseline: BenchResult,
-    margin: float = RAISE_FLOOR_MARGIN,
-) -> bool:
-    """Whether ``result`` earns a baseline rewrite (the ratchet).
-
-    Only a clean run qualifies: throughput more than ``margin`` above
-    the baseline, deterministic parallel rows, and no new failures —
-    a fast-but-broken run must never become the bar others are held
-    to.
-    """
-    if not result.deterministic:
-        return False
-    if result.failures > baseline.failures:
-        return False
-    ceiling = baseline.instructions_per_sec * (1.0 + margin)
-    return result.instructions_per_sec > ceiling

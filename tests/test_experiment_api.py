@@ -13,13 +13,7 @@ from repro.experiments import (
     run_experiment,
     run_figure5,
 )
-from repro.perf.bench import (
-    BenchResult,
-    check_regression,
-    load_bench_json,
-    run_bench,
-    write_bench_json,
-)
+from repro.perf.bench import run_bench, write_bench_json
 
 SCALE = 0.05
 
@@ -104,88 +98,13 @@ class TestBenchHarness:
                            parallel=False)
         path = str(tmp_path / "BENCH_sweep.json")
         write_bench_json(result, path)
-        loaded = load_bench_json(path)
-        assert loaded.instructions_per_sec == \
-            result.instructions_per_sec
-        assert loaded.benchmarks == ["bzip2"]
-        assert loaded.cpu_count == result.cpu_count >= 1
         with open(path) as handle:
             data = json.load(handle)
+        assert data["instructions_per_sec"] == result.instructions_per_sec
+        assert data["benchmarks"] == ["bzip2"]
+        assert data["cpu_count"] == result.cpu_count >= 1
         assert data["format"] == "repro-bench-sweep"
-        assert data["cpu_count"] >= 1 and data["python"]
-
-    def test_check_regression(self):
-        baseline = BenchResult(machine="paper", scale=1.0,
-                               benchmarks=["bzip2"], modes=["origin"],
-                               workers=2, instructions_per_sec=10_000)
-        good = BenchResult(machine="paper", scale=1.0,
-                           benchmarks=["bzip2"], modes=["origin"],
-                           workers=2, instructions_per_sec=9_000)
-        assert check_regression(good, baseline) == []
-        slow = BenchResult(machine="paper", scale=1.0,
-                           benchmarks=["bzip2"], modes=["origin"],
-                           workers=2, instructions_per_sec=7_000)
-        problems = check_regression(slow, baseline)
-        assert problems and "regressed" in problems[0]
-        diverged = BenchResult(machine="paper", scale=1.0,
-                               benchmarks=["bzip2"], modes=["origin"],
-                               workers=2, instructions_per_sec=9_500,
-                               deterministic=False)
-        assert any("diverged" in p
-                   for p in check_regression(diverged, baseline))
-
-    def test_should_raise_floor_ratchet(self):
-        from repro.perf.bench import should_raise_floor
-
-        def run(ips, deterministic=True, failures=0):
-            return BenchResult(machine="paper", scale=1.0,
-                               benchmarks=["bzip2"], modes=["origin"],
-                               workers=2, instructions_per_sec=ips,
-                               deterministic=deterministic,
-                               failures=failures)
-
-        baseline = run(10_000)
-        # >10% improvement raises the floor; anything at or below the
-        # margin is treated as noise
-        assert should_raise_floor(run(11_001), baseline)
-        assert not should_raise_floor(run(11_000), baseline)
-        assert not should_raise_floor(run(10_500), baseline)
-        assert not should_raise_floor(run(9_000), baseline)
-        # a fast-but-broken run never becomes the new bar
-        assert not should_raise_floor(run(20_000, deterministic=False),
-                                      baseline)
-        assert not should_raise_floor(run(20_000, failures=1), baseline)
-
-    def test_bench_tool_raise_floor_rewrites_baseline(self, tmp_path):
-        import importlib.util
-        import pathlib
-
-        tool_path = (pathlib.Path(__file__).parent.parent
-                     / "tools" / "bench.py")
-        spec = importlib.util.spec_from_file_location("bench_tool",
-                                                      tool_path)
-        bench_tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(bench_tool)
-
-        out = str(tmp_path / "BENCH_sweep.json")
-        baseline = str(tmp_path / "BENCH_baseline.json")
-        # seed an artificially slow baseline, then --check --raise-floor
-        # must ratchet it up to the measured run
-        slow = BenchResult(machine="paper", scale=SCALE,
-                           benchmarks=["bzip2"], modes=["origin"],
-                           workers=1, instructions_per_sec=1.0,
-                           rows=4, deterministic=True)
-        write_bench_json(slow, baseline)
-        code = bench_tool.main(["--benchmarks", "bzip2",
-                                "--scale", str(SCALE), "--serial-only",
-                                "--out", out, "--baseline", baseline,
-                                "--check", "--raise-floor"])
-        assert code == 0
-        raised = load_bench_json(baseline)
-        assert raised.instructions_per_sec > 1.0
-        measured = load_bench_json(out)
-        assert raised.instructions_per_sec == \
-            measured.instructions_per_sec
+        assert data["python"]
 
     def test_cli_bench_suite(self, tmp_path, capsys):
         out = str(tmp_path / "BENCH_sweep.json")
@@ -195,7 +114,8 @@ class TestBenchHarness:
         assert code == 0
         captured = capsys.readouterr().out
         assert "simulated throughput" in captured
-        assert load_bench_json(out).rows == 4
+        with open(out) as handle:
+            assert json.load(handle)["rows"] == 4
 
     def test_cli_bench_single_benchmark_still_works(self, capsys):
         code = cli_main(["bench", "bzip2", "--scale", str(SCALE)])

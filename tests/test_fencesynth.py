@@ -15,7 +15,12 @@ from repro.analysis.corpus import (
     build_corpus_variant,
     corpus_secret_words,
 )
-from repro.attacks import build_spectre_v1
+from repro.attacks import (
+    build_spectre_rsb,
+    build_spectre_v1,
+    build_spectre_v2,
+    build_spectre_v4,
+)
 from repro.attacks.harness import run_attack
 from repro.core.policy import SecurityConfig
 from repro.isa import ProgramBuilder
@@ -160,18 +165,24 @@ class TestSynthesis:
         assert with_refine.clean
         assert with_refine.fence_count >= 1
 
-    def test_fenced_attack_leaks_nothing(self):
-        # third verification leg: the synthesized placement stops the
-        # end-to-end Spectre V1 attack on the unprotected core
-        attack = build_spectre_v1()
+    @pytest.mark.parametrize("build", [
+        build_spectre_v1, build_spectre_v2, build_spectre_v4,
+        build_spectre_rsb,
+    ], ids=["v1", "v2", "v4", "rsb"])
+    def test_fenced_attack_leaks_nothing(self, build):
+        # third verification leg: the synthesized placement stops each
+        # end-to-end Spectre attack on the unprotected core.  Attacks
+        # read RDCYCLE, so the oracle leg is out of scope and this
+        # zero-leak run is their equivalence check.
+        attack = build()
+        assert uses_rdcycle(attack.program)
         synthesis = synthesize_fences(
             attack.program, secret_words=corpus_secret_words(),
-            name="spectre-v1")
+            name=attack.name)
         assert synthesis.clean and synthesis.fence_count >= 1
         baseline = run_attack(attack, security=SecurityConfig.origin())
         assert baseline.success, "unfenced attack must work as baseline"
-        fenced = dataclasses.replace(build_spectre_v1(),
-                                     program=synthesis.program)
+        fenced = dataclasses.replace(build(), program=synthesis.program)
         result = run_attack(fenced, security=SecurityConfig.origin())
         assert not result.success, "fenced attack must recover nothing"
 

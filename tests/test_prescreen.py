@@ -10,6 +10,7 @@ from repro.analysis.prescreen import (
     attack_program,
     prescreen_defenses,
 )
+from repro.cli import main as cli_main
 from repro.core.defense import create_defense, defense_names
 from repro.experiments import run_defense_prescreen
 from repro.experiments.api import get_experiment
@@ -136,6 +137,12 @@ class TestDynamicCrossValidation:
         assert "v4/delay_on_miss" in message
         assert "static predicts blocked" in message
         assert "DISAGREEMENTS" in validation.render()
+        # `repro prescreen` turns the disagreement into its exit status
+        argv = ["prescreen", "--attacks", "v4", "--defenses",
+                "delay_on_miss"]
+        assert cli_main(argv) == 1
+        monkeypatch.undo()
+        assert cli_main(argv) == 0
 
     def test_registered_as_experiment(self):
         spec = get_experiment("defense_prescreen")

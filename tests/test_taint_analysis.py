@@ -8,6 +8,7 @@ from repro.analysis import (
     static_suspect_pcs,
 )
 from repro.analysis.corpus import GADGET_KINDS, build_gadget_program
+from repro.analysis.prescreen import attack_program
 from repro.isa import ProgramBuilder
 
 _KIND_OF = {
@@ -28,6 +29,13 @@ class TestGadgetCorpus:
     def test_fenced_gadget_clean(self, kind):
         report = analyze_program(build_gadget_program(kind, fenced=True))
         assert report.clean, report.render()
+
+    @pytest.mark.parametrize("kind", GADGET_KINDS)
+    def test_full_attack_program_detected(self, kind):
+        # the whole attack (training loop, gadget, receiver), not just
+        # the minimal driver, must yield a finding of its own kind
+        report = analyze_program(attack_program(kind))
+        assert report.count(_KIND_OF[kind]) >= 1, report.render()
 
 
 def _v1_program(with_fence=False, window=None):
