@@ -23,8 +23,9 @@ every (attack class, registered defense) pair it predicts
 4. software defenses are predicted by *applying* their program
    transform and re-scanning — a clean rewrite is a blocked cell.
 
-``run_experiment("defense_prescreen")`` cross-validates the predicted
-matrix against the dynamic shootout; any disagreeing cell is named.
+:func:`repro.experiments.prescreen.run_defense_prescreen` (``repro
+prescreen``) cross-validates the predicted matrix against the dynamic
+shootout; any disagreeing cell is named.
 """
 from __future__ import annotations
 

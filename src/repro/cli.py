@@ -37,10 +37,11 @@ Commands:
 - ``figure5`` / ``table4`` / ``table5`` / ``table6`` / ``lru`` /
   ``area``   - regenerate a paper artifact.
 
-Experiment subcommands are thin shells over the unified
-:func:`repro.experiments.api.run_experiment` facade; sweeping commands
-accept ``--workers N`` to fan independent simulations across a process
-pool.
+Each experiment subcommand calls its ``run_*`` driver in
+:mod:`repro.experiments` directly.  Every (SPEC profile x defense)
+grid runs through one :class:`~repro.experiments.runner.SweepEngine`;
+sweeping commands accept ``--workers N`` to fan independent
+simulations across a process pool.
 """
 from __future__ import annotations
 
@@ -69,8 +70,14 @@ from .core.policy import SecurityConfig
 from .experiments import (
     SweepEngine,
     run_area_study,
-    run_experiment,
-    run_modes,
+    run_defense_prescreen,
+    run_fence_study,
+    run_figure5,
+    run_lru_study,
+    run_precision_study,
+    run_table4,
+    run_table5,
+    run_table6,
 )
 from .experiments.shootout import ATTACK_SUITE
 from .experiments.area_study import render_area_study
@@ -415,10 +422,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("bench: give exactly one benchmark, or --suite",
               file=sys.stderr)
         return 2
-    reports = run_modes(args.benchmarks[0], machine=machine,
-                        scale=args.scale)
-    origin = reports["origin"]
-    print(compare_table(list(reports.values()), origin))
+    name = args.benchmarks[0]
+    reports = SweepEngine(benchmarks=[name], machine=machine,
+                          scale=args.scale).run().reports()[name]
+    print(compare_table(list(reports.values()), reports["origin"]))
     return 0
 
 
@@ -476,21 +483,18 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
 
 
 def _cmd_prescreen(args: argparse.Namespace) -> int:
+    from .analysis.taint import DEFAULT_WINDOW
     from .core.defense import normalize_defense_name
 
-    extras = {}
-    if args.window is not None:
-        extras["window"] = args.window
-    result = run_experiment(
-        "defense_prescreen",
+    result = run_defense_prescreen(
         machine=_machine(args),
         defenses=([normalize_defense_name(d) for d in args.defenses]
                   if args.defenses else None),
         attacks=args.attacks or None,
+        window=args.window if args.window is not None else DEFAULT_WINDOW,
         dynamic=not args.static_only,
         trials=args.trials,
         seed=args.seed,
-        **extras,
     )
     print(result.render())
     _write_json(args.json, result.to_dict())
@@ -500,8 +504,7 @@ def _cmd_prescreen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fence(args: argparse.Namespace) -> int:
-    result = run_experiment(
-        "fence_study",
+    result = run_fence_study(
         machine=_machine(args),
         benchmarks=args.benchmarks or None,
         scale=args.scale,
@@ -521,8 +524,7 @@ def _cmd_fence(args: argparse.Namespace) -> int:
 def _cmd_precision(args: argparse.Namespace) -> int:
     from .analysis.symx import DEFAULT_MAX_PATHS, DEFAULT_MAX_STEPS
 
-    result = run_experiment(
-        "precision_study",
+    result = run_precision_study(
         machine=_machine(args),
         benchmarks=args.benchmarks or None,
         scale=args.scale,
@@ -546,12 +548,11 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
-    result = run_experiment("figure5",
-                            benchmarks=args.benchmarks or None,
-                            scale=args.scale,
-                            checkpoint=args.checkpoint,
-                            resume=args.resume,
-                            workers=args.workers)
+    result = run_figure5(benchmarks=args.benchmarks or None,
+                         scale=args.scale,
+                         checkpoint=args.checkpoint,
+                         resume=args.resume,
+                         workers=args.workers)
     print(result.render())
     if args.json:
         from .experiments.export import dump_json, figure5_to_dict
@@ -561,18 +562,17 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
 
 
 def _cmd_table4(args: argparse.Namespace) -> int:
-    result = run_experiment("table4")
+    result = run_table4()
     print(result.render())
     return 0 if result.all_match_paper() else 1
 
 
 def _cmd_table5(args: argparse.Namespace) -> int:
-    result = run_experiment("table5",
-                            benchmarks=args.benchmarks or None,
-                            scale=args.scale,
-                            checkpoint=args.checkpoint,
-                            resume=args.resume,
-                            workers=args.workers)
+    result = run_table5(benchmarks=args.benchmarks or None,
+                        scale=args.scale,
+                        checkpoint=args.checkpoint,
+                        resume=args.resume,
+                        workers=args.workers)
     print(result.render())
     if args.json:
         from .experiments.export import dump_json, table5_to_dict
@@ -582,17 +582,15 @@ def _cmd_table5(args: argparse.Namespace) -> int:
 
 
 def _cmd_table6(args: argparse.Namespace) -> int:
-    result = run_experiment("table6",
-                            benchmarks=args.benchmarks or None,
-                            scale=args.scale)
+    result = run_table6(benchmarks=args.benchmarks or None,
+                        scale=args.scale)
     print(result.render())
     return 0
 
 
 def _cmd_lru(args: argparse.Namespace) -> int:
-    result = run_experiment("lru_study",
-                            benchmarks=args.benchmarks or None,
-                            scale=args.scale)
+    result = run_lru_study(benchmarks=args.benchmarks or None,
+                           scale=args.scale)
     print(result.render())
     return 0
 
@@ -704,9 +702,9 @@ def _cmd_fuzz_evolve(args: argparse.Namespace) -> int:
                                   register_ingested_gadget)
     from .analysis.verify import corpus_precision
     from .core.defense import normalize_defense_name
-    from .fuzz import ALL_MODES, run_evolve_campaign
+    from .fuzz import run_evolve_campaign
     modes = tuple(normalize_defense_name(m) for m in args.modes) \
-        if args.modes else ALL_MODES
+        if args.modes else PAPER_DEFENSES
     result, survivors = run_evolve_campaign(
         args.seed,
         modes=modes,
@@ -1081,8 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="programs to generate (default 500)")
     p_fdiff.add_argument("--modes", nargs="*", default=None,
                          choices=_mode_choices(),
-                         help="defenses (default: the paper's four "
-                              "modes)")
+                         help="defenses (default: every registered "
+                              "defense)")
     p_fdiff.add_argument("--checkpoint", default=None,
                          help="JSONL campaign checkpoint")
     p_fdiff.add_argument("--no-resume", action="store_true",

@@ -9,8 +9,6 @@ from .runner import (
     SweepResult,
     SweepRow,
     run_benchmark,
-    run_modes,
-    suite_overheads,
 )
 from .fence_study import (
     FENCE_STUDY_MODES,
@@ -42,26 +40,12 @@ from .ablations import (
     run_matrix_ablation,
 )
 from .compare import compare_figure5, compare_table5, rank_correlation
-from .api import (
-    ExperimentSpec,
-    experiment_names,
-    get_experiment,
-    register_experiment,
-    run_experiment,
-)
 
 __all__ = [
-    "ExperimentSpec",
-    "experiment_names",
-    "get_experiment",
-    "register_experiment",
-    "run_experiment",
     "SweepEngine",
     "SweepResult",
     "SweepRow",
     "run_benchmark",
-    "run_modes",
-    "suite_overheads",
     "FENCE_STUDY_MODES",
     "FenceStudyRow",
     "FenceStudyResult",

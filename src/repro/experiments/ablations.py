@@ -12,13 +12,11 @@
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..attacks import build_spectre_v4, run_attack
 from ..core.policy import SecurityConfig
-from ..errors import SimulationError
 from ..isa.builder import ProgramBuilder
 from ..isa.instructions import Opcode
 from ..params import MachineParams, paper_config
@@ -69,30 +67,21 @@ def run_matrix_ablation(
     benchmarks: Optional[Iterable[str]] = None,
     machine: Optional[MachineParams] = None,
     scale: float = 1.0,
-    isolate: bool = False,
 ) -> MatrixAblationResult:
     """Compare full vs branch-only Baseline, and verify the security
     consequence (V4 evades a branch-only matrix)."""
     machine = machine if machine is not None else paper_config()
     overheads: Dict[str, Dict[str, float]] = {}
     for name in benchmarks or spec_names():
-        try:
-            origin = run_benchmark(name, machine=machine, scale=scale)
-            full = run_benchmark(
-                name, machine=machine, scale=scale,
-                security=SecurityConfig.baseline(),
-            )
-            branch_only = run_benchmark(
-                name, machine=machine, scale=scale,
-                security=SecurityConfig("baseline",
-                                        branch_only_matrix=True),
-            )
-        except SimulationError as exc:
-            if not isolate:
-                raise
-            print(f"matrix_ablation: skipping {name}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
+        origin = run_benchmark(name, machine=machine, scale=scale)
+        full = run_benchmark(
+            name, machine=machine, scale=scale,
+            security=SecurityConfig.baseline(),
+        )
+        branch_only = run_benchmark(
+            name, machine=machine, scale=scale,
+            security=SecurityConfig("baseline", branch_only_matrix=True),
+        )
         overheads[name] = {
             "full": safe_div(full.cycles, origin.cycles, 1.0) - 1.0,
             "branch_only":
@@ -148,29 +137,20 @@ def run_icache_filter_study(
     benchmarks: Optional[Iterable[str]] = None,
     machine: Optional[MachineParams] = None,
     scale: float = 1.0,
-    isolate: bool = False,
 ) -> ICacheStudyResult:
     """Measure the extra cost of the ICache-hit filter extension."""
     machine = machine if machine is not None else paper_config()
     overheads: Dict[str, Dict[str, float]] = {}
     for name in benchmarks or spec_names():
-        try:
-            origin = run_benchmark(name, machine=machine, scale=scale)
-            without = run_benchmark(
-                name, machine=machine, scale=scale,
-                security=SecurityConfig.cache_hit_tpbuf(),
-            )
-            with_icache = run_benchmark(
-                name, machine=machine, scale=scale,
-                security=SecurityConfig("cache_hit_tpbuf",
-                                        icache_filter=True),
-            )
-        except SimulationError as exc:
-            if not isolate:
-                raise
-            print(f"icache_study: skipping {name}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
+        origin = run_benchmark(name, machine=machine, scale=scale)
+        without = run_benchmark(
+            name, machine=machine, scale=scale,
+            security=SecurityConfig.cache_hit_tpbuf(),
+        )
+        with_icache = run_benchmark(
+            name, machine=machine, scale=scale,
+            security=SecurityConfig("cache_hit_tpbuf", icache_filter=True),
+        )
         overheads[name] = {
             "without": safe_div(without.cycles, origin.cycles, 1.0) - 1.0,
             "with_icache":
@@ -225,33 +205,25 @@ def run_fence_ablation(
     benchmarks: Optional[Iterable[str]] = None,
     machine: Optional[MachineParams] = None,
     scale: float = 1.0,
-    isolate: bool = False,
 ) -> FenceAblationResult:
     """Compare fence-after-every-branch against the hardware defense."""
     machine = machine if machine is not None else paper_config()
     overheads: Dict[str, Dict[str, float]] = {}
     for name in benchmarks or spec_names():
-        try:
-            spec = spec_spec(name)
-            plain = build_workload(spec, scale=scale)
-            fenced = build_workload(spec, scale=scale,
-                                    builder_factory=_FenceAfterBranchBuilder)
-            origin_cycles = Processor(
-                plain, machine=machine, security=SecurityConfig.origin(),
-            ).run().cycles
-            fenced_cycles = Processor(
-                fenced, machine=machine, security=SecurityConfig.origin(),
-            ).run().cycles
-            tpbuf_cycles = Processor(
-                plain, machine=machine,
-                security=SecurityConfig.cache_hit_tpbuf(),
-            ).run().cycles
-        except SimulationError as exc:
-            if not isolate:
-                raise
-            print(f"fence_ablation: skipping {name}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
+        spec = spec_spec(name)
+        plain = build_workload(spec, scale=scale)
+        fenced = build_workload(spec, scale=scale,
+                                builder_factory=_FenceAfterBranchBuilder)
+        origin_cycles = Processor(
+            plain, machine=machine, security=SecurityConfig.origin(),
+        ).run().cycles
+        fenced_cycles = Processor(
+            fenced, machine=machine, security=SecurityConfig.origin(),
+        ).run().cycles
+        tpbuf_cycles = Processor(
+            plain, machine=machine,
+            security=SecurityConfig.cache_hit_tpbuf(),
+        ).run().cycles
         overheads[name] = {
             "lfence": safe_div(fenced_cycles, origin_cycles, 1.0) - 1.0,
             "tpbuf": safe_div(tpbuf_cycles, origin_cycles, 1.0) - 1.0,

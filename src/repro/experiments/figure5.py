@@ -2,7 +2,6 @@
 the SPEC CPU 2006 suite."""
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -11,7 +10,7 @@ from ..params import MachineParams
 from ..stats import safe_div
 from ..workloads import spec_names
 from .formatting import text_table
-from .runner import SweepEngine, average, run_modes
+from .runner import SweepEngine, average
 
 
 #: The protected configurations Figure 5 normalizes against Origin.
@@ -91,38 +90,20 @@ def run_figure5(
 ) -> Figure5Result:
     """Regenerate Figure 5 (normalized runtime, 4 modes x suite).
 
-    With ``checkpoint`` the per-(benchmark, mode) runs stream through a
-    :class:`~repro.experiments.runner.SweepEngine`, so an interrupted
-    regeneration picks up where it left off with ``resume=True``;
-    ``workers > 1`` fans the runs across a process pool (also via the
-    engine), with identical results.
+    The (benchmark, mode) runs go through one
+    :class:`~repro.experiments.runner.SweepEngine`: with ``checkpoint``
+    an interrupted regeneration picks up where it left off with
+    ``resume=True``, and ``workers > 1`` fans the runs across a process
+    pool, with identical results.  A failed run raises one
+    :class:`~repro.errors.SimulationError` naming every failed pair.
     """
-    result = Figure5Result()
-    if checkpoint is None and not resume and workers <= 1:
-        for name in benchmarks or spec_names():
-            reports = run_modes(name, machine=machine, scale=scale)
-            result.rows.append(Figure5Row(
-                benchmark=name,
-                cycles={mode: report.cycles
-                        for mode, report in reports.items()},
-            ))
-        return result
-
-    engine = SweepEngine(benchmarks=list(benchmarks or spec_names()),
-                         machine=machine, scale=scale,
-                         checkpoint=checkpoint, resume=resume,
-                         workers=workers)
-    sweep = engine.run()
-    for name in engine.benchmarks:
-        reports = sweep.reports_for(name)
-        if len(reports) < len(engine.defenses):
-            print(f"figure5: skipping {name}: incomplete reports "
-                  f"({len(reports)}/{len(engine.defenses)} modes ok)",
-                  file=sys.stderr)
-            continue
-        result.rows.append(Figure5Row(
-            benchmark=name,
-            cycles={mode: report.cycles
-                    for mode, report in reports.items()},
-        ))
-    return result
+    reports = SweepEngine(benchmarks=list(benchmarks or spec_names()),
+                          machine=machine, scale=scale,
+                          checkpoint=checkpoint, resume=resume,
+                          workers=workers).run().reports()
+    return Figure5Result(rows=[
+        Figure5Row(benchmark=name,
+                   cycles={mode: report.cycles
+                           for mode, report in per_mode.items()})
+        for name, per_mode in reports.items()
+    ])

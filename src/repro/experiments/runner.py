@@ -1,23 +1,19 @@
 """Hardened simulation driver for the performance experiments.
 
-Two layers:
-
-- :func:`run_benchmark` / :func:`run_modes` / :func:`suite_overheads` —
-  the direct API the experiment modules and tests call.
-- :class:`SweepEngine` — a crash-safe sweep over (benchmark, defense)
-  pairs: results stream to a JSON-lines checkpoint
-  (:class:`~repro.robustness.checkpoint.CheckpointStore`) as they
-  complete, ``resume=True`` skips pairs already recorded, transient
-  failures retry with exponential backoff, and one workload's
-  :class:`~repro.errors.SimulationError` degrades to a recorded
-  failure row instead of aborting the suite.  ``repro sweep`` on the
-  command line and the checkpoint-aware experiment drivers
-  (:func:`~repro.experiments.figure5.run_figure5` etc.) both sit on
-  this engine.
+:func:`run_benchmark` simulates one SPEC profile under one defense.
+:class:`SweepEngine` runs a (benchmark x defense) grid of them, and is
+the one path every grid keyed by defense name takes: ``repro sweep``
+and ``repro bench``, Figure 5, Tables V and VI and the shootout's
+overhead leg.  Results stream to a JSON-lines checkpoint
+(:class:`~repro.robustness.checkpoint.CheckpointStore`) as they
+complete, ``resume=True`` skips pairs already recorded, and transient
+failures retry with exponential backoff.  A pair that still fails is
+a recorded failure row; :meth:`SweepResult.reports` turns any such row
+into one :class:`~repro.errors.SimulationError` naming every failed
+pair, so no experiment renders a grid with holes in it.
 """
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,14 +32,11 @@ from ..pipeline.processor import Processor
 from ..pipeline.report import SimReport
 from ..robustness.checkpoint import CheckpointStore
 from ..robustness.faults import FaultPlan
-from ..stats import safe_div
 from ..workloads import spec_names, spec_program
 
 __all__ = [
     "DEFAULT_MAX_CYCLES",
     "run_benchmark",
-    "run_modes",
-    "suite_overheads",
     "average",
     "SweepEngine",
     "SweepResult",
@@ -87,60 +80,6 @@ def run_benchmark(
     report = cpu.run()
     report.name = name
     return report
-
-
-def run_modes(
-    name: str,
-    machine: Optional[MachineParams] = None,
-    modes: Sequence[str] = PAPER_DEFENSES,
-    scale: float = 1.0,
-    options: Optional[RunOptions] = None,
-) -> Dict[str, SimReport]:
-    """Simulate one benchmark under several defenses, keyed by the
-    defenses' canonical registry names."""
-    reports: Dict[str, SimReport] = {}
-    for mode in modes:
-        security = SecurityConfig(mode)
-        reports[security.mode] = run_benchmark(
-            name, machine=machine, security=security, scale=scale,
-            options=options,
-        )
-    return reports
-
-
-def suite_overheads(
-    modes: Sequence[str],
-    machine: Optional[MachineParams] = None,
-    benchmarks: Optional[Iterable[str]] = None,
-    scale: float = 1.0,
-    isolate: bool = False,
-) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark overhead (vs Origin) for each requested defense.
-
-    With ``isolate`` a benchmark whose simulation raises
-    :class:`SimulationError` is skipped (with a stderr note) instead of
-    aborting the whole suite.
-    """
-    modes = [normalize_defense_name(mode) for mode in modes]
-    result: Dict[str, Dict[str, float]] = {}
-    for name in benchmarks or spec_names():
-        try:
-            reports = run_modes(
-                name, machine=machine, modes=["origin", *modes],
-                scale=scale,
-            )
-        except SimulationError as exc:
-            if not isolate:
-                raise
-            print(f"suite_overheads: skipping {name}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
-        origin_cycles = reports["origin"].cycles
-        result[name] = {
-            mode: safe_div(reports[mode].cycles, origin_cycles, 1.0) - 1.0
-            for mode in modes
-        }
-    return result
 
 
 def average(values: Iterable[float]) -> float:
@@ -343,6 +282,20 @@ class SweepResult:
             if row.benchmark not in seen:
                 seen.append(row.benchmark)
         return seen
+
+    def reports(self) -> Dict[str, Dict[str, SimReport]]:
+        """benchmark -> defense name -> report, in task order.
+
+        Raises one :class:`SimulationError` naming every failed pair:
+        an experiment's grid is complete or it is not drawn.
+        """
+        if self.failures:
+            raise SimulationError(
+                f"{len(self.failures)} of {len(self.rows)} run(s) "
+                "failed: " + "; ".join(
+                    f"{row.benchmark}/{row.mode} ({row.error_type}: "
+                    f"{row.error})" for row in self.failures))
+        return {name: self.reports_for(name) for name in self.benchmarks}
 
     def render(self) -> str:
         lines = [f"{'benchmark':<14}{'mode':<18}{'status':<8}"

@@ -7,8 +7,9 @@ on three axes over the same workload set:
   Prime+Probe V1), each swept over several secret values;  the score
   is secrets recovered per attack (:func:`repro.attacks.sweep_attack`).
   ``origin`` is the positive control: the channel itself must work.
-- **Performance** — cycle overhead versus ``origin`` on SPEC profiles
-  (:func:`repro.experiments.runner.run_benchmark`).
+- **Performance** — cycle overhead versus ``origin`` on SPEC profiles,
+  one :class:`repro.experiments.runner.SweepEngine` run over every
+  (profile, defense) pair.
 - **Area** — the defense's own declared hardware cost
   (:meth:`repro.core.defense.Defense.area_mm2`), also expressed as a
   fraction of the paper's 32KB/4-way L1D reference.
@@ -18,9 +19,9 @@ fuzz evolve loop (:func:`repro.fuzz.evolve.evolve_mode`): a staged
 corpus gadget is hill-climbed against the defense, and any verified
 survivor (a mutant that still leaks) is reported on the row.
 
-``run_experiment("defense_shootout")`` and ``repro shootout`` are the
-entry points; ``tools/ratchet.py shootout`` pins a reduced-scale run in
-CI against a committed baseline.
+:func:`run_defense_shootout` and ``repro shootout`` are the entry
+points; ``tools/ratchet.py shootout`` pins a reduced-scale run in CI
+against a committed baseline.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from ..errors import ConfigError
 from ..params import MachineParams, paper_config, tiny_config
 from ..stats import safe_div
 from ..workloads import spec_names
-from .runner import average, run_benchmark
+from .runner import SweepEngine, average
 
 __all__ = [
     "ATTACK_SUITE",
@@ -253,14 +254,11 @@ def run_defense_shootout(
         secrets=secrets, evolved=evolve,
     )
 
-    # Performance denominator: origin once per benchmark.
-    origin_cycles: Dict[str, int] = {}
-    for bench in bench_names:
-        progress(f"origin baseline: {bench}")
-        report = run_benchmark(bench, machine=machine,
-                               security=SecurityConfig.origin(),
-                               scale=scale)
-        origin_cycles[bench] = report.cycles
+    # Performance: origin is in the grid as every overhead's denominator.
+    reports = SweepEngine(
+        benchmarks=bench_names, modes=names, machine=machine, scale=scale,
+    ).run(progress=lambda row: progress(
+        f"{row.mode}: spec {row.benchmark}")).reports()
 
     evolve_machine = tiny_config()
     for name in names:
@@ -276,15 +274,11 @@ def run_defense_shootout(
                                  secrets=secrets, machine=machine)
             row.recovered[attack] = sweep.correct
             row.trials[attack] = sweep.trials
-        for bench in bench_names:
-            progress(f"{name}: spec {bench}")
-            if name == "origin":
-                row.overheads[bench] = 0.0
-                continue
-            report = run_benchmark(bench, machine=machine,
-                                   security=security, scale=scale)
-            row.overheads[bench] = safe_div(
-                report.cycles, origin_cycles[bench], 1.0) - 1.0
+        row.overheads = {
+            bench: safe_div(per_mode[name].cycles,
+                            per_mode["origin"].cycles, 1.0) - 1.0
+            for bench, per_mode in reports.items()
+        }
         if evolve:
             progress(f"{name}: evolve adversary")
             row.evolve_fitness, row.evolve_survivor = _evolve_leg(

@@ -2,11 +2,8 @@
 attack scenarios (plus the unprotected Origin sanity column)."""
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-from ..errors import SimulationError
 
 from ..attacks import (
     AttackResult,
@@ -119,33 +116,20 @@ class Table4Result:
 def run_table4(
     machine: Optional[MachineParams] = None,
     scenarios: Optional[List[str]] = None,
-    isolate: bool = False,
 ) -> Table4Result:
     """Regenerate Table IV by running every attack scenario under the
-    unprotected core and all three mechanisms.
-
-    With ``isolate`` a scenario whose simulation raises
-    :class:`SimulationError` is dropped (with a stderr note) instead of
-    aborting the table.
-    """
+    unprotected core and all three mechanisms."""
     machine = machine if machine is not None else paper_config()
     result = Table4Result()
     for name, build, expected in SCENARIOS:
         if scenarios is not None and name not in scenarios:
             continue
         results: Dict[str, AttackResult] = {}
-        try:
-            for mode in PAPER_DEFENSES:
-                attack: AttackProgram = build(machine)
-                results[mode] = run_attack(
-                    attack, machine=machine, security=SecurityConfig(mode),
-                )
-        except SimulationError as exc:
-            if not isolate:
-                raise
-            print(f"table4: skipping scenario {name!r}: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            continue
+        for mode in PAPER_DEFENSES:
+            attack: AttackProgram = build(machine)
+            results[mode] = run_attack(
+                attack, machine=machine, security=SecurityConfig(mode),
+            )
         result.rows.append(
             Table4Row(scenario=name, results=results, expected=expected)
         )

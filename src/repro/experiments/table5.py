@@ -3,14 +3,13 @@ under the three mechanisms, the speculative-access hit rate seen by the
 Cache-hit filter, and the TPBuf S-Pattern mismatch rate."""
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from ..params import MachineParams
 from ..workloads import spec_names
 from .formatting import percent, text_table
-from .runner import SweepEngine, average, run_modes
+from .runner import SweepEngine, average
 
 
 @dataclass
@@ -74,31 +73,18 @@ def run_table5(
     resume: bool = False,
     workers: int = 1,
 ) -> Table5Result:
-    """Regenerate Table V (checkpoint/resume/workers as in
+    """Regenerate Table V (checkpoint/resume/workers and failures as in
     :func:`~repro.experiments.figure5.run_figure5`)."""
-    sweep = None
-    if checkpoint is not None or resume or workers > 1:
-        engine = SweepEngine(benchmarks=list(benchmarks or spec_names()),
-                             machine=machine, scale=scale,
-                             checkpoint=checkpoint, resume=resume,
-                             workers=workers)
-        sweep = engine.run()
-        benchmarks = engine.benchmarks
-
+    reports = SweepEngine(benchmarks=list(benchmarks or spec_names()),
+                          machine=machine, scale=scale,
+                          checkpoint=checkpoint, resume=resume,
+                          workers=workers).run().reports()
     result = Table5Result()
-    for name in benchmarks or spec_names():
-        if sweep is not None:
-            reports = sweep.reports_for(name)
-            if len(reports) < 4:
-                print(f"table5: skipping {name}: incomplete reports",
-                      file=sys.stderr)
-                continue
-        else:
-            reports = run_modes(name, machine=machine, scale=scale)
-        origin = reports["origin"]
-        baseline = reports["baseline"]
-        cachehit = reports["cache_hit"]
-        tpbuf = reports["cache_hit_tpbuf"]
+    for name, per_mode in reports.items():
+        origin = per_mode["origin"]
+        baseline = per_mode["baseline"]
+        cachehit = per_mode["cache_hit"]
+        tpbuf = per_mode["cache_hit_tpbuf"]
         result.rows.append(Table5Row(
             benchmark=name,
             l1_hit_rate=origin.l1d_hit_rate,

@@ -7,8 +7,10 @@ from typing import Dict, Iterable, List, Optional
 
 from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams, a57_like, i7_like, xeon_like
+from ..stats import safe_div
+from ..workloads import spec_names
 from .formatting import percent, text_table
-from .runner import average, suite_overheads
+from .runner import SweepEngine, average
 
 #: The three mechanisms (every paper defense but Origin).
 _MODES = PAPER_DEFENSES[1:]
@@ -61,18 +63,20 @@ def run_table6(
     machines: Optional[List[MachineParams]] = None,
     benchmarks: Optional[Iterable[str]] = None,
     scale: float = 1.0,
-    isolate: bool = False,
 ) -> Table6Result:
-    """Regenerate Table VI over the three core presets.
-
-    ``isolate`` lets one benchmark's :class:`~repro.errors.
-    SimulationError` drop that row instead of aborting all presets.
-    """
+    """Regenerate Table VI over the three core presets, one
+    :class:`~repro.experiments.runner.SweepEngine` run per preset (a
+    failed run raises as in
+    :func:`~repro.experiments.figure5.run_figure5`)."""
+    names = list(benchmarks or spec_names())
     result = Table6Result()
-    benchmarks = list(benchmarks) if benchmarks is not None else None
     for machine in machines or default_machines():
-        result.overheads[machine.name] = suite_overheads(
-            _MODES, machine=machine, benchmarks=benchmarks, scale=scale,
-            isolate=isolate,
-        )
+        reports = SweepEngine(benchmarks=names, machine=machine,
+                              scale=scale).run().reports()
+        result.overheads[machine.name] = {
+            name: {mode: safe_div(per_mode[mode].cycles,
+                                  per_mode["origin"].cycles, 1.0) - 1.0
+                   for mode in _MODES}
+            for name, per_mode in reports.items()
+        }
     return result

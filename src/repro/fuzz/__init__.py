@@ -40,6 +40,7 @@ from .differential import (
     ALL_MODES,
     DiffOutcome,
     Mismatch,
+    compare_with_oracle,
     differential_check,
     roundtrip_error,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "case_fires",
     "case_seed",
     "certify_agreement",
+    "compare_with_oracle",
     "differential_check",
     "evolve_mode",
     "generate_program",

@@ -12,11 +12,12 @@ Three campaign kinds mirror the three oracles:
 
 - :func:`run_diff_campaign` — generator → OoO-vs-oracle differential
   (+ the assemble/disassemble round-trip property) under every
-  protection mode;
+  registered defense;
 - :func:`run_certify_campaign` — generator (secret mode) → symx
   verdict vs dynamic two-secret reality;
 - :func:`run_evolve_campaign` — staged corpus gadgets and leaky
-  generated seeds evolved against each defense mode.
+  generated seeds evolved against each of the paper's defenses (the
+  shootout's evolve leg covers the rest of the registry).
 
 Disagreements are minimized on the spot and persisted as replayable
 :class:`~repro.fuzz.case.FuzzCase` files.
@@ -32,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.corpus import GADGET_KINDS, build_corpus_variant, \
     corpus_secret_words
+from ..core.defense import PAPER_DEFENSES
 from ..isa.assembler import disassemble
 from ..isa.program import Program
 from ..params import MachineParams, tiny_config
@@ -347,7 +349,7 @@ def _evolve_seeds(
 def run_evolve_campaign(
     master_seed: str,
     *,
-    modes: Sequence[str] = ALL_MODES,
+    modes: Sequence[str] = PAPER_DEFENSES,
     generated_seeds: int = 2,
     generations: int = 6,
     population: int = 5,

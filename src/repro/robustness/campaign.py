@@ -1,12 +1,15 @@
-"""Fault-injection campaigns: N seeds x corpus, oracle-refereed.
+"""Fault-injection campaigns: N seeds x corpus x defenses,
+oracle-refereed.
 
-A campaign runs each case program under a seeded
-:class:`~repro.robustness.faults.FaultPlan` with the structural
-invariant lint enabled, then compares the retired architectural state
-against the in-order functional oracle.  Any divergence — register or
-memory mismatch, retirement-count drift, an invariant violation, a
-deadlock, a failure to halt — is recorded with the case name and seed
-so the exact run replays deterministically.
+A campaign runs each case program under every registered defense and
+a seeded :class:`~repro.robustness.faults.FaultPlan` with the
+structural invariant lint enabled, then compares the retired
+architectural state against the in-order functional oracle's run of
+the same program (the differential fuzzer's
+:func:`~repro.fuzz.differential.compare_with_oracle`).  Any divergence
+— register or memory mismatch, retirement-count drift, an invariant
+violation, a deadlock, a failure to halt — is recorded with the case
+name, defense and seed so the exact run replays deterministically.
 
 ``tools/fault_campaign.py`` is the command-line driver; the campaign
 tests in the tier-1 suite run a reduced version of the same sweep.
@@ -15,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..core.defense import defense_names
 from ..core.policy import SecurityConfig
 from ..errors import SimulationError
-from ..isa.instructions import Opcode
 from ..isa.oracle import run_oracle
 from ..isa.program import Program
 from ..params import MachineParams, RunOptions, tiny_config
@@ -42,9 +45,10 @@ class CampaignCase:
 
 @dataclass
 class CampaignCaseResult:
-    """Outcome of one (case, seed) run."""
+    """Outcome of one (case, defense, seed) run."""
 
     name: str
+    defense: str
     seed: int
     ok: bool
     cycles: int = 0
@@ -58,8 +62,9 @@ class CampaignCaseResult:
     def render(self) -> str:
         status = "ok" if self.ok else "DIVERGED"
         injected = sum(self.injected.values())
-        line = (f"{self.name:<24} seed={self.seed:<6} {status:<8} "
-                f"cycles={self.cycles:<9} injected={injected}")
+        line = (f"{self.name:<24} {self.defense:<16} seed={self.seed:<6} "
+                f"{status:<8} cycles={self.cycles:<9} "
+                f"injected={injected}")
         if self.mismatches:
             line += "\n" + "\n".join(f"    {m}" for m in self.mismatches)
         return line
@@ -67,7 +72,7 @@ class CampaignCaseResult:
 
 @dataclass
 class CampaignResult:
-    """All (case, seed) outcomes of one campaign."""
+    """All (case, defense, seed) outcomes of one campaign."""
 
     results: List[CampaignCaseResult] = field(default_factory=list)
 
@@ -98,25 +103,14 @@ class CampaignResult:
             "divergences": len(self.failures),
             "results": [
                 {
-                    "name": r.name, "seed": r.seed, "ok": r.ok,
+                    "name": r.name, "defense": r.defense,
+                    "seed": r.seed, "ok": r.ok,
                     "cycles": r.cycles, "committed": r.committed,
                     "injected": r.injected, "mismatches": r.mismatches,
                 }
                 for r in self.results
             ],
         }
-
-
-def _rdcycle_dests(program: Program) -> Set[int]:
-    """Registers whose final value is timing-dependent by design
-    (RDCYCLE destinations) — excluded from oracle comparison, exactly
-    as the equivalence suite does."""
-    dests: Set[int] = set()
-    for instruction in program.instructions:
-        if instruction.op is Opcode.RDCYCLE \
-                and instruction.dest is not None:
-            dests.add(instruction.dest)
-    return dests
 
 
 def run_fault_case(
@@ -128,21 +122,17 @@ def run_fault_case(
 ) -> CampaignCaseResult:
     """Run one case under ``plan`` and referee it against the oracle."""
     # Imported here: the processor itself depends on robustness.faults.
+    from ..fuzz.differential import compare_with_oracle
     from ..pipeline.processor import Processor
 
     machine = machine if machine is not None else tiny_config()
     security = security if security is not None \
         else SecurityConfig.cache_hit_tpbuf()
-    oracle = run_oracle(case.program,
-                        max_instructions=case.max_instructions)
-    mismatches: List[str] = []
-    if not oracle.halted:
-        mismatches.append("case bug: oracle did not halt")
-
     started = time.monotonic()
     cpu = Processor(case.program, machine=machine, security=security,
                     options=RunOptions(fault_plan=plan),
                     check_invariants=check_invariants)
+    mismatches: List[str] = []
     report = None
     try:
         report = cpu.run(max_cycles=case.max_cycles)
@@ -154,36 +144,21 @@ def run_fault_case(
         mismatches.append(detail)
     duration = time.monotonic() - started
 
-    if report is not None and not mismatches:
-        if not report.halted:
-            mismatches.append(
-                f"did not halt (termination={report.termination})")
-        else:
-            skip = _rdcycle_dests(case.program)
-            for reg in range(machine.core.num_arch_regs):
-                if reg in skip:
-                    continue
-                got, want = cpu.arch_reg(reg), oracle.reg(reg)
-                if got != want:
-                    mismatches.append(
-                        f"r{reg}: core={got:#x} oracle={want:#x}")
-            addresses = set(oracle.memory) \
-                | set(case.program.initial_memory)
-            for vaddr in sorted(addresses):
-                got, want = cpu.read_vword(vaddr), oracle.mem(vaddr)
-                if got != want:
-                    mismatches.append(
-                        f"mem[{vaddr:#x}]: core={got:#x} "
-                        f"oracle={want:#x}")
-            if report.committed != oracle.retired:
-                mismatches.append(
-                    f"retirement drift: core committed "
-                    f"{report.committed}, oracle retired "
-                    f"{oracle.retired}")
+    # The oracle runs the program the core ran (a software defense
+    # rewrites it).
+    oracle = run_oracle(cpu.imem.programs[0],
+                        max_instructions=case.max_instructions)
+    if not oracle.halted:
+        mismatches.append("case bug: oracle did not halt")
+    elif report is not None and not mismatches:
+        mismatches = [mismatch.render() for mismatch in
+                      compare_with_oracle(cpu, report, oracle,
+                                          security.mode)]
 
     injected = cpu.faults.summary() if cpu.faults is not None else {}
     return CampaignCaseResult(
         name=case.name,
+        defense=security.mode,
         seed=plan.seed,
         ok=not mismatches,
         cycles=cpu.cycle,
@@ -235,25 +210,29 @@ def run_campaign(
     check_invariants: bool = True,
     progress=None,
 ) -> CampaignResult:
-    """Run every case under every seed.
+    """Run every case under every seed, under ``security`` or, by
+    default, under every registered defense.
 
     ``plan`` supplies the rates (default :meth:`FaultPlan.moderate`);
     each (case, seed) pair gets a decorrelated seed derived from the
     campaign seed and the case name, so campaigns are reproducible yet
-    no two runs share an RNG stream.
+    no two cases share an RNG stream.
     """
     base = plan if plan is not None else FaultPlan.moderate()
+    configs = [security] if security is not None \
+        else [SecurityConfig(name) for name in defense_names()]
     result = CampaignResult()
     for seed in seeds:
         for case in cases:
             derived = base.with_seed(seed).derive(case.name)
-            outcome = run_fault_case(
-                case, derived, machine=machine, security=security,
-                check_invariants=check_invariants,
-            )
-            # Report under the campaign seed, which is what replays it.
-            outcome.seed = seed
-            result.results.append(outcome)
-            if progress is not None:
-                progress(outcome)
+            for config in configs:
+                outcome = run_fault_case(
+                    case, derived, machine=machine, security=config,
+                    check_invariants=check_invariants,
+                )
+                # Report under the campaign seed, which replays it.
+                outcome.seed = seed
+                result.results.append(outcome)
+                if progress is not None:
+                    progress(outcome)
     return result

@@ -78,6 +78,24 @@ class TestCommands:
         assert code == 0
         assert "S-mismatch" in capsys.readouterr().out
 
+    def test_table4_matches_paper(self, capsys):
+        # Exits 0 only when every scenario matches the paper.
+        assert main(["table4"]) == 0
+        out = capsys.readouterr().out
+        assert "Table IV" in out and "MISMATCH" not in out
+
+    def test_table6_subset(self, capsys):
+        code = main(["table6", "--scale", "0.05", "hmmer"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "a57-like" in out and "xeon-like" in out
+
+    def test_lru_subset(self, capsys):
+        code = main(["lru", "--scale", "0.05", "hmmer"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "hmmer" in out and "no_update" in out
+
 
 _GADGET_SOURCE = """\
 li r1, 0

@@ -1,87 +1,70 @@
-"""The unified experiment API and the bench harness CLI."""
+"""The experiment drivers' one sweep path, and the bench harness
+CLI."""
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.errors import ConfigError
-from repro.experiments import (
-    ExperimentSpec,
-    experiment_names,
-    get_experiment,
-    register_experiment,
-    run_experiment,
-    run_figure5,
-)
+from repro.errors import SimulationError
+from repro.experiments import run_figure5, runner
 from repro.perf.bench import run_bench, write_bench_json
+from repro.robustness.checkpoint import CheckpointStore
 
 SCALE = 0.05
 
 
-class TestRegistry:
-    def test_headline_experiments_registered(self):
-        assert set(experiment_names()) >= {
-            "figure5", "table4", "table5", "table6",
-            "fence_study", "lru_study", "precision_study",
-        }
-
-    def test_get_unknown_experiment(self):
-        with pytest.raises(ConfigError, match="unknown experiment"):
-            get_experiment("figure6")
-
-    def test_spec_rejects_unknown_unified_option(self):
-        with pytest.raises(ConfigError, match="unknown unified"):
-            ExperimentSpec(name="bad", runner=lambda: None,
-                           description="", supports=("turbo",))
-
-    def test_register_custom_experiment(self):
-        spec = ExperimentSpec(
-            name="_test_probe", runner=lambda scale=1.0: scale,
-            description="test", supports=("scale",),
-        )
-        register_experiment(spec)
-        try:
-            assert run_experiment("_test_probe", scale=0.5) == 0.5
-        finally:
-            from repro.experiments import api
-            del api._REGISTRY["_test_probe"]
+def _cycles(result):
+    return [(row.benchmark, row.cycles) for row in result.rows]
 
 
-class TestFacade:
-    def test_matches_direct_runner(self):
-        direct = run_figure5(benchmarks=["bzip2"], scale=SCALE)
-        via_api = run_experiment("figure5", benchmarks=["bzip2"],
-                                 scale=SCALE)
-        assert [row.cycles for row in via_api.rows] == \
-            [row.cycles for row in direct.rows]
+class TestOneSweepPath:
+    """Every option combination of a defense-keyed grid takes the same
+    :class:`~repro.experiments.runner.SweepEngine` path."""
 
-    def test_unsupported_option_is_an_error(self):
-        with pytest.raises(ConfigError, match="does not support"):
-            run_experiment("table4", checkpoint="x.jsonl")
-        with pytest.raises(ConfigError, match="does not support"):
-            run_experiment("lru_study", workers=4)
+    def test_same_rows_with_and_without_options(self, tmp_path):
+        benchmarks = ["hmmer", "mcf"]
+        plain = run_figure5(benchmarks=benchmarks, scale=SCALE)
+        checkpointed = run_figure5(
+            benchmarks=benchmarks, scale=SCALE,
+            checkpoint=str(tmp_path / "fig5.jsonl"))
+        fanned = run_figure5(benchmarks=benchmarks, scale=SCALE,
+                             workers=2)
+        assert _cycles(plain) == _cycles(checkpointed) == _cycles(fanned)
+        assert [row.benchmark for row in plain.rows] == benchmarks
 
-    def test_unknown_extra_is_an_error(self):
-        with pytest.raises(ConfigError, match="has no option"):
-            run_experiment("figure5", gadgets=["v1"])
-
-    def test_defaults_not_forwarded(self):
-        # fence_study defaults to scale=0.3; the facade must not
-        # override it with its own default.
-        spec = get_experiment("fence_study")
-        import inspect
-        signature = inspect.signature(spec.runner)
-        assert signature.parameters["scale"].default == 0.3
-
-    def test_checkpoint_resume_through_facade(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "fig5.jsonl")
-        first = run_experiment("figure5", benchmarks=["bzip2"],
-                               scale=SCALE, checkpoint=path)
-        resumed = run_experiment("figure5", benchmarks=["bzip2"],
-                                 scale=SCALE, checkpoint=path,
-                                 resume=True)
-        assert [row.cycles for row in first.rows] == \
-            [row.cycles for row in resumed.rows]
+        first = run_figure5(benchmarks=["bzip2"], scale=SCALE,
+                            checkpoint=path)
+        resumed = run_figure5(benchmarks=["bzip2"], scale=SCALE,
+                              checkpoint=path, resume=True)
+        assert _cycles(first) == _cycles(resumed)
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_failed_pair_raises_naming_it(self, tmp_path, monkeypatch,
+                                          checkpointed):
+        real = runner.run_benchmark
+
+        def failing(name, security=None, **kwargs):
+            if (name, security.mode) == ("hmmer", "baseline"):
+                raise SimulationError("injected failure")
+            return real(name, security=security, **kwargs)
+
+        monkeypatch.setattr(runner, "run_benchmark", failing)
+        path = str(tmp_path / "fig5.jsonl") if checkpointed else None
+        with pytest.raises(SimulationError,
+                           match=r"1 of 8 run\(s\) failed: "
+                                 r"hmmer/baseline \(SimulationError: "
+                                 r"injected failure\)$"):
+            run_figure5(benchmarks=["hmmer", "mcf"], scale=SCALE,
+                        checkpoint=path)
+        if checkpointed:
+            _header, records = CheckpointStore(path).load()
+            statuses = {key: record["status"]
+                        for key, record in records.items()}
+            assert statuses.pop("hmmer/baseline") == "failed"
+            assert len(statuses) == 7
+            assert set(statuses.values()) == {"ok"}
 
 
 class TestBenchHarness:

@@ -14,10 +14,8 @@ from repro.experiments import (
     run_icache_filter_study,
     run_lru_study,
     run_matrix_ablation,
-    run_modes,
     run_table5,
     run_table6,
-    suite_overheads,
 )
 from repro.experiments.area_study import render_area_study
 from repro.experiments.formatting import percent, text_table
@@ -47,19 +45,6 @@ class TestRunner:
         report = run_benchmark("hmmer", scale=_SCALE)
         assert report.name == "hmmer"
         assert report.halted
-
-    def test_run_modes_covers_requested(self):
-        reports = run_modes("hmmer", scale=_SCALE,
-                            modes=["origin",
-                                   "baseline"])
-        assert set(reports) == {"origin",
-                                "baseline"}
-
-    def test_suite_overheads_shape(self):
-        result = suite_overheads(["baseline"],
-                                 benchmarks=_BENCH, scale=_SCALE)
-        assert set(result) == set(_BENCH)
-        assert "baseline" in result["hmmer"]
 
 
 class TestFigure5:

@@ -4,6 +4,7 @@ and fully logged."""
 import pytest
 
 from repro import PAPER_DEFENSES, Processor, SecurityConfig, tiny_config
+from repro.core.defense import defense_names
 from repro.isa import ProgramBuilder, run_oracle
 from repro.params import RunOptions
 from repro.robustness import (
@@ -139,7 +140,8 @@ class TestCampaign:
                               plan=FaultPlan.moderate())
         assert result.ok, result.render()
         assert result.total_injected > 0
-        assert len(result.results) == 2 * len(cases)
+        assert len(result.results) == 2 * len(cases) * len(defense_names())
+        assert {r.defense for r in result.results} == set(defense_names())
 
     def test_campaign_reports_seed_and_case(self):
         cases = spec_cases(["hmmer"], scale=0.05)

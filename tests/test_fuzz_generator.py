@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.corpus import GADGET_KINDS, build_gadget_program
 from repro.fuzz import (
     GeneratorConfig,
     case_seed,
@@ -77,3 +78,12 @@ def test_differential_smoke():
         outcome = differential_check(generated.program)
         assert outcome.valid
         assert outcome.clean, outcome.render()
+
+
+@pytest.mark.parametrize("kind", GADGET_KINDS)
+def test_slh_gadgets_agree_with_oracle(kind):
+    """The oracle referees the program ``slh`` rewrote (fences move
+    code and add retired instructions), not the original."""
+    outcome = differential_check(build_gadget_program(kind),
+                                 modes=("slh",))
+    assert outcome.clean, outcome.render()

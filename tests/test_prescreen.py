@@ -13,7 +13,6 @@ from repro.analysis.prescreen import (
 from repro.cli import main as cli_main
 from repro.core.defense import create_defense, defense_names
 from repro.experiments import run_defense_prescreen
-from repro.experiments.api import get_experiment
 
 
 class TestCoverageDeclarations:
@@ -143,8 +142,3 @@ class TestDynamicCrossValidation:
         assert cli_main(argv) == 1
         monkeypatch.undo()
         assert cli_main(argv) == 0
-
-    def test_registered_as_experiment(self):
-        spec = get_experiment("defense_prescreen")
-        assert spec.supports == ("machine",)
-        assert "dynamic" in spec.extras and "window" in spec.extras

@@ -105,9 +105,9 @@ class TestSpecCharacteristics:
 
     @pytest.fixture(scope="class")
     def reports(self):
-        from repro.experiments import run_modes
-        names = ("lbm", "GemsFDTD", "libquantum")
-        return {name: run_modes(name) for name in names}
+        from repro.experiments import SweepEngine
+        return SweepEngine(
+            benchmarks=["lbm", "GemsFDTD", "libquantum"]).run().reports()
 
     def test_hit_rate_bands(self, reports):
         origin = {n: r["origin"] for n, r in reports.items()}

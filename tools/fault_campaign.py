@@ -1,14 +1,15 @@
 #!/usr/bin/env python
 """N-seed fault-injection campaign over the gadget corpus and a set of
-SPEC profiles, refereed by the functional oracle.
+SPEC profiles, under every registered defense, refereed by the
+functional oracle.
 
 Every run perturbs the pipeline with seeded, architecturally-neutral
 faults (forced mispredicts, delayed fills, spurious squashes, filter
 blackouts, dropped wakeups) while the structural invariant lint stays
 on.  The campaign fails — exit status 1 — if any run diverges from the
 in-order oracle, violates a pipeline invariant, deadlocks, or fails to
-halt.  Divergences print the case name and campaign seed, which replay
-the exact run deterministically.
+halt.  Divergences print the case name, defense and campaign seed,
+which replay the exact run deterministically.
 
 Run:  PYTHONPATH=src python tools/fault_campaign.py [options]
 
@@ -25,6 +26,7 @@ import json
 import sys
 import time
 
+from repro.core.defense import defense_names
 from repro.robustness import (
     FaultPlan,
     gadget_cases,
@@ -76,7 +78,8 @@ def main(argv=None):
     elapsed = time.time() - started
 
     print(f"\n{len(result.results)} runs over {len(cases)} cases x "
-          f"{len(list(seeds))} seeds in {elapsed:.1f}s: "
+          f"{len(defense_names())} defenses x {len(list(seeds))} seeds "
+          f"in {elapsed:.1f}s: "
           f"{result.total_injected} injected events, "
           f"{len(result.failures)} divergences")
     if args.json:

@@ -5,12 +5,12 @@ Runs the three adversarial loops of ``repro.fuzz`` at a fixed seed
 and fails (non-zero exit) on any unexplained disagreement:
 
 1. differential — generated programs, OoO core vs in-order oracle
-   under all four protection modes, plus the assemble/disassemble
+   under every registered defense, plus the assemble/disassemble
    round-trip property;
 2. certifier agreement — symx verdicts vs dynamic two-secret replay
    (PROVED_SAFE soundness, witness reproduction, tier ordering);
-3. evolve — gadget variants mutated against every defense mode; any
-   verified survivor is ingested into the analysis corpus and the
+3. evolve — gadget variants mutated against the paper's four
+   defenses; any verified survivor is ingested into the analysis corpus and the
    precision study re-measured over the extended corpus.
 
 Run:  PYTHONPATH=src python tools/fuzz_campaign.py [--smoke] \
@@ -19,7 +19,7 @@ Run:  PYTHONPATH=src python tools/fuzz_campaign.py [--smoke] \
 ``--smoke`` is the CI budget (~200 differential + 60 certify
 programs, no evolve, < 2 min).  The default full campaign is the
 acceptance sweep: >= 5,000 differential programs, 500 certify
-programs and the evolve loop over all four modes.
+programs and the evolve loop over the paper's four defenses.
 
 Exit status 0 iff every campaign is clean.
 """
@@ -34,6 +34,7 @@ from pathlib import Path
 from repro.analysis.corpus import IngestedGadget, register_ingested_gadget
 from repro.analysis.verify import corpus_precision
 from repro.fuzz import (
+    ALL_MODES,
     run_certify_campaign,
     run_diff_campaign,
     run_evolve_campaign,
@@ -82,7 +83,7 @@ def main() -> int:
         else None,
         regressions=pin_dir, progress=progress)
     summary["diff"] = diff.to_dict()
-    print(f"[diff]    {diff.cases} programs x 4 modes, "
+    print(f"[diff]    {diff.cases} programs x {len(ALL_MODES)} defenses, "
           f"{diff.invalid} invalid, {diff.disagreements} "
           f"mismatch(es) [{diff.duration_s:.1f}s]")
     if not diff.clean:
