@@ -28,7 +28,7 @@ Quickstart::
 """
 from .core.defense import PAPER_DEFENSES
 from .core.policy import SecurityConfig
-from .errors import CycleBudgetExceeded, DeadlockError, SimulationError
+from .errors import DeadlockError, SimulationError
 from .isa import Instruction, Opcode, Program, ProgramBuilder, assemble
 from .isa.oracle import run_oracle
 from .memory.replacement import SpeculativeLRUPolicy
@@ -69,7 +69,6 @@ __all__ = [
     "PipelineTracer",
     "SimulationError",
     "DeadlockError",
-    "CycleBudgetExceeded",
     "FaultPlan",
     "FaultInjector",
     "load_machine",

@@ -60,22 +60,13 @@ FAMILY_KIND: Dict[str, GadgetKind] = {
 
 def attack_program(attack: str) -> "Program":
     """A fresh copy of the suite attack's victim+receiver program."""
-    from ..attacks import (build_spectre_prime, build_spectre_rsb,
-                           build_spectre_v1, build_spectre_v2,
-                           build_spectre_v4)
+    from ..attacks import ATTACKS
 
-    builders = {
-        "v1": build_spectre_v1,
-        "v2": build_spectre_v2,
-        "v4": build_spectre_v4,
-        "rsb": build_spectre_rsb,
-        "prime": build_spectre_prime,
-    }
-    if attack not in builders:
+    if attack not in ATTACKS:
         raise ValueError(
             f"unknown attack {attack!r}; expected one of "
-            f"{', '.join(sorted(builders))}")
-    return builders[attack]().program
+            f"{', '.join(sorted(ATTACKS))}")
+    return ATTACKS[attack]().program
 
 
 @dataclass(frozen=True)

@@ -659,21 +659,24 @@ class SummaryCache:
     def _open(self, path: str) -> None:
         store = CheckpointStore(path)
         try:
-            if store.exists():
-                header, rows = store.load()
-                if header.get("purpose") not in (None, "summary-cache"):
-                    raise CheckpointError(
-                        f"{path}: checkpoint belongs to "
-                        f"{header.get('purpose')!r}, not a summary "
-                        f"cache")
-                if header.get("summary_format") == SUMMARY_FORMAT:
-                    for key, record in rows.items():
-                        summary = record.get("summary")
-                        if isinstance(summary, dict):
-                            self._entries[key] = summary
-                    self.stats.loaded = len(self._entries)
+            header, rows = store.load()
+            if (header or rows) \
+                    and header.get("purpose") != "summary-cache":
+                raise CheckpointError(
+                    f"{path}: checkpoint belongs to "
+                    f"{header.get('purpose')!r}, not a summary cache")
+            current = header.get("summary_format") == SUMMARY_FORMAT
+            if current:
+                for key, record in rows.items():
+                    summary = record.get("summary")
+                    if isinstance(summary, dict):
+                        self._entries[key] = summary
+                self.stats.loaded = len(self._entries)
             store.acquire_writer()
-            if not store.exists():
+            if not current:
+                # A new file, or one an older summary format wrote:
+                # nothing appended under its header could be loaded
+                # again, so it starts over under the current one.
                 store.reset({"purpose": "summary-cache",
                              "summary_format": SUMMARY_FORMAT})
             self._store = store

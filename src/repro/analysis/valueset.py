@@ -481,10 +481,6 @@ class RefinedReport:
         return not self.confirmed
 
     @property
-    def refuted_count(self) -> int:
-        return len(self.refuted)
-
-    @property
     def accelerated_count(self) -> int:
         """Refutations that needed induction-variable acceleration."""
         return sum(1 for r in self.refuted

@@ -26,7 +26,19 @@ from .spectre_v4 import build_spectre_v4
 from .spectre_prime import build_spectre_prime
 from .spectre_rsb import build_spectre_rsb
 
+#: The attack suite by name.  Every builder takes ``layout=`` and
+#: ``machine=``; all but ``prime`` (whose receiver is its Prime+Probe
+#: channel) also take ``channel=``.
+ATTACKS = {
+    "v1": build_spectre_v1,
+    "v2": build_spectre_v2,
+    "v4": build_spectre_v4,
+    "rsb": build_spectre_rsb,
+    "prime": build_spectre_prime,
+}
+
 __all__ = [
+    "ATTACKS",
     "AttackLayout",
     "Channel",
     "FlushReloadChannel",

@@ -17,7 +17,7 @@ from .common import AttackProgram
 from .harness import AttackResult, run_attack
 from .layout import AttackLayout
 
-#: Builder signature: layout -> AttackProgram.
+#: Builder signature: ``layout=`` -> AttackProgram.
 AttackFactory = Callable[[AttackLayout], AttackProgram]
 
 
@@ -85,7 +85,7 @@ def sweep_attack(
                 n_values=n_values, secret_value=secret)
         else:
             layout = AttackLayout(n_values=n_values, secret_value=secret)
-        attack = factory(layout)
+        attack = factory(layout=layout)
         result = run_attack(attack, machine=machine, security=security)
         if sweep is None:
             sweep = SweepResult(name=attack.name, mode=result.mode)

@@ -69,10 +69,6 @@ class AttackLayout:
     # ---- derived addresses -------------------------------------------------
 
     @property
-    def same_page_transmit(self) -> bool:
-        return self.probe_stride == LINE
-
-    @property
     def oob_index(self) -> int:
         """x such that ``array1_base + 8 * x == secret_addr``."""
         delta = self.secret_addr - self.array1_base

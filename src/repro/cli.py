@@ -49,14 +49,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .attacks import (
-    build_spectre_prime,
-    build_spectre_rsb,
-    build_spectre_v1,
-    build_spectre_v2,
-    build_spectre_v4,
-    run_attack,
-)
+from .attacks import ATTACKS, run_attack
 from .attacks.layout import AttackLayout
 from .attacks.sidechannel import (
     EvictReloadChannel,
@@ -79,7 +72,6 @@ from .experiments import (
     run_table5,
     run_table6,
 )
-from .experiments.shootout import ATTACK_SUITE
 from .experiments.area_study import render_area_study
 from .isa import assemble
 from .config_io import load_machine
@@ -95,15 +87,6 @@ _CHANNELS = {
     "evict+reload": EvictReloadChannel,
     "prime+probe": PrimeProbeChannel,
     "evict+time": EvictTimeChannel,
-}
-
-_ATTACKS = {
-    "v1": build_spectre_v1,
-    "v2": build_spectre_v2,
-    "v4": build_spectre_v4,
-    "rsb": build_spectre_rsb,
-    "prime": lambda channel=None, layout=None, machine=None:
-        build_spectre_prime(layout=layout, machine=machine),
 }
 
 
@@ -382,14 +365,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    build = _ATTACKS[args.variant]
-    channel = _CHANNELS[args.channel]() if args.variant != "prime" else None
     layout = AttackLayout.same_page() if args.same_page else None
     machine = _machine(args)
     kwargs = {"layout": layout, "machine": machine}
     if args.variant != "prime":
-        kwargs["channel"] = channel
-    attack = build(**kwargs)
+        kwargs["channel"] = _CHANNELS[args.channel]()
+    attack = ATTACKS[args.variant](**kwargs)
     result = run_attack(attack, machine=machine,
                         security=_security(args.mode))
     print(result.render())
@@ -444,7 +425,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        retries=args.retries,
         workers=args.workers,
         options=RunOptions(max_cycles=args.max_cycles,
                            wall_clock_budget=args.wall_clock_budget,
@@ -453,7 +433,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = engine.run(
         progress=lambda row: print(
             f"  {row.benchmark}/{row.mode}: {row.status} "
-            f"({row.cycles} cycles, {row.attempts} attempt(s))",
+            f"({row.cycles} cycles)",
             file=sys.stderr,
         )
     )
@@ -585,6 +565,10 @@ def _cmd_table6(args: argparse.Namespace) -> int:
     result = run_table6(benchmarks=args.benchmarks or None,
                         scale=args.scale)
     print(result.render())
+    if args.json:
+        from .experiments.export import dump_json, table6_to_dict
+        dump_json(table6_to_dict(result), args.json)
+        print(f"wrote {args.json}")
     return 0
 
 
@@ -872,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.set_defaults(func=_cmd_certify)
 
     p_attack = sub.add_parser("attack", help="run a Spectre PoC")
-    p_attack.add_argument("variant", choices=sorted(_ATTACKS))
+    p_attack.add_argument("variant", choices=sorted(ATTACKS))
     p_attack.add_argument("--channel", default="flush+reload",
                           choices=sorted(_CHANNELS))
     p_attack.add_argument("--same-page", action="store_true",
@@ -971,8 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-cycles", type=int, default=None)
     p_sweep.add_argument("--wall-clock-budget", type=float, default=None,
                          help="per-run wall-clock budget in seconds")
-    p_sweep.add_argument("--retries", type=int, default=2,
-                         help="retries per failing run (default 2)")
     p_sweep.add_argument("--checkpoint", default=None,
                          help="JSONL checkpoint file; completed "
                               "(benchmark, mode) pairs are durably "
@@ -1002,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="defense subset (default: whole zoo; "
                               "origin is always included)")
     p_shoot.add_argument("--attacks", nargs="*", default=None,
-                         choices=list(ATTACK_SUITE),
+                         choices=list(ATTACKS),
                          help="attack subset (default: all five)")
     p_shoot.add_argument("--scale", type=float, default=0.05,
                          help="SPEC profile scale (default 0.05)")
@@ -1031,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=_mode_choices(),
                        help="defense subset (default: whole zoo)")
     p_pre.add_argument("--attacks", nargs="*", default=None,
-                       choices=list(ATTACK_SUITE),
+                       choices=list(ATTACKS),
                        help="attack subset (default: all five)")
     p_pre.add_argument("--window", type=int, default=None,
                        help="speculation window for the static passes "
@@ -1168,10 +1150,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_exp = sub.add_parser(name, help=f"regenerate {name}")
         if with_scale:
             p_exp.add_argument("--scale", type=float, default=1.0)
-            p_exp.add_argument("--json", default=None,
-                               help="also write the result as JSON")
             p_exp.add_argument("benchmarks", nargs="*",
                                help="benchmark subset (default: all)")
+        if name in ("figure5", "table5", "table6"):
+            p_exp.add_argument("--json", default=None,
+                               help="also write the result as JSON")
         if name in ("figure5", "table5"):
             p_exp.add_argument("--checkpoint", default=None,
                                help="JSONL checkpoint file for "

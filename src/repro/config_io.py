@@ -115,52 +115,6 @@ def machine_to_dict(machine: MachineParams) -> Dict[str, Any]:
     }
 
 
-def security_from_dict(spec: Dict[str, Any]) -> "SecurityConfig":
-    """Build a :class:`repro.core.policy.SecurityConfig` from JSON.
-
-    The defense is named by ``defense`` (any registered zoo name or
-    alias; the legacy key ``mode`` is accepted as a deprecated
-    spelling) and the remaining keys are the mechanism knobs::
-
-        {"defense": "cache_hit_tpbuf", "icache_filter": true}
-    """
-    from .core.policy import SecurityConfig
-    from .memory.replacement import SpeculativeLRUPolicy
-
-    known = {"defense", "mode", "lru_policy", "clear_on_resolve",
-             "branch_only_matrix", "icache_filter"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ConfigError(
-            f"security: unknown fields {sorted(unknown)}")
-    if "defense" in spec and "mode" in spec \
-            and spec["defense"] != spec["mode"]:
-        raise ConfigError(
-            "security: give either 'defense' or the deprecated "
-            "'mode', not conflicting values of both")
-    name = spec.get("defense", spec.get("mode", "origin"))
-    overrides: Dict[str, Any] = {
-        key: spec[key]
-        for key in ("clear_on_resolve", "branch_only_matrix",
-                    "icache_filter")
-        if key in spec
-    }
-    if "lru_policy" in spec:
-        overrides["lru_policy"] = SpeculativeLRUPolicy(spec["lru_policy"])
-    return SecurityConfig(name, **overrides)
-
-
-def security_to_dict(security: "SecurityConfig") -> Dict[str, Any]:
-    """Inverse of :func:`security_from_dict` (canonical names only)."""
-    return {
-        "defense": security.mode,
-        "lru_policy": security.lru_policy.value,
-        "clear_on_resolve": security.clear_on_resolve,
-        "branch_only_matrix": security.branch_only_matrix,
-        "icache_filter": security.icache_filter,
-    }
-
-
 def load_machine(path: str,
                  base: MachineParams = None) -> MachineParams:
     """Load a machine description from a JSON file."""

@@ -36,10 +36,6 @@ class SecurityConfig:
     mode: str = "origin"
     #: LRU-metadata policy for speculative L1D hits (Section VII.A).
     lru_policy: SpeculativeLRUPolicy = SpeculativeLRUPolicy.NORMAL
-    #: Ablation: clear a producer's matrix column when it *resolves*
-    #: (branch outcome known / store address computed) instead of the
-    #: paper's issue-time clearance.
-    clear_on_resolve: bool = False
     #: Ablation (Section VI.C(1)): only branch instructions act as
     #: security-dependence producers (no memory-memory edges).
     branch_only_matrix: bool = False

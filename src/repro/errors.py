@@ -44,37 +44,5 @@ class DeadlockError(SimulationError):
         self.diagnostics = diagnostics
 
 
-class CycleBudgetExceeded(SimulationError):
-    """The run consumed its cycle (or wall-clock) budget without
-    halting.
-
-    Distinct from :class:`DeadlockError`: the pipeline was still
-    committing instructions, it just had more work than the budget
-    allowed.  Callers that need the partial results can read
-    :attr:`report`.
-    """
-
-    def __init__(self, message: str, report: Optional[Any] = None) -> None:
-        super().__init__(message)
-        self.report = report
-
-
-class RunCancelled(SimulationError):
-    """The run was cooperatively cancelled.
-
-    Raised (only with ``raise_on_budget``) when the
-    :attr:`repro.params.RunOptions.cancel_check` hook returned ``True``
-    mid-run.  Distinct from both :class:`DeadlockError` (the pipeline
-    was healthy) and :class:`CycleBudgetExceeded` (no budget was
-    exhausted — an external owner, e.g. the ``repro serve`` job
-    manager, asked the run to stop).  Partial results are in
-    :attr:`report`.
-    """
-
-    def __init__(self, message: str, report: Optional[Any] = None) -> None:
-        super().__init__(message)
-        self.report = report
-
-
 class ServeError(SimulationError):
     """Base class for analysis-service (``repro serve``) errors."""

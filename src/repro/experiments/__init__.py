@@ -24,7 +24,6 @@ from .precision_study import (
 )
 from .prescreen import PrescreenValidation, run_defense_prescreen
 from .shootout import (
-    ATTACK_SUITE,
     ShootoutResult,
     ShootoutRow,
     run_defense_shootout,
@@ -55,7 +54,6 @@ __all__ = [
     "PrecisionRow",
     "PrecisionStudyResult",
     "run_precision_study",
-    "ATTACK_SUITE",
     "PrescreenValidation",
     "run_defense_prescreen",
     "ShootoutResult",

@@ -6,18 +6,17 @@ the one path every grid keyed by defense name takes: ``repro sweep``
 and ``repro bench``, Figure 5, Tables V and VI and the shootout's
 overhead leg.  Results stream to a JSON-lines checkpoint
 (:class:`~repro.robustness.checkpoint.CheckpointStore`) as they
-complete, ``resume=True`` skips pairs already recorded, and transient
-failures retry with exponential backoff.  A pair that still fails is
-a recorded failure row; :meth:`SweepResult.reports` turns any such row
-into one :class:`~repro.errors.SimulationError` naming every failed
-pair, so no experiment renders a grid with holes in it.
+complete, and ``resume=True`` skips pairs already recorded under the
+same machine, scale, cycle budget and fault setting.  A pair that
+fails is a recorded failure row; :meth:`SweepResult.reports` turns any
+such row into one :class:`~repro.errors.SimulationError` naming every
+failed pair, so no experiment renders a grid with holes in it.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-from zlib import crc32
 
 from ..core.defense import PAPER_DEFENSES, normalize_defense_name
 from ..core.policy import SecurityConfig
@@ -42,24 +41,8 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "SweepTask",
-    "backoff_delay",
     "execute_sweep_task",
 ]
-
-
-def backoff_delay(backoff: float, attempt: int, key: str) -> float:
-    """Exponential retry backoff with seeded deterministic jitter.
-
-    The base delay doubles per attempt (``backoff * 2**(attempt-1)``)
-    and is then scaled by a factor in ``[0.5, 1.5)`` derived from a
-    CRC of ``(key, attempt)``.  Parallel workers retrying different
-    (benchmark, defense) tasks therefore never synchronize into a retry
-    storm, yet every task's schedule is a pure function of its key —
-    reruns and resumes wait exactly the same amount.
-    """
-    base = backoff * (2 ** (max(1, attempt) - 1))
-    frac = (crc32(f"{key}#{attempt}".encode()) & 0xFFF) / 0x1000
-    return base * (0.5 + frac)
 
 
 def run_benchmark(
@@ -96,6 +79,11 @@ def average(values: Iterable[float]) -> float:
 #: Signature run_fn must satisfy (run_benchmark is the default).
 RunFn = Callable[..., SimReport]
 
+#: Checkpoint header fields a resumed row must share with the sweep:
+#: a row from another machine, scale, cycle budget or fault setting is
+#: another experiment's result.
+_RESUME_KEYS = ("machine", "scale", "max_cycles", "injecting")
+
 
 @dataclass(frozen=True)
 class SweepTask:
@@ -114,8 +102,6 @@ class SweepTask:
     machine: Optional[MachineParams] = None
     scale: float = 1.0
     options: RunOptions = RunOptions()
-    retries: int = 2
-    backoff: float = 0.25
     run_fn: RunFn = run_benchmark
 
     @property
@@ -126,48 +112,37 @@ class SweepTask:
 def execute_sweep_task(task: SweepTask) -> SweepRow:
     """Run one sweep task to a finished :class:`SweepRow`.
 
-    Transient :class:`SimulationError` failures retry up to
-    ``task.retries`` times with exponential backoff; a run that still
-    fails degrades to a ``status="failed"`` row instead of raising, so
-    one workload can never abort a suite (failure isolation).  Used
-    directly by the serial engine and as the worker entry point of the
-    parallel executor.
+    A :class:`SimulationError` degrades to a ``status="failed"`` row
+    instead of raising, so one workload can never abort a suite
+    (failure isolation).  The run is not retried: it is deterministic
+    (a fault plan is derived from the pair's key, and a budget ends a
+    run with a report), so a second attempt would fail the same way.
+    Used directly by the serial engine and as the worker entry point
+    of the parallel executor.
     """
-    attempts = 0
     started = time.monotonic()
-    while True:
-        attempts += 1
-        try:
-            report = task.run_fn(
-                task.benchmark,
-                machine=task.machine,
-                security=task.security,
-                scale=task.scale,
-                options=task.options,
-            )
-        except SimulationError as exc:
-            if attempts <= task.retries:
-                time.sleep(backoff_delay(
-                    task.backoff, attempts,
-                    f"{task.benchmark}/{task.mode}"))
-                continue
-            return SweepRow(
-                benchmark=task.benchmark, mode=task.mode, status="failed",
-                termination=getattr(
-                    getattr(exc, "report", None), "termination", ""),
-                attempts=attempts,
-                duration_s=time.monotonic() - started,
-                error_type=type(exc).__name__,
-                error=str(exc).splitlines()[0] if str(exc) else "",
-            )
-        return SweepRow(
-            benchmark=task.benchmark, mode=task.mode, status="ok",
-            termination=report.termination,
-            cycles=report.cycles, committed=report.committed,
-            attempts=attempts,
-            duration_s=time.monotonic() - started,
-            report=report,
+    try:
+        report = task.run_fn(
+            task.benchmark,
+            machine=task.machine,
+            security=task.security,
+            scale=task.scale,
+            options=task.options,
         )
+    except SimulationError as exc:
+        return SweepRow(
+            benchmark=task.benchmark, mode=task.mode, status="failed",
+            duration_s=time.monotonic() - started,
+            error_type=type(exc).__name__,
+            error=str(exc).splitlines()[0] if str(exc) else "",
+        )
+    return SweepRow(
+        benchmark=task.benchmark, mode=task.mode, status="ok",
+        termination=report.termination,
+        cycles=report.cycles, committed=report.committed,
+        duration_s=time.monotonic() - started,
+        report=report,
+    )
 
 
 @dataclass
@@ -181,6 +156,8 @@ class SweepRow:
     termination: str = ""
     cycles: int = 0
     committed: int = 0
+    #: Runs of the pair: a sweep runs each pair once, but a row
+    #: resumed from an older checkpoint keeps the count it recorded.
     attempts: int = 1
     duration_s: float = 0.0
     error_type: str = ""
@@ -243,7 +220,6 @@ class SweepResult:
     """Every row of one sweep, resumed rows included."""
 
     rows: List[SweepRow] = field(default_factory=list)
-    checkpoint_path: Optional[str] = None
 
     @property
     def failures(self) -> List[SweepRow]:
@@ -299,7 +275,7 @@ class SweepResult:
 
     def render(self) -> str:
         lines = [f"{'benchmark':<14}{'mode':<18}{'status':<8}"
-                 f"{'cycles':>10}{'attempts':>9}  note"]
+                 f"{'cycles':>10}  note"]
         for row in self.rows:
             note = "resumed" if row.resumed else ""
             if not row.ok:
@@ -308,8 +284,7 @@ class SweepResult:
                 note = (note + " " if note else "") + row.termination
             lines.append(
                 f"{row.benchmark:<14}{row.mode:<18}"
-                f"{row.status:<8}{row.cycles:>10}{row.attempts:>9}  "
-                f"{note}"
+                f"{row.status:<8}{row.cycles:>10}  {note}"
             )
         lines.append(
             f"{len(self.rows)} rows: "
@@ -330,18 +305,19 @@ class SweepEngine:
 
     Each completed pair is durably appended to ``checkpoint`` before
     the next one starts, so a killed sweep resumes (``resume=True``)
-    without re-running recorded pairs.  A failing workload is retried
-    ``retries`` times with exponential backoff (``backoff * 2**n``
-    seconds) and then recorded as a failure row; the sweep carries on.
+    without re-running recorded pairs.  Rows are reused only when the
+    checkpoint's header names this sweep's machine, scale, cycle budget
+    and fault setting; otherwise the file starts over (the benchmark
+    and defense lists may grow between runs).  A failing workload is
+    recorded as a failure row; the sweep carries on.
 
     With ``workers > 1`` the pending pairs fan out across a process
     pool (:class:`repro.perf.parallel.ParallelSweepExecutor`).  The
     parent process stays the *single writer* of the checkpoint file —
     workers only ever return rows — so crash-safety, ``resume``
-    skipping, per-task retry/backoff and failure isolation behave
-    exactly as in the serial engine, and the recorded rows are
-    identical (simulations are deterministic; only ``duration_s``
-    differs).
+    skipping and failure isolation behave exactly as in the serial
+    engine, and the recorded rows are identical (simulations are
+    deterministic; only ``duration_s`` differs).
     """
 
     def __init__(
@@ -352,8 +328,6 @@ class SweepEngine:
         scale: float = 1.0,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        retries: int = 2,
-        backoff: float = 0.25,
         run_fn: Optional[RunFn] = None,
         workers: int = 1,
         options: Optional[RunOptions] = None,
@@ -369,8 +343,6 @@ class SweepEngine:
         self.options = options
         self.checkpoint = checkpoint
         self.resume = resume
-        self.retries = max(0, retries)
-        self.backoff = max(0.0, backoff)
         self.run_fn: RunFn = run_fn if run_fn is not None else run_benchmark
         self.workers = max(1, workers)
 
@@ -407,12 +379,29 @@ class SweepEngine:
             benchmark=benchmark, mode=defense, machine=self.machine,
             scale=self.scale,
             options=self._options_for(benchmark, defense),
-            retries=self.retries, backoff=self.backoff,
             run_fn=self.run_fn,
         )
 
     def _run_one(self, benchmark: str, defense: str) -> SweepRow:
         return execute_sweep_task(self.task_for(benchmark, defense))
+
+    def _resumed_rows(self, store: CheckpointStore) -> Dict[str, SweepRow]:
+        """The rows of ``store`` this sweep reuses, by task key; when
+        there are none to reuse, the file starts over under this
+        sweep's header."""
+        config = self._config()
+        if self.resume and store.exists():
+            header, records = store.load()
+            if all(header.get(key) == config[key] for key in _RESUME_KEYS):
+                done: Dict[str, SweepRow] = {}
+                for key, record in records.items():
+                    try:
+                        done[key] = SweepRow.from_record(record)
+                    except (ValueError, KeyError):
+                        continue  # unreadable row: re-run the pair
+                return done
+        store.reset(config)
+        return {}
 
     # ---- the sweep -------------------------------------------------------
 
@@ -425,17 +414,9 @@ class SweepEngine:
             store.acquire_writer()
         try:
             if store is not None:
-                if self.resume and store.exists():
-                    _header, records = store.load()
-                    for key, record in records.items():
-                        try:
-                            done[key] = SweepRow.from_record(record)
-                        except (ValueError, KeyError):
-                            continue  # unreadable row: re-run the pair
-                else:
-                    store.reset(self._config())
+                done = self._resumed_rows(store)
 
-            result = SweepResult(rows=[], checkpoint_path=self.checkpoint)
+            result = SweepResult()
             pending: List[Tuple[int, str, str]] = []
             slots: List[Optional[SweepRow]] = []
             for benchmark, defense in self.tasks():

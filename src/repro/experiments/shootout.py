@@ -30,15 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..attacks import (
-    build_spectre_prime,
-    build_spectre_rsb,
-    build_spectre_v1,
-    build_spectre_v2,
-    build_spectre_v4,
-    sweep_attack,
-)
-from ..attacks.evaluation import AttackFactory
+from ..attacks import ATTACKS, sweep_attack
 from ..core.defense import create_defense, defense_names, \
     normalize_defense_name
 from ..core.policy import SecurityConfig
@@ -49,20 +41,10 @@ from ..workloads import spec_names
 from .runner import SweepEngine, average
 
 __all__ = [
-    "ATTACK_SUITE",
     "ShootoutRow",
     "ShootoutResult",
     "run_defense_shootout",
 ]
-
-#: The attack suite, in report column order: name -> layout factory.
-ATTACK_SUITE: Dict[str, AttackFactory] = {
-    "v1": lambda layout: build_spectre_v1(layout=layout),
-    "v2": lambda layout: build_spectre_v2(layout=layout),
-    "v4": lambda layout: build_spectre_v4(layout=layout),
-    "rsb": lambda layout: build_spectre_rsb(layout=layout),
-    "prime": lambda layout: build_spectre_prime(layout=layout),
-}
 
 ProgressFn = Callable[[str], None]
 
@@ -93,10 +75,6 @@ class ShootoutRow:
     @property
     def total_recovered(self) -> int:
         return sum(self.recovered.values())
-
-    @property
-    def blocks_all(self) -> bool:
-        return self.total_recovered == 0
 
     @property
     def mean_overhead(self) -> float:
@@ -239,12 +217,12 @@ def run_defense_shootout(
                           else defense_names())]
     if "origin" not in names:
         names.insert(0, "origin")
-    attack_names = tuple(attacks if attacks is not None else ATTACK_SUITE)
-    unknown = [name for name in attack_names if name not in ATTACK_SUITE]
+    attack_names = tuple(attacks if attacks is not None else ATTACKS)
+    unknown = [name for name in attack_names if name not in ATTACKS]
     if unknown:
         raise ConfigError(
             f"unknown attack(s) {', '.join(unknown)}; suite: "
-            f"{', '.join(ATTACK_SUITE)}")
+            f"{', '.join(ATTACKS)}")
     bench_names = tuple(benchmarks if benchmarks is not None
                         else spec_names())
     secrets = tuple(range(1, 1 + max(1, trials)))
@@ -270,7 +248,7 @@ def run_defense_shootout(
         security = SecurityConfig(name)
         for attack in attack_names:
             progress(f"{name}: attack {attack}")
-            sweep = sweep_attack(ATTACK_SUITE[attack], security,
+            sweep = sweep_attack(ATTACKS[attack], security,
                                  secrets=secrets, machine=machine)
             row.recovered[attack] = sweep.correct
             row.trials[attack] = sweep.trials

@@ -133,12 +133,6 @@ class BranchPredictor:
 
     # ---- introspection -----------------------------------------------------------
 
-    def btb_target(self, pc: int) -> Optional[int]:
-        return self._btb[self.btb_index(pc)]
-
-    def counter_value(self, pc: int) -> int:
-        return self._counters[self._counter_index(pc)]
-
     def misprediction_rate(self) -> float:
         resolved = self.stats.get("resolved")
         if resolved == 0:

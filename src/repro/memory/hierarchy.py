@@ -152,9 +152,6 @@ class MemoryHierarchy:
             or self.l3.contains(paddr)
         )
 
-    def probe_l1d(self, paddr: int) -> bool:
-        return self.l1d.contains(paddr)
-
     def touch_l1d(self, paddr: int) -> bool:
         """Commit-time LRU touch (DELAYED policy)."""
         return self.l1d.touch(paddr)

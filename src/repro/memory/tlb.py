@@ -132,6 +132,3 @@ class TLB:
 
     def flush(self) -> None:
         self._entries.clear()
-
-    def resident_vpns(self):
-        return list(self._entries)

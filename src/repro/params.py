@@ -29,7 +29,7 @@ class RunOptions:
     :func:`repro.experiments.runner.run_benchmark` and
     :class:`repro.experiments.runner.SweepEngine`.  Only
     :meth:`Processor.run <repro.pipeline.processor.Processor.run>` also
-    takes per-call ``max_cycles``/``wall_clock_budget`` overrides.
+    takes a per-call ``max_cycles`` override.
     """
 
     #: Cycle budget; ``None`` means :data:`DEFAULT_MAX_CYCLES`.
@@ -62,22 +62,12 @@ class RunOptions:
         return self.max_cycles if self.max_cycles is not None \
             else DEFAULT_MAX_CYCLES
 
-    def merged(
-        self,
-        max_cycles: Optional[int] = None,
-        wall_clock_budget: Optional[float] = None,
-    ) -> "RunOptions":
-        """A copy in which each budget given here overrides the
-        corresponding field (``None`` keeps it)."""
-        if max_cycles is None and wall_clock_budget is None:
+    def merged(self, max_cycles: Optional[int] = None) -> "RunOptions":
+        """A copy whose cycle budget is ``max_cycles`` (``None`` keeps
+        this one's)."""
+        if max_cycles is None:
             return self
-        return replace(
-            self,
-            max_cycles=max_cycles if max_cycles is not None
-            else self.max_cycles,
-            wall_clock_budget=wall_clock_budget
-            if wall_clock_budget is not None else self.wall_clock_budget,
-        )
+        return replace(self, max_cycles=max_cycles)
 
 
 def _power_of_two(value: int) -> bool:
@@ -152,13 +142,6 @@ class CoreParams:
     # history needs billions of instructions to stabilize.
     bp_history_bits: int = 6
     btb_entries: int = 512
-    # Memory dependence speculation: loads may issue past older stores
-    # whose addresses are unknown (required for Spectre V4).
-    memory_dependence_speculation: bool = True
-    # Store-wait predictor (Alpha 21264 style): loads whose PC caused
-    # ordering violations stop speculating past unknown stores.  An
-    # ablation feature; off by default to match the paper's substrate.
-    store_wait_predictor: bool = False
     # Functional unit latencies.
     int_alu_latency: int = 1
     mul_latency: int = 3

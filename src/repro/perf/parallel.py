@@ -22,15 +22,15 @@ Design constraints (all load-bearing):
   platform — so a task must fully describe its run and pickle cleanly.
   :meth:`ParallelSweepExecutor.map_tasks` verifies this up front and
   fails with an actionable error instead of a deep pickle traceback.
-- **Bounded in-flight work.**  At most ``max_in_flight`` tasks
-  (default ``2 * workers``) are queued on the pool at once, so a huge
-  sweep never materializes thousands of pending futures and the
-  parent can checkpoint completed rows promptly.
+- **Bounded in-flight work.**  At most ``2 * workers`` tasks are
+  queued on the pool at once, so a huge sweep never materializes
+  thousands of pending futures and the parent can checkpoint completed
+  rows promptly.
 - **Workers never write.**  A worker returns its ``SweepRow`` (pickled
   back); only the parent process appends to the fsync'd JSONL
   checkpoint, preserving the
   :class:`~repro.robustness.checkpoint.CheckpointStore` single-writer
-  invariant.  Retry/backoff and failure isolation happen inside
+  invariant.  Failure isolation happens inside
   :func:`~repro.experiments.runner.execute_sweep_task` in the worker,
   identically to the serial path.
 """
@@ -93,20 +93,10 @@ class ParallelSweepExecutor:
     SweepEngine`).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        max_in_flight: Optional[int] = None,
-        start_method: str = "spawn",
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        if max_in_flight is not None and max_in_flight < workers:
-            raise ConfigError("max_in_flight must be >= workers")
         self.workers = workers
-        self.max_in_flight = max_in_flight if max_in_flight is not None \
-            else 2 * workers
-        self.start_method = start_method
 
     def map_tasks(
         self,
@@ -129,7 +119,7 @@ class ParallelSweepExecutor:
         _check_spawn_safe(run_fn)
         for _index, task in items:
             _check_spawn_safe(task)
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=self.workers,
                                  mp_context=context) as pool:
             queue = iter(items)
@@ -143,7 +133,7 @@ class ParallelSweepExecutor:
                 in_flight[pool.submit(run_fn, task)] = index
                 return True
 
-            for _ in range(min(self.max_in_flight, len(items))):
+            for _ in range(min(2 * self.workers, len(items))):
                 submit_next()
             while in_flight:
                 finished, _pending = wait(in_flight,

@@ -32,13 +32,13 @@ class DynInst:
         "value", "vaddr", "paddr", "ppn",
         "addr_ready", "store_data_ready", "forward_seq",
         "speculated_past_store",
-        "pred_taken", "pred_target", "taken", "actual_target",
+        "pred_target", "taken", "actual_target",
         "mispredicted", "resolved",
         "suspect", "ever_suspect", "blocked", "ever_blocked", "block_events",
         "invisible_fill",
-        "issue_attempts", "pending_lru_line",
+        "pending_lru_line",
         "cycle_dispatched", "cycle_issued", "cycle_completed",
-        "l1_hit", "mem_level",
+        "mem_level",
     )
 
     def __init__(self, seq: int, pc: int, instr: Instruction) -> None:
@@ -66,7 +66,6 @@ class DynInst:
         self.forward_seq: Optional[int] = None
         self.speculated_past_store = False
         # Control flow.
-        self.pred_taken = False
         self.pred_target = 0
         self.taken = False
         self.actual_target = 0
@@ -81,13 +80,11 @@ class DynInst:
         #: InvisiSpec-style defenses: line address of a speculative
         #: read awaiting exposure (fill) at commit.
         self.invisible_fill: Optional[int] = None
-        self.issue_attempts = 0
         self.pending_lru_line: Optional[int] = None
         # Timing / memoization.
         self.cycle_dispatched = -1
         self.cycle_issued = -1
         self.cycle_completed = -1
-        self.l1_hit: Optional[bool] = None
         self.mem_level: Optional[str] = None
 
     @property

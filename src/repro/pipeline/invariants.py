@@ -101,7 +101,7 @@ def check_security_matrix(cpu: "Processor") -> None:
             _fail(cpu.cycle, f"matrix column {pos} set (rows "
                              f"{column:#x}) but the slot is empty and "
                              f"no clear is staged")
-        if iq.is_issued(pos) and not cpu.security.clear_on_resolve:
+        if iq.is_issued(pos):
             _fail(cpu.cycle, f"matrix column {pos} set for issued "
                              f"producer {producer!r}")
 

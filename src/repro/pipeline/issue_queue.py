@@ -37,7 +37,7 @@ class IssueQueue:
         self._deferred_free: List[int] = []
         # Incremental views of the slots: bit ``pos`` set iff the slot
         # holds a valid, not-yet-issued memory-or-branch (respectively
-        # branch) instruction.  Kept in lockstep by insert/set_issued/
+        # branch) instruction.  Kept in lockstep by insert/mark_issued/
         # release; read by the matrix formula every dispatch.
         self._producer_bits = 0
         self._branch_bits = 0
@@ -89,22 +89,16 @@ class IssueQueue:
 
     # ---- issue ----------------------------------------------------------------
 
-    def set_issued(self, pos: int) -> None:
-        """Mark the slot issued *without* staging its column clear or
-        freeing it (the clear-on-resolve ablation defers clearance to
-        branch resolution / load completion)."""
-        self._issued[pos] = True
-        keep = ~(1 << pos)
-        self._producer_bits &= keep
-        self._branch_bits &= keep
-
     def mark_issued(self, inst: DynInst) -> None:
         """Record issue: stage the matrix-column clear (Update Vector
         Register) and free the slot unless the instruction is a load
         (loads stay resident for possible filter-blocked re-issue)."""
         pos = inst.iq_pos
         assert pos is not None
-        self.set_issued(pos)
+        self._issued[pos] = True
+        keep = ~(1 << pos)
+        self._producer_bits &= keep
+        self._branch_bits &= keep
         self.matrix.schedule_clear(pos)
         if not inst.instr.is_load:
             self.release(inst)

@@ -31,6 +31,9 @@ Fidelity notes (also in DESIGN.md):
   addresses; unmapped addresses decode as NOPs.
 - Stores write the memory image at commit and drain content changes
   through the store buffer, so they never speculatively modify caches.
+- Loads always speculate past older stores whose addresses are
+  unknown (Spectre V4 needs it); a store whose address resolves onto
+  an executed younger load squashes from that load.
 """
 from __future__ import annotations
 
@@ -44,12 +47,7 @@ from ..core.defense import MissVerdict, create_defense
 from ..core.icache_filter import ICacheHitFilter
 from ..core.policy import SecurityConfig
 from ..core.tpbuf import TPBuf
-from ..errors import (
-    CycleBudgetExceeded,
-    DefenseConfigError,
-    RunCancelled,
-    SimulationError,
-)
+from ..errors import DefenseConfigError, SimulationError
 from ..frontend.branch_predictor import BranchPredictor
 from ..isa.instructions import (
     INSTRUCTION_BYTES,
@@ -81,7 +79,6 @@ from .events import EventQueue
 from .invariants import check_processor_invariants
 from .issue_queue import IssueQueue
 from .lsq import LoadStoreQueue
-from .memdep import StoreWaitPredictor
 from .rename import RenameState
 from .report import SimReport
 from .rob import ReorderBuffer
@@ -103,7 +100,6 @@ class _FetchedInst:
 
     pc: int
     instr: Instruction
-    pred_taken: bool
     pred_target: int
     ready_cycle: int
 
@@ -189,9 +185,6 @@ class Processor:
         self.icache_filter = ICacheHitFilter(self.security.icache_filter)
         self.store_buffer = StoreBuffer(core.store_buffer_entries,
                                         self.hierarchy)
-        self.memdep: Optional[StoreWaitPredictor] = None
-        if core.store_wait_predictor:
-            self.memdep = StoreWaitPredictor()
         self.events = EventQueue()
 
         # Fetch state.
@@ -224,8 +217,7 @@ class Processor:
         #: cycle has the state of the step before it.
         self.check_invariants = check_invariants
         #: Budgets and fault plan (see :class:`repro.params.RunOptions`);
-        #: ``run()`` falls back to these when called without explicit
-        #: budget keywords.
+        #: ``run(max_cycles=...)`` overrides the cycle budget.
         self.options = options if options is not None else RunOptions()
         #: Fault injection (see :mod:`repro.robustness.faults`); the
         #: options may carry a pre-built injector for custom fault
@@ -253,37 +245,25 @@ class Processor:
     # Public API
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        max_cycles: Optional[int] = None,
-        wall_clock_budget: Optional[float] = None,
-        raise_on_budget: bool = False,
-    ) -> SimReport:
+    def run(self, max_cycles: Optional[int] = None) -> SimReport:
         """Simulate until HALT commits or a budget runs out.
 
-        ``max_cycles`` defaults to :data:`repro.params.DEFAULT_MAX_CYCLES`;
-        ``wall_clock_budget`` is in seconds and polled coarsely.  Both
-        override, for this call, the budgets of the construction-time
-        ``options`` (:class:`repro.params.RunOptions`).  When a budget
-        expires the run terminates and the report's
+        ``max_cycles`` overrides, for this call, the cycle budget of the
+        construction-time ``options`` (:class:`repro.params.RunOptions`),
+        which defaults to :data:`repro.params.DEFAULT_MAX_CYCLES`.  The
+        options' wall-clock budget (seconds) and
+        :attr:`~repro.params.RunOptions.cancel_check` hook are polled
+        coarsely.  When a budget expires, or the hook returns ``True``,
+        the run stops and the report's
         :attr:`~repro.pipeline.report.SimReport.termination` records
-        which budget did; with ``raise_on_budget`` a
-        :class:`~repro.errors.CycleBudgetExceeded` (carrying the report)
-        is raised instead of returning quietly.
-
-        A :attr:`~repro.params.RunOptions.cancel_check` hook in the
-        options is polled at the same coarse cadence as the wall-clock
-        budget; when it returns ``True`` the run stops cooperatively
-        with ``termination="cancelled"`` (``raise_on_budget`` turns
-        that into :class:`~repro.errors.RunCancelled`).
+        why (``cycle_budget``, ``wall_clock`` or ``cancelled``).
 
         Quiet stretches are skipped (see :meth:`_fast_forward`) unless
         the run injects faults, whose injector draws every cycle; the
         report, architectural state and trace are the same as from
         calling :meth:`step` until HALT.
         """
-        resolved = self.options.merged(
-            max_cycles=max_cycles, wall_clock_budget=wall_clock_budget)
+        resolved = self.options.merged(max_cycles=max_cycles)
         max_cycles = resolved.effective_max_cycles
         wall_clock_budget = resolved.wall_clock_budget
         cancel_check = resolved.cancel_check
@@ -313,22 +293,7 @@ class Processor:
             budget = "cycle_budget"
         if budget:
             self.report.termination = budget
-        report = self.finalize_report()
-        if budget and raise_on_budget:
-            if budget == "cancelled":
-                raise RunCancelled(
-                    f"run '{report.name}' cancelled after "
-                    f"{self.cycle} cycles "
-                    f"({report.committed} committed)",
-                    report=report,
-                )
-            raise CycleBudgetExceeded(
-                f"run '{report.name}' exhausted its {budget} budget "
-                f"after {self.cycle} cycles "
-                f"({report.committed} committed)",
-                report=report,
-            )
-        return report
+        return self.finalize_report()
 
     def step(self) -> None:
         """Advance the machine by one cycle and record in :attr:`quiet`
@@ -367,15 +332,11 @@ class Processor:
         skip = wake - self.cycle - 2  # cycles left after the measuring step
         if skip < 1:
             return
-        groups = [self.stats]
-        if self.memdep is not None:
-            groups.append(self.memdep.stats)
-        before = [group.as_dict() for group in groups]
+        before = self.stats.as_dict()
         self.step()
         if not self.quiet:  # its counters are not a quiet cycle's
             return
-        for group, snapshot in zip(groups, before):
-            _add_repeats(group, snapshot, skip)
+        _add_repeats(self.stats, before, skip)
         self._count_blocks(self._issue_blocked, skip)
         self.cycle += skip
 
@@ -405,11 +366,6 @@ class Processor:
         """Committed memory word at virtual address ``vaddr``."""
         paddr = self.page_table.physical_address(vaddr)
         return self.memory_image.get(paddr & _WORD_ALIGN, 0)
-
-    def write_vword(self, vaddr: int, value: int) -> None:
-        """Poke a memory word (test/attack setup)."""
-        paddr = self.page_table.physical_address(vaddr)
-        self.memory_image[paddr & _WORD_ALIGN] = mask64(value)
 
     def vaddr_to_paddr(self, vaddr: int) -> int:
         return self.page_table.physical_address(vaddr)
@@ -450,25 +406,19 @@ class Processor:
                 break  # fetch groups do not cross instruction lines
             instr = self.imem.fetch(pc)
             if instr.op is Opcode.HALT:
-                self._fetch_buffer.append(
-                    _FetchedInst(pc, instr, False, 0, ready)
-                )
+                self._fetch_buffer.append(_FetchedInst(pc, instr, 0, ready))
                 self._halt_in_fetch = True
                 break
             if instr.is_branch:
                 prediction = self.predictor.predict(pc, instr)
                 self._fetch_buffer.append(
-                    _FetchedInst(pc, instr, prediction.taken,
-                                 prediction.target, ready)
-                )
+                    _FetchedInst(pc, instr, prediction.target, ready))
                 self.fetch_pc = prediction.target
                 if prediction.taken:
                     break  # redirect ends the fetch group
             else:
                 self._fetch_buffer.append(
-                    _FetchedInst(pc, instr, False, pc + INSTRUCTION_BYTES,
-                                 ready)
-                )
+                    _FetchedInst(pc, instr, pc + INSTRUCTION_BYTES, ready))
                 self.fetch_pc = pc + INSTRUCTION_BYTES
         return True
 
@@ -519,7 +469,6 @@ class Processor:
             self.stats.incr("dispatched")
 
             if instr.is_branch:
-                inst.pred_taken = entry.pred_taken
                 inst.pred_target = entry.pred_target
                 self._unresolved_branches += 1
             if instr.is_serializing:
@@ -629,7 +578,6 @@ class Processor:
         instr = inst.instr
         inst.state = InstState.ISSUED
         inst.cycle_issued = self.cycle
-        inst.issue_attempts += 1
         self.stats.incr("issued")
 
         # Security hazard detection: sample the defense's suspect
@@ -643,17 +591,7 @@ class Processor:
             if self.tpbuf is not None and inst.tpbuf_index is not None:
                 self.tpbuf.set_suspect(inst.tpbuf_index, inst.suspect)
 
-        retain = instr.is_load or (
-            self.security.clear_on_resolve
-            and (instr.is_branch or instr.is_memory)
-        )
-        if self.security.clear_on_resolve and retain:
-            # Defer the column clear to resolution; keep the slot.
-            pos = inst.iq_pos
-            assert pos is not None
-            self.iq.set_issued(pos)
-        else:
-            self.iq.mark_issued(inst)
+        self.iq.mark_issued(inst)
 
         core = self.machine.core
         op = instr.op
@@ -766,9 +704,6 @@ class Processor:
             self.defense.on_writeback(self, inst)  # CALL link register
         if self._defense_events:
             self.defense.on_resolve(self, inst)
-        if self.security.clear_on_resolve and inst.iq_pos is not None:
-            self.iq.matrix.schedule_clear(inst.iq_pos)
-            self.iq.release(inst)
         if inst.mispredicted:
             self.report.branch_mispredicts += 1
             self._request_squash(inst.seq, actual_next, "branch")
@@ -801,16 +736,6 @@ class Processor:
             self.stats.incr("load_wait_injected")
             return
         decision = self.lsq.check_load(inst)
-        if decision.speculation_hazard \
-                and not self.machine.core.memory_dependence_speculation:
-            self._load_replay.append(inst)
-            self.stats.incr("load_wait_unknown_store")
-            return
-        if decision.speculation_hazard and self.memdep is not None \
-                and self.memdep.should_wait(inst.pc):
-            self._load_replay.append(inst)
-            self.stats.incr("load_wait_predicted_dependence")
-            return
         if decision.speculation_hazard:
             inst.speculated_past_store = True
             self.stats.incr("load_speculated_past_store")
@@ -833,7 +758,6 @@ class Processor:
         policy = self.security.lru_policy
         update_lru = policy is SpeculativeLRUPolicy.NORMAL
         hit = self.hierarchy.data_hit_l1(inst.paddr, update_lru=update_lru)
-        inst.l1_hit = hit
         filter_mode = self._filters_at_cache
         if inst.suspect and filter_mode and self._filter_bypass:
             # Injected filter-disable window: the suspect miss proceeds
@@ -895,8 +819,6 @@ class Processor:
         if self.tpbuf is not None and inst.tpbuf_index is not None:
             self.tpbuf.set_writeback(inst.tpbuf_index)
         if inst.iq_pos is not None:
-            if self.security.clear_on_resolve:
-                self.iq.matrix.schedule_clear(inst.iq_pos)
             self.iq.release(inst)
 
     # ------------------------------------------------------------------
@@ -919,17 +841,12 @@ class Processor:
         if inst.squashed:
             return
         inst.addr_ready = True
-        if self.security.clear_on_resolve and inst.iq_pos is not None:
-            self.iq.matrix.schedule_clear(inst.iq_pos)
-            self.iq.release(inst)
         if inst.instr.is_store:
             # Memory-order violation check (Spectre V4 squash path).
             violations = self.lsq.violating_loads(inst)
             if violations:
                 victim = violations[0]
                 self.report.memory_order_violations += 1
-                if self.memdep is not None:
-                    self.memdep.train_violation(victim.pc)
                 self._request_squash(victim.seq - 1, victim.pc,
                                      "memory_order")
             self._try_capture_store_data(inst)

@@ -81,9 +81,6 @@ class RenameState:
         (only meaningful when the pipeline is drained)."""
         return self.values[self._map[arch_reg]]
 
-    def free_count(self) -> int:
-        return len(self._free)
-
     def mapping_snapshot(self) -> List[int]:
         return list(self._map)
 

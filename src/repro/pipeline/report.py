@@ -36,10 +36,8 @@ class SimReport:
     halted: bool = False
     #: What ended the run: ``"halt"``, ``"cycle_budget"``,
     #: ``"wall_clock"``, ``"cancelled"`` or ``"deadlock"`` ("" until
-    #: finalized) — the programmatic twin of
-    #: :class:`~repro.errors.CycleBudgetExceeded` vs
-    #: :class:`~repro.errors.RunCancelled` vs
-    #: :class:`~repro.errors.DeadlockError`.
+    #: finalized).  A budget or a cancel ends the run with a report;
+    #: only a deadlock raises (:class:`~repro.errors.DeadlockError`).
     termination: str = ""
     #: Per-kind injected fault counts when the run carried a
     #: :class:`~repro.robustness.faults.FaultInjector` (else empty).
@@ -76,10 +74,6 @@ class SimReport:
     @property
     def l1d_hit_rate(self) -> float:
         return safe_div(self.l1d_hits, self.l1d_hits + self.l1d_misses)
-
-    @property
-    def l1i_hit_rate(self) -> float:
-        return safe_div(self.l1i_hits, self.l1i_hits + self.l1i_misses)
 
     @property
     def committed_memory(self) -> int:

@@ -66,11 +66,3 @@ class StoreBuffer:
     def next_deadline(self) -> Optional[int]:
         """The cycle the drain in flight completes (None when idle)."""
         return self._drain_done_cycle
-
-    def drain_all(self, cycle: int) -> int:
-        """Flush everything (end of simulation); returns cycles spent."""
-        spent = 0
-        while self._entries:
-            self.tick(cycle + spent)
-            spent += 1
-        return spent

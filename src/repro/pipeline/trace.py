@@ -39,10 +39,6 @@ class TraceRecord:
     mem_level: Optional[str]
 
     @property
-    def wrong_path(self) -> bool:
-        return self.squashed
-
-    @property
     def issue_delay(self) -> int:
         """Cycles spent waiting in the issue queue (-1 if never issued)."""
         if self.issued < 0 or self.dispatched < 0:

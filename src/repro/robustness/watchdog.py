@@ -71,12 +71,6 @@ class DeadlockDiagnostics:
     #: Recent occupancy history, oldest first.
     snapshots: List[OccupancySnapshot] = field(default_factory=list)
 
-    @property
-    def is_livelock(self) -> bool:
-        """Events were still firing — activity without retirement —
-        as opposed to a hard deadlock with a silent event queue."""
-        return self.events_pending > 0
-
     def render(self) -> str:
         lines = [
             f"no commit for {self.stall_cycles} cycles "

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..robustness.checkpoint import CheckpointStore
+from ..robustness.checkpoint import CheckpointError, CheckpointStore
 from .protocol import JobRecord, JobState
 
 _PURPOSE = "repro-serve-jobs"
@@ -40,27 +40,33 @@ class JobStore:
         """Acquire the single-writer lock and recover prior state.
 
         Returns every job from the previous incarnation (done jobs
-        with results; interrupted jobs reset to ``queued``).  A fresh
-        or foreign file is (re)initialized to an empty journal.
+        with results; interrupted jobs reset to ``queued``).  A missing
+        or empty file starts an empty journal.  Any other file that is
+        not a job journal raises
+        :class:`~repro.robustness.checkpoint.CheckpointError` and is
+        left as it is.
         """
         self.store.acquire_writer()
-        recovered: List[JobRecord] = []
-        if self.store.exists():
+        try:
             header, rows = self.store.load()
-            if header.get("purpose") == _PURPOSE:
-                for key in sorted(rows):
-                    record = rows[key]
-                    try:
-                        job = JobRecord.from_record(record)
-                    except Exception:  # noqa: BLE001 - tolerate junk rows
-                        continue
-                    if job.state is JobState.RUNNING:
-                        job.state = JobState.QUEUED
-                    recovered.append(job)
-            else:
+            if not header and not rows:
                 self.store.reset({"purpose": _PURPOSE})
-        else:
-            self.store.reset({"purpose": _PURPOSE})
+            elif header.get("purpose") != _PURPOSE:
+                raise CheckpointError(
+                    f"{self.store.path}: not a job journal "
+                    f"(purpose={header.get('purpose')!r})")
+        except CheckpointError:
+            self.store.release_writer()
+            raise
+        recovered: List[JobRecord] = []
+        for key in sorted(rows):
+            try:
+                job = JobRecord.from_record(rows[key])
+            except Exception:  # noqa: BLE001 - tolerate junk rows
+                continue
+            if job.state is JobState.RUNNING:
+                job.state = JobState.QUEUED
+            recovered.append(job)
         self._open = True
         return recovered
 

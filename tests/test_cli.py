@@ -84,11 +84,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table IV" in out and "MISMATCH" not in out
 
-    def test_table6_subset(self, capsys):
-        code = main(["table6", "--scale", "0.05", "hmmer"])
+    def test_table6_subset(self, capsys, tmp_path):
+        path = tmp_path / "table6.json"
+        code = main(["table6", "--scale", "0.05", "hmmer",
+                     "--json", str(path)])
         out = capsys.readouterr().out
         assert code == 0
         assert "a57-like" in out and "xeon-like" in out
+        assert path.exists()
 
     def test_lru_subset(self, capsys):
         code = main(["lru", "--scale", "0.05", "hmmer"])

@@ -253,11 +253,3 @@ class TestServeSubmissions:
         from repro.serve.protocol import Submission, SubmissionError
         with pytest.raises(SubmissionError, match="unknown mode"):
             Submission.from_request({"asm": "halt", "mode": "kaiser"})
-
-
-class TestConfigIO:
-    def test_security_dict_round_trip(self):
-        from repro.config_io import security_from_dict, security_to_dict
-        for name in ALL:
-            config = SecurityConfig(name)
-            assert security_from_dict(security_to_dict(config)) == config

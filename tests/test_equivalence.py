@@ -170,22 +170,6 @@ def test_tpbuf_matches_oracle(data):
     assert_equivalent(program, SecurityConfig.cache_hit_tpbuf())
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(programs)
-def test_no_memory_dependence_speculation_matches_oracle(data):
-    from repro.params import with_core
-    body, iterations, memory = data
-    program = build_program(body, iterations, memory)
-    oracle = run_oracle(program, max_instructions=500_000)
-    machine = with_core(tiny_config(), memory_dependence_speculation=False)
-    cpu = Processor(program, machine=machine)
-    report = cpu.run(max_cycles=500_000)
-    assert report.halted
-    for reg in range(32):
-        assert cpu.arch_reg(reg) == oracle.reg(reg)
-
-
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(programs)

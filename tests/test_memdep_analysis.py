@@ -18,7 +18,7 @@ from repro.analysis.memdep import (
     v4_finding_may_bypass,
 )
 from repro.analysis.report import GadgetKind
-from repro.analysis.summaries import SummaryCache
+from repro.analysis.summaries import SUMMARY_FORMAT, SummaryCache
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import Opcode
 
@@ -253,6 +253,26 @@ class TestCaching:
         second = compute_memdep_summary(program, cache=reopened)
         reopened.close()
         assert second == first
+
+    def test_file_of_an_older_format_starts_over(self, tmp_path):
+        from repro.robustness.checkpoint import CheckpointStore
+
+        path = str(tmp_path / "summaries.jsonl")
+        with CheckpointStore(path) as store:
+            store.reset({"purpose": "summary-cache",
+                         "summary_format": SUMMARY_FORMAT - 1})
+            store.append("old", {"summary": {"stale": True}})
+        program = _loop_program()
+        cache = SummaryCache(path=path)
+        assert cache.stats.loaded == 0
+        first = compute_memdep_summary(program, cache=cache)
+        cache.close()
+        reopened = SummaryCache(path=path)
+        second = compute_memdep_summary(program, cache=reopened)
+        reopened.close()
+        assert second == first
+        assert reopened.stats.loaded == cache.stats.stores > 0
+        assert reopened.stats.misses == 0
 
     def test_stale_cache_entry_recomputed(self):
         program = _aliasing_program()

@@ -148,12 +148,10 @@ class TestSpawnSafety:
     def test_executor_validation(self):
         with pytest.raises(ConfigError):
             ParallelSweepExecutor(workers=0)
-        with pytest.raises(ConfigError):
-            ParallelSweepExecutor(workers=4, max_in_flight=2)
 
     def test_worker_failure_degrades_to_row(self):
         task = SweepTask(benchmark="nope", mode="origin",
-                         options=OPTIONS, retries=0)
+                         options=OPTIONS)
         rows = ParallelSweepExecutor(workers=2).run_tasks([task])
         assert len(rows) == 1 and not rows[0].ok
         serial_row = execute_sweep_task(task)

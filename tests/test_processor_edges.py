@@ -1,10 +1,7 @@
-"""Edge cases and resource-pressure paths of the processor, plus the
-``clear_on_resolve`` ablation knob."""
-import pytest
-
+"""Edge cases and resource-pressure paths of the processor."""
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
-from repro.isa import ProgramBuilder, run_oracle
+from repro.isa import ProgramBuilder
 from repro.isa.program import InstructionMemory
 from repro.params import with_core
 
@@ -133,46 +130,3 @@ class TestInitialRegisters:
         b.add(3, 0, 0).halt()
         cpu, _ = run_to_halt(b.build(), initial_registers={0: 99})
         assert cpu.arch_reg(3) == 0
-
-
-class TestClearOnResolve:
-    def _program(self):
-        b = ProgramBuilder()
-        b.data_words(0x4000, [2, 3, 5, 7])
-        b.li(1, 0x4000).li(2, 4).li(3, 0)
-        b.label("loop")
-        b.load(4, 1).add(3, 3, 4).addi(1, 1, 8).addi(2, 2, -1)
-        b.bne(2, 0, "loop")
-        b.halt()
-        return b.build()
-
-    def _config(self, mode):
-        return SecurityConfig(mode, clear_on_resolve=True)
-
-    @pytest.mark.parametrize("mode", [
-        "baseline", "cache_hit", "cache_hit_tpbuf",
-    ])
-    def test_architecturally_equivalent(self, mode):
-        program = self._program()
-        oracle = run_oracle(program)
-        cpu, report = run_to_halt(program, security=self._config(mode))
-        assert cpu.arch_reg(3) == oracle.reg(3) == 17
-
-    def test_at_least_as_conservative_as_issue_clearing(self):
-        """Clearing at resolution keeps dependences alive longer, so
-        blocking can only increase."""
-        program = self._program()
-        _, issue_clear = run_to_halt(
-            program, security=SecurityConfig.baseline())
-        _, resolve_clear = run_to_halt(
-            program, security=self._config("baseline"))
-        assert resolve_clear.block_events >= issue_clear.block_events
-
-    def test_still_blocks_spectre_v1(self):
-        from repro.attacks import build_spectre_v1, run_attack
-        result = run_attack(
-            build_spectre_v1(),
-            security=SecurityConfig("cache_hit_tpbuf",
-                                    clear_on_resolve=True),
-        )
-        assert not result.success

@@ -4,7 +4,6 @@ machinery - the substrate Spectre exploits."""
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config, paper_config
 from repro.isa import ProgramBuilder
-from repro.params import with_core
 
 
 def spectre_v1_like_program(train=4):
@@ -95,13 +94,6 @@ class TestMemoryDependenceSpeculation:
                                   machine=tiny_config())
         assert cpu.arch_reg(5) == 7           # re-executed after squash
         assert report.memory_order_violations >= 1
-
-    def test_disabling_speculation_avoids_violations(self):
-        machine = with_core(tiny_config(),
-                            memory_dependence_speculation=False)
-        cpu, report = run_to_halt(self._bypass_program(), machine=machine)
-        assert cpu.arch_reg(5) == 7
-        assert report.memory_order_violations == 0
 
     def test_stale_value_was_speculatively_observable(self):
         """Before the violation squash, the bypassing load really read

@@ -1,4 +1,4 @@
-"""Crash-safe sweep engine: checkpointing, resume, retry and failure
+"""Crash-safe sweep engine: checkpointing, resume and failure
 isolation — exercised with a fake run function so the tests are fast
 and failure timing is exact."""
 import json
@@ -9,8 +9,9 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.experiments.runner import SweepEngine, SweepRow
-from repro.params import tiny_config
+from repro.params import RunOptions, paper_config, tiny_config
 from repro.pipeline.report import SimReport
+from repro.robustness import FaultPlan
 from repro.robustness.checkpoint import CheckpointError, CheckpointStore
 
 _MODES = ("origin", "baseline")
@@ -136,49 +137,11 @@ class TestTornTailHardening:
         assert set(rows) == {"a/origin", "b/origin"}
 
 
-class TestBackoffJitter:
-    """Retry backoff carries seeded, deterministic jitter so parallel
-    sweeps do not retry in lockstep."""
-
-    def test_deterministic_per_key(self):
-        from repro.experiments.runner import backoff_delay
-
-        assert backoff_delay(1.0, 1, "mcf/origin") == \
-            backoff_delay(1.0, 1, "mcf/origin")
-
-    def test_jitter_stays_inside_the_half_band(self):
-        from repro.experiments.runner import backoff_delay
-
-        for attempt in (1, 2, 3):
-            base = 0.5 * (2 ** (attempt - 1))
-            for key in ("a/origin", "b/baseline", "c/cache_hit"):
-                delay = backoff_delay(0.5, attempt, key)
-                assert base * 0.5 <= delay < base * 1.5
-
-    def test_distinct_keys_spread_apart(self):
-        from repro.experiments.runner import backoff_delay
-
-        keys = [f"bench{i}/origin" for i in range(16)]
-        delays = {round(backoff_delay(1.0, 1, key), 6) for key in keys}
-        # A storm of 16 simultaneous retries lands on (nearly) 16
-        # distinct instants, not one.
-        assert len(delays) >= 12
-
-    def test_exponential_growth_preserved(self):
-        from repro.experiments.runner import backoff_delay
-
-        # Worst-case jitter cannot undo the doubling: the fastest
-        # attempt-3 retry is still slower than the slowest attempt-1.
-        assert backoff_delay(1.0, 3, "k") >= 4 * 0.5
-        assert backoff_delay(1.0, 1, "k") < 1.5
-
-
 class TestSweepEngine:
     def _engine(self, tmp_path, run_fn=_fake_run, **kwargs):
         kwargs.setdefault("benchmarks", ["alpha", "beta"])
         kwargs.setdefault("modes", _MODES)
         kwargs.setdefault("checkpoint", str(tmp_path / "sweep.jsonl"))
-        kwargs.setdefault("backoff", 0.0)
         return SweepEngine(run_fn=run_fn, **kwargs)
 
     def test_full_sweep_records_every_pair(self, tmp_path):
@@ -224,7 +187,7 @@ class TestSweepEngine:
                 raise SimulationError("boom")
             return _fake_report(name, security.mode)
 
-        result = self._engine(tmp_path, run_fn=flaky, retries=0).run()
+        result = self._engine(tmp_path, run_fn=flaky).run()
         assert len(result.rows) == 4
         failed = [row for row in result.rows if not row.ok]
         assert {row.benchmark for row in failed} == {"alpha"}
@@ -234,19 +197,55 @@ class TestSweepEngine:
         # beta still succeeded
         assert result.report_for("beta", "origin") is not None
 
-    def test_transient_failure_retries_then_succeeds(self, tmp_path):
-        attempts = {}
+    def test_failed_pair_runs_once(self, tmp_path):
+        calls = []
 
-        def transient(name, security=None, **kwargs):
-            key = (name, security.mode)
-            attempts[key] = attempts.get(key, 0) + 1
-            if attempts[key] == 1:
-                raise SimulationError("transient")
+        def failing(name, security=None, **kwargs):
+            calls.append((name, security.mode))
+            raise SimulationError("deterministic")
+
+        result = self._engine(tmp_path, run_fn=failing).run()
+        assert len(result.failures) == 4
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("changed", (
+        {"scale": 0.5},
+        {"machine": paper_config()},
+        {"options": RunOptions(max_cycles=12_345)},
+        {"options": RunOptions(fault_plan=FaultPlan.moderate(seed=1))},
+    ), ids=("scale", "machine", "max_cycles", "injecting"))
+    def test_resume_reruns_rows_of_another_configuration(
+            self, tmp_path, changed):
+        self._engine(tmp_path, machine=tiny_config(), scale=0.02).run()
+        calls = []
+
+        def counting(name, security=None, **kwargs):
+            calls.append((name, security.mode))
             return _fake_report(name, security.mode)
 
-        result = self._engine(tmp_path, run_fn=transient, retries=2).run()
-        assert not result.failures
-        assert all(row.attempts == 2 for row in result.rows)
+        config = {"machine": tiny_config(), "scale": 0.02, **changed}
+        engine = self._engine(tmp_path, run_fn=counting, resume=True,
+                              **config)
+        result = engine.run()
+        assert result.resumed == 0 and len(calls) == 4
+        header, rows = CheckpointStore(engine.checkpoint).load()
+        assert header == engine._config()
+        assert len(rows) == 4
+
+    def test_resume_keeps_rows_when_the_grid_grows(self, tmp_path):
+        self._engine(tmp_path).run()
+        calls = []
+
+        def counting(name, security=None, **kwargs):
+            calls.append((name, security.mode))
+            return _fake_report(name, security.mode)
+
+        result = self._engine(
+            tmp_path, run_fn=counting, resume=True,
+            benchmarks=["alpha", "beta", "gamma"],
+            modes=_MODES + ("cache_hit",)).run()
+        assert result.resumed == 4 and len(result.rows) == 9
+        assert len(calls) == 5
 
     def test_resume_row_round_trips_the_report(self, tmp_path):
         engine = self._engine(tmp_path)

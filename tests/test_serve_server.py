@@ -324,3 +324,17 @@ class TestKillResume:
         with pytest.raises(CheckpointWriterConflict):
             JobStore(journal).open()
         server.shutdown()
+
+    def test_foreign_checkpoint_is_left_alone(self, tmp_path):
+        from repro.robustness.checkpoint import (CheckpointError,
+                                                 CheckpointStore)
+        path = tmp_path / "sweep.jsonl"
+        with CheckpointStore(str(path)) as store:
+            store.reset({"benchmarks": ["hmmer"], "scale": 0.02})
+            store.append("hmmer/origin", {"status": "ok"})
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="not a job journal"):
+            JobStore(str(path)).open()
+        assert path.read_bytes() == before
+        with CheckpointStore(str(path)):
+            pass  # the writer lock was released

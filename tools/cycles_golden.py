@@ -45,14 +45,7 @@ from repro.analysis.corpus import (  # noqa: E402
     GADGET_KINDS,
     build_corpus_variant,
 )
-from repro.attacks import (  # noqa: E402
-    build_spectre_prime,
-    build_spectre_rsb,
-    build_spectre_v1,
-    build_spectre_v2,
-    build_spectre_v4,
-    run_attack,
-)
+from repro.attacks import ATTACKS, run_attack  # noqa: E402
 from repro.core.defense import defense_names  # noqa: E402
 from repro.core.policy import SecurityConfig  # noqa: E402
 from repro.params import paper_config  # noqa: E402
@@ -67,15 +60,6 @@ GOLDEN_PATH = os.path.join(
 #: SPEC profiles are pinned at a reduced scale so the golden sweep
 #: stays fast enough for the tier-1 suite.
 SPEC_SCALE = 0.1
-
-_ATTACKS = {
-    "v1": build_spectre_v1,
-    "v2": build_spectre_v2,
-    "v4": build_spectre_v4,
-    "rsb": build_spectre_rsb,
-    "prime": build_spectre_prime,
-}
-
 
 def pinned_runs() -> Iterator[Tuple[str, str, str, Optional[Processor],
                                     Any]]:
@@ -98,7 +82,7 @@ def pinned_runs() -> Iterator[Tuple[str, str, str, Optional[Processor],
             cpu = Processor(program, machine=machine,
                             security=SecurityConfig(defense))
             yield "spec", name, defense, cpu, cpu.run()
-    for name, build in _ATTACKS.items():
+    for name, build in ATTACKS.items():
         for defense in defenses:
             attack = build(machine=machine)
             result = run_attack(attack, machine=machine,
