@@ -35,7 +35,7 @@ oracle for "which loads are unsafe to speculate":
 - :mod:`report` — structured findings and rendering;
 - :mod:`verify` — cross-validation against the dynamic security
   matrix (every dynamically-recorded security dependence must be
-  covered by a static finding) plus corpus precision metrics;
+  covered by a static finding);
 - :mod:`corpus` — minimal single-gadget driver programs (unsafe /
   fenced / masked variants) used by the gadget scanner, the
   cross-validation tests and the precision metrics.
@@ -94,10 +94,7 @@ from .valueset import (
     refine_report,
 )
 from .verify import (
-    CorpusPrecision,
     CrossValidation,
-    PrecisionCase,
-    corpus_precision,
     cross_validate,
     record_dynamic_suspects,
 )
@@ -152,7 +149,4 @@ __all__ = [
     "CrossValidation",
     "cross_validate",
     "record_dynamic_suspects",
-    "PrecisionCase",
-    "CorpusPrecision",
-    "corpus_precision",
 ]

@@ -15,8 +15,9 @@ three flavours:
 
 They serve three masters: ``tests/test_taint_analysis.py`` asserts the
 flag/clean split, the cross-validation tests check static coverage of
-the dynamic suspect set, and :func:`repro.analysis.verify.corpus_precision`
-measures the false-positive rate before/after refinement.
+the dynamic suspect set, and the precision study
+(:mod:`repro.experiments.precision_study`) measures the false-positive
+rate before/after refinement.
 """
 from __future__ import annotations
 
@@ -183,6 +184,22 @@ def build_corpus_variant(kind: str, variant: str) -> Program:
     )
 
 
+def corpus_spec_program(spec: str) -> Program:
+    """The driver a ``corpus:<kind>[:<variant>]`` spec names (variant
+    ``unsafe`` when omitted); raises ``ValueError`` on any other
+    string."""
+    parts = spec.split(":")
+    kind = parts[1] if len(parts) > 1 else ""
+    variant = parts[2] if len(parts) > 2 else "unsafe"
+    if parts[0] != "corpus" or kind not in GADGET_KINDS \
+            or variant not in CORPUS_VARIANTS or len(parts) > 3:
+        raise ValueError(
+            f"bad corpus spec {spec!r}: expected "
+            f"corpus:{{{','.join(GADGET_KINDS)}}}"
+            f"[:{{{','.join(CORPUS_VARIANTS)}}}]")
+    return build_corpus_variant(kind, variant)
+
+
 # ---------------------------------------------------------------------------
 # Externally ingested gadgets (fuzz-found S-Pattern variants)
 # ---------------------------------------------------------------------------
@@ -191,12 +208,11 @@ def build_corpus_variant(kind: str, variant: str) -> Program:
 class IngestedGadget:
     """One externally discovered gadget, stored as assembler text.
 
-    Ingested entries *extend* the corpus: :func:`corpus_precision` and
-    the precision study append them after the built-in
-    ``kind × variant`` grid, so the 34-case baseline keeps its
-    identities and ordering no matter how many gadgets a fuzz campaign
-    adds.  ``secret_words`` defaults to the shared corpus secret when
-    empty.
+    Ingested entries *extend* the corpus: the precision study appends
+    them after the built-in ``kind × variant`` grid, so the built-in
+    rows keep their identities and ordering no matter how many gadgets
+    a fuzz campaign adds.  ``secret_words`` defaults to the shared
+    corpus secret when empty.
     """
 
     name: str

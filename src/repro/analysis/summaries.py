@@ -16,17 +16,13 @@ Three things live here:
     counters can travel.
 
 ``SummaryCache``
-    An incremental, content-addressed store for those summaries.
+    An in-memory, content-addressed LRU store for those summaries.
     Keys are sha256 hashes over the *canonical disassembly* of the
     region (position-independent: branch targets are rendered relative
-    to the region base), so a resubmitted program — or the same SPEC
-    kernel analyzed by ``repro analyze``, ``repro certify``,
-    ``repro precision`` and a ``repro serve`` job — hits the same
-    entry.  Optionally persisted through
-    :class:`repro.robustness.checkpoint.CheckpointStore` (append-only
-    JSONL, single-writer locked, torn-tail tolerant); a second process
-    that cannot take the writer lock silently degrades to a read-only
-    or memory-only cache instead of corrupting the file.
+    to the region base), so a resubmitted program — under another
+    name, other secrets or other budgets — hits the same entry.  The
+    ``repro serve`` daemon keeps one for its lifetime (the region tier
+    of its result cache).
 
 Induction recognition and the acceleration cap
 ----------------------------------------------
@@ -76,14 +72,11 @@ from typing import (Dict, FrozenSet, List, Mapping, Optional,
 
 from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
-from ..robustness.checkpoint import (CheckpointError, CheckpointStore,
-                                     CheckpointWriterConflict)
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg
 from .valueset import U64_MAX, ValueSet
 
 #: Bump when the summary content or the hash derivation changes; the
-#: version participates in every cache key so stale persisted entries
-#: can never be replayed into a newer analyzer.
+#: version participates in every cache key.
 SUMMARY_FORMAT = 1
 
 #: Keep caps comfortably inside the signed-positive half of the word so
@@ -597,11 +590,7 @@ def compute_program_summaries(
     key = program_summary_key(program, window)
     entry = cache.get(key)
     if entry is not None:
-        try:
-            return replace(ProgramSummaries.from_dict(entry),
-                           cache_hit=True)
-        except (KeyError, TypeError, ValueError):
-            pass  # corrupt/stale entry: recompute and overwrite
+        return replace(ProgramSummaries.from_dict(entry), cache_hit=True)
     summaries = summarize_program(program, window=window, cfg=cfg)
     cache.put(key, summaries.to_dict())
     return summaries
@@ -616,9 +605,7 @@ class SummaryCacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    loaded: int = 0
     evictions: int = 0
-    read_only: bool = False
 
     @property
     def hit_rate(self) -> float:
@@ -627,84 +614,23 @@ class SummaryCacheStats:
 
     def to_dict(self) -> Dict[str, object]:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "loaded": self.loaded,
-                "evictions": self.evictions,
-                "read_only": self.read_only,
+                "stores": self.stores, "evictions": self.evictions,
                 "hit_rate": round(self.hit_rate, 4)}
 
 
 class SummaryCache:
-    """Content-addressed LRU cache of region summaries, optionally
-    persisted via :class:`CheckpointStore`.
+    """Content-addressed LRU cache of region summaries, in memory.
 
-    Thread-safe (the serve engine calls it from worker threads).  When
-    another process holds the checkpoint's writer lock, this cache
-    degrades: entries loaded from disk stay usable and new entries
-    live in memory only — never a crash, never a torn file.
+    Thread-safe (the serve engine calls it from worker threads).
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.stats = SummaryCacheStats()
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
-        self._store: Optional[CheckpointStore] = None
-        self._writable = False
-        if path:
-            self._open(path)
-
-    def _open(self, path: str) -> None:
-        store = CheckpointStore(path)
-        try:
-            header, rows = store.load()
-            if (header or rows) \
-                    and header.get("purpose") != "summary-cache":
-                raise CheckpointError(
-                    f"{path}: checkpoint belongs to "
-                    f"{header.get('purpose')!r}, not a summary cache")
-            current = header.get("summary_format") == SUMMARY_FORMAT
-            if current:
-                for key, record in rows.items():
-                    summary = record.get("summary")
-                    if isinstance(summary, dict):
-                        self._entries[key] = summary
-                self.stats.loaded = len(self._entries)
-            store.acquire_writer()
-            if not current:
-                # A new file, or one an older summary format wrote:
-                # nothing appended under its header could be loaded
-                # again, so it starts over under the current one.
-                store.reset({"purpose": "summary-cache",
-                             "summary_format": SUMMARY_FORMAT})
-            self._store = store
-            self._writable = True
-        except CheckpointWriterConflict:
-            # Another analyzer owns the file: reuse what we loaded,
-            # remember new entries in memory only.
-            self._store = None
-            self._writable = False
-            self.stats.read_only = True
-        except CheckpointError:
-            # Unreadable or foreign file: never clobber it implicitly.
-            self._store = None
-            self._writable = False
-            self.stats.read_only = True
-
-    def close(self) -> None:
-        with self._lock:
-            if self._store is not None:
-                self._store.release_writer()
-                self._store = None
-                self._writable = False
-
-    def __enter__(self) -> "SummaryCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __len__(self) -> int:
         with self._lock:
@@ -722,21 +648,12 @@ class SummaryCache:
 
     def put(self, key: str, summary: Dict[str, object]) -> None:
         with self._lock:
-            fresh = key not in self._entries
             self._entries[key] = summary
             self._entries.move_to_end(key)
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-            if fresh and self._writable and self._store is not None:
-                try:
-                    self._store.append(key, {"summary": summary})
-                except (OSError, CheckpointError):
-                    # Disk trouble must never fail an analysis; the
-                    # cache simply stops persisting.
-                    self._writable = False
-                    self.stats.read_only = True
 
 
 __all__ = [

@@ -54,14 +54,15 @@ Loop summarization and path merging
 Brute enumeration cannot finish loop-heavy programs within the default
 budgets, so the explorer consumes :mod:`repro.analysis.summaries`:
 
-- **Loop summarization (havoc + subsumption).**  After ``loop_visits``
-  architectural entries of a summarizable natural-loop header, the
-  path's state is *generalized*: every register the loop body may
-  write becomes a fresh symbol (bounded by the accelerated
-  induction-variable cap when one is proven — the cap is a true
-  invariant of every concrete run, so the bound is sound), and if the
-  body stores, a memory-havoc barrier hides all older stores behind
-  conservative fresh reads.  The generalized state is snapshotted;
+- **Loop summarization (havoc + subsumption).**  After
+  :data:`LOOP_VISITS` architectural entries of a summarizable
+  natural-loop header, the path's state is *generalized*: every
+  register the loop body may write becomes a fresh symbol (bounded by
+  the accelerated induction-variable cap when one is proven — the cap
+  is a true invariant of every concrete run, so the bound is sound),
+  and if the body stores, a memory-havoc barrier hides all older
+  stores behind conservative fresh reads.  The generalized state is
+  snapshotted;
   when a descendant path returns to the header in a state *subsumed*
   by the snapshot (identical non-written registers and shadow stack,
   memory covered by the havoc), it is killed: every concrete
@@ -93,7 +94,7 @@ budgets, so the explorer consumes :mod:`repro.analysis.summaries`:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import (
     Callable,
@@ -117,10 +118,9 @@ from ..isa.instructions import (
     mask64,
 )
 from ..isa.program import Program
-from ..params import MachineParams, RunOptions
+from ..params import MachineParams
 from .report import AnalysisReport
 from .solver import (
-    App,
     Const,
     ConstraintSolver,
     Expr,
@@ -134,12 +134,7 @@ from .solver import (
     support,
     words_disjoint,
 )
-from .summaries import (
-    LoopSummary,
-    ProgramSummaries,
-    SummaryCache,
-    compute_program_summaries,
-)
+from .summaries import LoopSummary, ProgramSummaries, summarize_program
 from .taint import DEFAULT_WINDOW
 from .witness import ReplayResult, Witness, replay_witness
 
@@ -153,10 +148,13 @@ DEFAULT_MAX_STEPS = 200_000
 DEFAULT_MAX_DEPTH = 2
 #: Architectural visits of a summarizable loop header before the
 #: state is generalized (havoc + snapshot) instead of unrolled.
-DEFAULT_LOOP_VISITS = 2
+LOOP_VISITS = 2
 #: Per-join-point budget of pairwise path merges.  Transient twins
 #: park and merge too, so a drain routinely fuses hundreds of paths.
-DEFAULT_MERGE_BUDGET = 512
+MERGE_BUDGET = 512
+#: Witnesses built per certification; further secret observations
+#: stay unresolved.
+MAX_LEAKS = 16
 #: How often (in steps) the wall-clock deadline and the cancellation
 #: hook are polled during exploration.
 _BUDGET_POLL_STEPS = 256
@@ -445,11 +443,7 @@ class _Explorer:
                  max_steps: int, solver: ConstraintSolver,
                  deadline: Optional[float] = None,
                  cancel_check: Optional[Callable[[], bool]] = None,
-                 summaries: Optional[ProgramSummaries] = None,
-                 summarize_loops: bool = True,
-                 merge_paths: bool = True,
-                 loop_visits: int = DEFAULT_LOOP_VISITS,
-                 merge_budget: int = DEFAULT_MERGE_BUDGET,
+                 summaries: ProgramSummaries,
                  ) -> None:
         self.program = program
         self.imap: Dict[int, Instruction] = dict(program.iter_addressed())
@@ -483,17 +477,11 @@ class _Explorer:
 
         #: Loop headers eligible for havoc summarization (only on
         #: summarizable CFGs: reducible and free of indirect control).
-        self.loop_headers: Dict[int, LoopSummary] = {}
-        if (summaries is not None and summarize_loops
-                and summaries.summarizable):
-            self.loop_headers = summaries.headers
+        self.loop_headers: Dict[int, LoopSummary] = \
+            summaries.headers if summaries.summarizable else {}
         #: Join addresses where frame-free paths park for merging
         #: (sound on any CFG — merging only weakens states).
-        self.merge_addrs: frozenset = frozenset()
-        if summaries is not None and merge_paths:
-            self.merge_addrs = summaries.merge_points()
-        self.loop_visits = max(1, loop_visits)
-        self.merge_budget = max(0, merge_budget)
+        self.merge_addrs = summaries.merge_points()
         self._parked: Dict[int, List[_Path]] = {}
         self.merged_paths = 0
         self.summarized_loops: Set[int] = set()
@@ -705,8 +693,8 @@ class _Explorer:
         """Architectural entry of a summarizable loop header.
 
         Returns False to kill the path (subsumed by its own havoc
-        snapshot).  Past ``loop_visits`` concrete entries the state is
-        generalized: written registers havoc to fresh public symbols
+        snapshot).  Past :data:`LOOP_VISITS` concrete entries the
+        state is generalized: written registers havoc to fresh public symbols
         (bounded by accelerated induction caps where proven), stored
         memory havocs behind a read barrier, and the generalized state
         is snapshotted for the subsumption check.  Nested or
@@ -723,7 +711,7 @@ class _Explorer:
         count = visits.get(header, 0) + 1
         visits[header] = count
         path.visits = visits
-        if count <= self.loop_visits:
+        if count <= LOOP_VISITS:
             return True
         written = summary.written_regs
         for reg in written:
@@ -860,7 +848,7 @@ class _Explorer:
         buckets: Dict[Tuple, List[_Path]] = {}
         for path in group:
             buckets.setdefault(self._merge_key(path), []).append(path)
-        budget = self.merge_budget
+        budget = MERGE_BUDGET
         out: List[_Path] = []
         for bucket in buckets.values():
             reps: List[_Path] = []
@@ -1360,18 +1348,10 @@ def certify_program(
     max_steps: int = DEFAULT_MAX_STEPS,
     replay: bool = True,
     machine: Optional[MachineParams] = None,
-    fault_plan: Optional[object] = None,
-    max_leaks: int = 16,
     name: str = "program",
     wall_clock_budget: Optional[float] = None,
     cancel_check: Optional[Callable[[], bool]] = None,
-    options: Optional[RunOptions] = None,
     summaries: Optional[ProgramSummaries] = None,
-    summary_cache: Optional[SummaryCache] = None,
-    summarize_loops: bool = True,
-    merge_paths: bool = True,
-    loop_visits: int = DEFAULT_LOOP_VISITS,
-    merge_budget: int = DEFAULT_MERGE_BUDGET,
 ) -> CertifyResult:
     """Certify ``program`` speculatively noninterferent — or refute it
     with a replayable counterexample.
@@ -1385,42 +1365,26 @@ def certify_program(
     passes or the hook fires, exploration and the verdict phase stop,
     unresolved sinks stay unresolved, and the verdict degrades to
     ``UNKNOWN`` with a structured ``wall_clock``/``cancelled`` warning
-    — never a hang.  Both may also arrive bundled as ``options``
-    (:class:`repro.params.RunOptions`, the service convention);
-    explicit keywords win.
+    — never a hang.
 
-    ``summaries``/``summary_cache`` feed the loop-summarization and
-    path-merging machinery (module docstring): precomputed
+    ``summaries`` feed the loop-summarization and path-merging
+    machinery (module docstring): precomputed
     :class:`~repro.analysis.summaries.ProgramSummaries` are used as
-    given, otherwise they are derived here (consulting, and
-    populating, the optional persistent cache).  ``summarize_loops``
-    and ``merge_paths`` switch the two mechanisms independently;
-    ``loop_visits`` is the concrete unroll depth before a loop
-    generalizes and ``merge_budget`` bounds per-join fusions.
+    given, otherwise they are derived here.
     """
-    if options is not None:
-        if wall_clock_budget is None:
-            wall_clock_budget = options.wall_clock_budget
-        if cancel_check is None:
-            cancel_check = options.cancel_check
     started = time.perf_counter()
     deadline = (time.monotonic() + wall_clock_budget
                 if wall_clock_budget is not None else None)
     secrets = tuple(sorted(set(mask64(w) & _WORD_ALIGN
                                for w in secret_words)))
-    if summaries is None and (summarize_loops or merge_paths):
-        summaries = compute_program_summaries(program, window=window,
-                                              cache=summary_cache)
+    if summaries is None:
+        summaries = summarize_program(program, window=window)
     solver = ConstraintSolver()
     explorer = _Explorer(program, secrets, window=window,
                          max_depth=max_depth, max_paths=max_paths,
                          max_steps=max_steps, solver=solver,
                          deadline=deadline, cancel_check=cancel_check,
-                         summaries=summaries,
-                         summarize_loops=summarize_loops,
-                         merge_paths=merge_paths,
-                         loop_visits=loop_visits,
-                         merge_budget=merge_budget)
+                         summaries=summaries)
     explorer.explore()
 
     line_bytes = machine.memory.line_bytes if machine is not None else 64
@@ -1456,7 +1420,7 @@ def certify_program(
             continue
         if obs.pc in leaky_pcs or obs.pc in unresolved:
             continue
-        if len(leaks) >= max_leaks or not verdict_budget_ok():
+        if len(leaks) >= MAX_LEAKS or not verdict_budget_ok():
             unresolved.add(obs.pc)
             continue
         secret_vars = sorted(
@@ -1485,8 +1449,7 @@ def certify_program(
             predicted_lines=tuple(sorted(set(lines))),
             line_bytes=line_bytes,
         )
-        replayed = (replay_witness(program, witness, machine=machine,
-                                   fault_plan=fault_plan)
+        replayed = (replay_witness(program, witness, machine=machine)
                     if replay else None)
         leaks.append(LeakRecord(pc=obs.pc, kind=obs.kind,
                                 source_pc=obs.source_pc, channel="data",
@@ -1498,7 +1461,7 @@ def certify_program(
     for candidate in explorer.control_candidates:
         if candidate.pc in leaky_pcs or candidate.pc in unresolved:
             continue
-        if len(leaks) >= max_leaks or not verdict_budget_ok():
+        if len(leaks) >= MAX_LEAKS or not verdict_budget_ok():
             unresolved.add(candidate.pc)
             continue
         secret_vars = sorted(
@@ -1526,8 +1489,7 @@ def certify_program(
             predicted_lines=tuple(sorted(set(lines))),
             line_bytes=line_bytes,
         )
-        replayed = (replay_witness(program, witness, machine=machine,
-                                   fault_plan=fault_plan)
+        replayed = (replay_witness(program, witness, machine=machine)
                     if replay else None)
         leaks.append(LeakRecord(pc=candidate.pc, kind="control",
                                 source_pc=candidate.pc, channel="control",
@@ -1571,8 +1533,7 @@ def certify_program(
         merged_paths=explorer.merged_paths,
         summarized_loops=len(explorer.summarized_loops),
         accelerated_loops=len(explorer.accelerated_loops),
-        summary_cache_hit=bool(summaries is not None
-                               and summaries.cache_hit),
+        summary_cache_hit=summaries.cache_hit,
     )
 
 
@@ -1610,11 +1571,9 @@ def finding_certificates(
 __all__ = [
     "CertifyResult",
     "ControlCandidate",
-    "DEFAULT_LOOP_VISITS",
     "DEFAULT_MAX_DEPTH",
     "DEFAULT_MAX_PATHS",
     "DEFAULT_MAX_STEPS",
-    "DEFAULT_MERGE_BUDGET",
     "LeakRecord",
     "Observation",
     "Verdict",

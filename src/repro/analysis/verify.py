@@ -25,15 +25,7 @@ from ..params import MachineParams, paper_config
 from ..pipeline.processor import Processor
 from ..pipeline.trace import PipelineTracer
 from .cfg import build_cfg
-from .corpus import (
-    CORPUS_VARIANTS,
-    GADGET_KINDS,
-    build_corpus_variant,
-    corpus_secret_words,
-    ingested_gadgets,
-)
-from .taint import DEFAULT_WINDOW, analyze_program, static_suspect_pcs
-from .valueset import refine_report
+from .taint import static_suspect_pcs
 
 
 @dataclass
@@ -152,185 +144,3 @@ def cross_validate(
         uncovered=uncovered,
         unobserved=unobserved,
     )
-
-
-# ---------------------------------------------------------------------------
-# Precision on the labelled gadget corpus
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrecisionCase:
-    """Scan + refinement verdict for one labelled corpus program.
-
-    Ground truth comes from the corpus construction: ``unsafe``
-    variants are real gadgets, ``fenced`` and ``masked`` ones are
-    mitigated and must ultimately not be flagged.
-    """
-
-    kind: str
-    variant: str
-    #: Label: does the program contain an exploitable gadget?
-    is_gadget: bool
-    findings: int
-    confirmed: int
-    refuted: int
-
-    @property
-    def flagged_before(self) -> bool:
-        return self.findings > 0
-
-    @property
-    def flagged_after(self) -> bool:
-        return self.confirmed > 0
-
-    @property
-    def false_positive_before(self) -> bool:
-        return not self.is_gadget and self.flagged_before
-
-    @property
-    def false_positive_after(self) -> bool:
-        return not self.is_gadget and self.flagged_after
-
-    @property
-    def false_negative_before(self) -> bool:
-        return self.is_gadget and not self.flagged_before
-
-    @property
-    def false_negative_after(self) -> bool:
-        return self.is_gadget and not self.flagged_after
-
-
-@dataclass
-class CorpusPrecision:
-    """False-positive / false-negative rates of the scanner on the
-    gadget corpus, before and after value-set refinement."""
-
-    window: int
-    cases: Tuple[PrecisionCase, ...]
-
-    def _rate(self, hits: int, total: int) -> float:
-        return hits / total if total else 0.0
-
-    @property
-    def benign_cases(self) -> int:
-        return sum(1 for case in self.cases if not case.is_gadget)
-
-    @property
-    def gadget_cases(self) -> int:
-        return sum(1 for case in self.cases if case.is_gadget)
-
-    @property
-    def fp_rate_before(self) -> float:
-        return self._rate(
-            sum(1 for c in self.cases if c.false_positive_before),
-            self.benign_cases,
-        )
-
-    @property
-    def fp_rate_after(self) -> float:
-        return self._rate(
-            sum(1 for c in self.cases if c.false_positive_after),
-            self.benign_cases,
-        )
-
-    @property
-    def fn_rate_before(self) -> float:
-        return self._rate(
-            sum(1 for c in self.cases if c.false_negative_before),
-            self.gadget_cases,
-        )
-
-    @property
-    def fn_rate_after(self) -> float:
-        return self._rate(
-            sum(1 for c in self.cases if c.false_negative_after),
-            self.gadget_cases,
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"corpus precision (window {self.window}, "
-            f"{len(self.cases)} programs):",
-            f"  false-positive rate: {self.fp_rate_before:.0%} before "
-            f"-> {self.fp_rate_after:.0%} after refinement",
-            f"  false-negative rate: {self.fn_rate_before:.0%} before "
-            f"-> {self.fn_rate_after:.0%} after refinement",
-        ]
-        for case in self.cases:
-            verdict = (f"{case.findings} finding(s), "
-                       f"{case.confirmed} confirmed, "
-                       f"{case.refuted} refuted")
-            lines.append(f"    {case.kind}-{case.variant:<7} "
-                         f"[{'gadget' if case.is_gadget else 'benign'}] "
-                         f"{verdict}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "window": self.window,
-            "fp_rate_before": self.fp_rate_before,
-            "fp_rate_after": self.fp_rate_after,
-            "fn_rate_before": self.fn_rate_before,
-            "fn_rate_after": self.fn_rate_after,
-            "cases": [
-                {
-                    "kind": c.kind,
-                    "variant": c.variant,
-                    "is_gadget": c.is_gadget,
-                    "findings": c.findings,
-                    "confirmed": c.confirmed,
-                    "refuted": c.refuted,
-                }
-                for c in self.cases
-            ],
-        }
-
-
-def corpus_precision(
-    window: int = DEFAULT_WINDOW,
-    include_ingested: bool = True,
-) -> CorpusPrecision:
-    """Scan every corpus variant and measure refinement precision.
-
-    The refutation layer must remove the masked false positives
-    without losing any real gadget: ``fp_rate_after == 0`` and
-    ``fn_rate_after == 0`` are asserted by the acceptance tests.
-
-    Externally ingested gadgets (fuzz-found variants registered via
-    :func:`repro.analysis.corpus.register_ingested_gadget`) are
-    appended *after* the built-in grid, so the baseline cases keep
-    their positions and the historical metrics stay comparable.
-    """
-    secrets = corpus_secret_words()
-    cases = []
-    for kind in GADGET_KINDS:
-        for variant in CORPUS_VARIANTS:
-            program = build_corpus_variant(kind, variant)
-            report = analyze_program(program, window=window,
-                                     name=f"{kind}-{variant}")
-            refined = refine_report(program, report, secret_words=secrets)
-            cases.append(PrecisionCase(
-                kind=kind,
-                variant=variant,
-                is_gadget=(variant == "unsafe"),
-                findings=len(report.findings),
-                confirmed=len(refined.confirmed),
-                refuted=len(refined.refuted),
-            ))
-    if include_ingested:
-        for gadget in ingested_gadgets():
-            program = gadget.build()
-            report = analyze_program(program, window=window,
-                                     name=gadget.name)
-            refined = refine_report(program, report,
-                                    secret_words=gadget.secrets())
-            cases.append(PrecisionCase(
-                kind=gadget.name,
-                variant="ingested",
-                is_gadget=gadget.is_gadget,
-                findings=len(report.findings),
-                confirmed=len(refined.confirmed),
-                refuted=len(refined.refuted),
-            ))
-    return CorpusPrecision(window=window, cases=tuple(cases))

@@ -146,24 +146,9 @@ def _load_analysis_program(spec: str):
     ``corpus:<kind>[:<variant>]`` naming a built-in gadget driver.
     Returns ``(program, default_secret_words)``."""
     if spec.startswith("corpus:"):
-        from .analysis.corpus import (
-            CORPUS_VARIANTS,
-            GADGET_KINDS,
-            build_corpus_variant,
-            corpus_secret_words,
-        )
+        from .analysis.corpus import corpus_secret_words, corpus_spec_program
 
-        parts = spec.split(":")
-        kind = parts[1] if len(parts) > 1 else ""
-        variant = parts[2] if len(parts) > 2 else "unsafe"
-        if kind not in GADGET_KINDS or variant not in CORPUS_VARIANTS \
-                or len(parts) > 3:
-            raise ValueError(
-                f"bad corpus spec {spec!r}: expected "
-                f"corpus:{{{','.join(GADGET_KINDS)}}}"
-                f"[:{{{','.join(CORPUS_VARIANTS)}}}]"
-            )
-        return build_corpus_variant(kind, variant), corpus_secret_words()
+        return corpus_spec_program(spec), corpus_secret_words()
     with open(spec) as handle:
         return assemble(handle.read()), ()
 
@@ -193,17 +178,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_program(program, window=window, name=args.program)
     print(report.render())
     summaries = None
-    summary_cache = None
     if args.refine or args.fix or args.certify:
-        from .analysis.summaries import (
-            SummaryCache,
-            compute_program_summaries,
-        )
+        from .analysis.summaries import summarize_program
 
-        if args.summary_cache:
-            summary_cache = SummaryCache(path=args.summary_cache)
-        summaries = compute_program_summaries(
-            program, window=window, cache=summary_cache)
+        summaries = summarize_program(program, window=window)
     refined = None
     if args.refine or args.fix:
         refined = refine_report(program, report, secret_words=secrets,
@@ -243,8 +221,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         print()
         print(certified.render())
-    if summary_cache is not None:
-        summary_cache.close()
     if args.json:
         import json
 
@@ -314,11 +290,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                  else DEFAULT_MAX_PATHS)
     max_steps = (args.max_steps if args.max_steps is not None
                  else DEFAULT_MAX_STEPS)
-    summary_cache = None
-    if args.summary_cache:
-        from .analysis.summaries import SummaryCache
-
-        summary_cache = SummaryCache(path=args.summary_cache)
     exit_code = 0
     documents = []
     for spec in args.programs:
@@ -326,8 +297,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             program, default_secrets = _load_analysis_program(spec)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
-            if summary_cache is not None:
-                summary_cache.close()
             return 2
         secrets = tuple(int(word, 0) for word in args.secret) \
             if args.secret else tuple(default_secrets)
@@ -341,7 +310,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             replay=not args.no_replay,
             machine=machine,
             name=spec,
-            summary_cache=summary_cache,
         )
         print(result.render())
         documents.append(result.to_dict())
@@ -353,8 +321,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 exit_code = 1
             if args.fail_on_leak:
                 exit_code = 1
-    if summary_cache is not None:
-        summary_cache.close()
     if args.json:
         import json
 
@@ -508,14 +474,12 @@ def _cmd_precision(args: argparse.Namespace) -> int:
         machine=_machine(args),
         benchmarks=args.benchmarks or None,
         scale=args.scale,
-        workers=args.workers,
         window=args.window,
         max_paths=(args.max_paths if args.max_paths is not None
                    else DEFAULT_MAX_PATHS),
         max_steps=(args.max_steps if args.max_steps is not None
                    else DEFAULT_MAX_STEPS),
         replay=not args.no_replay,
-        summary_cache=args.summary_cache,
     )
     print(result.render())
     if args.json:
@@ -682,11 +646,8 @@ def _cmd_fuzz_certify(args: argparse.Namespace) -> int:
 def _cmd_fuzz_evolve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis.corpus import (IngestedGadget,
-                                  register_ingested_gadget)
-    from .analysis.verify import corpus_precision
     from .core.defense import normalize_defense_name
-    from .fuzz import run_evolve_campaign
+    from .fuzz import ingest_survivors, run_evolve_campaign
     modes = tuple(normalize_defense_name(m) for m in args.modes) \
         if args.modes else PAPER_DEFENSES
     result, survivors = run_evolve_campaign(
@@ -704,15 +665,10 @@ def _cmd_fuzz_evolve(args: argparse.Namespace) -> int:
           f"(seed x mode) runs, {len(survivors)} verified "
           f"survivor(s) [{result.duration_s:.1f}s]")
     if survivors:
-        for case in survivors:
-            register_ingested_gadget(IngestedGadget(
-                name=case.case_id, source=case.source,
-                base_address=case.base_address, is_gadget=True,
-                secret_words=case.secret_words,
-                origin=f"fuzz-evolve:{','.join(case.modes)}"))
-        precision = corpus_precision()
+        ingest_survivors(survivors)
+        precision = run_precision_study(benchmarks=[])
         print("precision over the extended corpus "
-              f"({len(precision.cases)} cases):")
+              f"({len(precision.rows)} cases):")
         print(precision.render())
     _write_json(args.json, result.to_dict())
     return 0
@@ -791,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--max-paths", type=int, default=None,
                            help="symbolic path budget for --certify "
                                 "(exhaustion degrades to UNKNOWN)")
-    p_analyze.add_argument("--summary-cache", default=None,
-                           metavar="PATH",
-                           help="persist CFG/loop summaries for "
-                                "--refine/--certify across runs "
-                                "(content-addressed; safe to share)")
     p_analyze.add_argument("--secret", action="append", default=None,
                            metavar="ADDR",
                            help="word address holding a secret (may "
@@ -836,11 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument("--no-replay", action="store_true",
                            help="skip replaying witnesses on the "
                                 "dynamic pipeline")
-    p_certify.add_argument("--summary-cache", default=None,
-                           metavar="PATH",
-                           help="persist CFG/loop summaries across "
-                                "runs (content-addressed; safe to "
-                                "share)")
     p_certify.add_argument("--secret", action="append", default=None,
                            metavar="ADDR",
                            help="word address holding a secret (may "
@@ -904,13 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="certifier step budget")
     p_precision.add_argument("--no-replay", action="store_true",
                              help="skip dynamic witness replay")
-    p_precision.add_argument("--workers", type=int, default=1,
-                             help="fan rows across N worker processes "
-                                  "(default 1; identical table)")
-    p_precision.add_argument("--summary-cache", default=None,
-                             metavar="PATH",
-                             help="persist CFG/loop summaries across "
-                                  "runs (serial only)")
     p_precision.add_argument("--json", default=None,
                              help="also write the study table as JSON")
     _add_machine_arg(p_precision)

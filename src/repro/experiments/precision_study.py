@@ -21,12 +21,17 @@ an answer), value-set resolves fully-refuted benign cases, and symx
 resolves everything it proves safe or demonstrates leaky with a
 reproduced witness.  The symbolic tier must resolve strictly more
 cases than taint+valueset.
+
+Over the labelled rows (the corpus and any ingested gadgets) the study
+also reports the scanner's false-positive and false-negative rates
+before and after value-set refinement: the refutation layer must
+remove the masked false positives without losing any real gadget.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..analysis.corpus import (
     CORPUS_VARIANTS,
@@ -35,7 +40,7 @@ from ..analysis.corpus import (
     corpus_secret_words,
     ingested_gadgets,
 )
-from ..analysis.summaries import SummaryCache, compute_program_summaries
+from ..analysis.summaries import summarize_program
 from ..analysis.symx import (
     DEFAULT_MAX_PATHS,
     DEFAULT_MAX_STEPS,
@@ -45,7 +50,6 @@ from ..analysis.symx import (
 )
 from ..analysis.taint import DEFAULT_WINDOW, analyze_program
 from ..analysis.valueset import refine_report
-from ..errors import ConfigError
 from ..isa.program import Program
 from ..params import MachineParams
 from ..workloads import spec_names, spec_program
@@ -147,6 +151,31 @@ class PrecisionStudyResult:
         return sum(1 for row in self.rows
                    if row.verdict == Verdict.UNKNOWN.value)
 
+    def _error_rate(self, is_gadget: bool, count: str) -> float:
+        """Share of labelled rows with label ``is_gadget`` the scanner
+        gets wrong, judging a row flagged when ``count`` (``findings``
+        before refinement, ``confirmed`` after) is non-zero."""
+        rows = [row for row in self.rows if row.is_gadget is is_gadget]
+        wrong = sum(1 for row in rows
+                    if (getattr(row, count) > 0) is not is_gadget)
+        return wrong / len(rows) if rows else 0.0
+
+    @property
+    def fp_rate_before(self) -> float:
+        return self._error_rate(False, "findings")
+
+    @property
+    def fp_rate_after(self) -> float:
+        return self._error_rate(False, "confirmed")
+
+    @property
+    def fn_rate_before(self) -> float:
+        return self._error_rate(True, "findings")
+
+    @property
+    def fn_rate_after(self) -> float:
+        return self._error_rate(True, "confirmed")
+
     def tier_runtime(self, tier: str) -> float:
         attribute = {"taint": "taint_s", "valueset": "valueset_s",
                      "symx": "symx_s"}[tier]
@@ -172,15 +201,17 @@ class PrecisionStudyResult:
         summarized = sum(row.summarized_loops for row in self.rows)
         accelerated = sum(row.accelerated_loops for row in self.rows)
         merged = sum(row.merged_paths for row in self.rows)
-        cache_hits = sum(1 for row in self.rows if row.summary_cache_hit)
         footer = (
             f"resolved cases: taint {resolved['taint']}/{len(self.rows)}"
             f", +valueset {resolved['valueset']}/{len(self.rows)}"
             f", +symx {resolved['symx']}/{len(self.rows)}"
             f"  [{'symx strictly stronger' if self.symx_strictly_stronger else 'NO TIER GAIN'}]"
+            f"\nlabelled rows: false-positive rate "
+            f"{self.fp_rate_before:.0%} -> {self.fp_rate_after:.0%}, "
+            f"false-negative rate {self.fn_rate_before:.0%} -> "
+            f"{self.fn_rate_after:.0%} after refinement"
             f"\nsummaries: {summarized} loop(s) havocked "
-            f"({accelerated} accelerated), {merged} path merge(s), "
-            f"{cache_hits} summary-cache hit(s)"
+            f"({accelerated} accelerated), {merged} path merge(s)"
         )
         return (
             text_table(
@@ -198,6 +229,10 @@ class PrecisionStudyResult:
             "resolved_by_tier": self.resolved_by_tier,
             "symx_strictly_stronger": self.symx_strictly_stronger,
             "unknown_count": self.unknown_count,
+            "fp_rate_before": self.fp_rate_before,
+            "fp_rate_after": self.fp_rate_after,
+            "fn_rate_before": self.fn_rate_before,
+            "fn_rate_after": self.fn_rate_after,
             "summaries": {
                 "summarized_loops": sum(row.summarized_loops
                                         for row in self.rows),
@@ -236,63 +271,37 @@ class PrecisionStudyResult:
         }
 
 
-@dataclass(frozen=True)
-class PrecisionTask:
-    """Spawn-safe description of one study row.
-
-    The program is *not* carried — workers rebuild it from ``spec``
-    (``("corpus", kind, variant)``, ``("ingested", name)`` or
-    ``("spec", name, scale)``), so the payload pickles cheaply and
-    identically under the spawn start method.
-    """
-
-    name: str
-    group: str                     # "corpus", "ingested" or "spec"
-    spec: Tuple[object, ...]
-    is_gadget: Optional[bool]
-    window: int
-    machine: Optional[MachineParams]
-    max_paths: int
-    max_steps: int
-    replay: bool
+#: One study input: name, group, label, program and its secret words.
+_Case = Tuple[str, str, Optional[bool], Program, Tuple[int, ...]]
 
 
-def _build_task_program(task: PrecisionTask) -> Tuple[Program,
-                                                      Tuple[int, ...]]:
-    kind = task.spec[0]
-    if kind == "corpus":
-        return (build_corpus_variant(str(task.spec[1]),
-                                     str(task.spec[2])),
-                corpus_secret_words())
-    if kind == "ingested":
-        for gadget in ingested_gadgets():
-            if gadget.name == task.spec[1]:
-                return gadget.build(), gadget.secrets()
-        raise ConfigError(f"ingested gadget {task.spec[1]!r} vanished "
-                          f"between scheduling and execution")
-    if kind == "spec":
-        name, scale = str(task.spec[1]), float(task.spec[2])
-        return spec_program(name, scale=scale), ()
-    raise ConfigError(f"unknown precision task spec {task.spec!r}")
+def _cases(benchmarks: Optional[Iterable[str]],
+           scale: float) -> Iterator[_Case]:
+    """The study's programs in row order, each built when reached."""
+    for kind in GADGET_KINDS:
+        for variant in CORPUS_VARIANTS:
+            yield (f"{kind}-{variant}", "corpus", variant == "unsafe",
+                   build_corpus_variant(kind, variant),
+                   corpus_secret_words())
+    # Fuzz-found gadgets extend the corpus without renumbering it:
+    # always appended after the built-in grid, never interleaved.
+    for gadget in ingested_gadgets():
+        yield (gadget.name, "ingested", gadget.is_gadget, gadget.build(),
+               gadget.secrets())
+    for name in (benchmarks if benchmarks is not None else spec_names()):
+        yield name, "spec", None, spec_program(name, scale=scale), ()
 
 
-def execute_precision_task(
-    task: PrecisionTask,
-    summary_cache: Optional[SummaryCache] = None,
-) -> PrecisionRow:
-    """Run all three tiers for one task (also the worker entry point).
-
-    ``summary_cache`` is only threaded in the serial path — the
-    checkpoint store behind a persistent cache is single-writer, so
-    parallel workers compute summaries fresh instead.
-    """
-    program, secret_words = _build_task_program(task)
+def _study_row(case: _Case, *, window: int,
+               machine: Optional[MachineParams], max_paths: int,
+               max_steps: int, replay: bool) -> PrecisionRow:
+    """Run all three tiers for one program."""
+    name, group, is_gadget, program, secret_words = case
     started = time.perf_counter()
-    report = analyze_program(program, window=task.window, name=task.name)
+    report = analyze_program(program, window=window, name=name)
     taint_s = time.perf_counter() - started
 
-    summaries = compute_program_summaries(
-        program, window=task.window, cache=summary_cache)
+    summaries = summarize_program(program, window=window)
 
     started = time.perf_counter()
     refined = refine_report(program, report, secret_words=secret_words,
@@ -300,10 +309,9 @@ def execute_precision_task(
     valueset_s = time.perf_counter() - started
 
     certified: CertifyResult = certify_program(
-        program, secret_words=secret_words, window=task.window,
-        max_paths=task.max_paths, max_steps=task.max_steps,
-        replay=task.replay, machine=task.machine, name=task.name,
-        summaries=summaries,
+        program, secret_words=secret_words, window=window,
+        max_paths=max_paths, max_steps=max_steps, replay=replay,
+        machine=machine, name=name, summaries=summaries,
     )
     proved = sum(
         1 for finding in report.findings
@@ -312,9 +320,9 @@ def execute_precision_task(
     replayed = sum(1 for leak in certified.leaks
                    if leak.replay is not None and leak.replay.reproduced)
     return PrecisionRow(
-        name=task.name,
-        group=task.group,
-        is_gadget=task.is_gadget,
+        name=name,
+        group=group,
+        is_gadget=is_gadget,
         findings=len(report.findings),
         taint_s=taint_s,
         confirmed=len(refined.confirmed),
@@ -340,10 +348,12 @@ def run_precision_study(
     max_paths: int = DEFAULT_MAX_PATHS,
     max_steps: int = DEFAULT_MAX_STEPS,
     replay: bool = True,
-    workers: int = 1,
-    summary_cache: Optional[str] = None,
 ) -> PrecisionStudyResult:
     """Run all three precision tiers over the corpus and SPEC suite.
+
+    Rows come in a fixed order: the built-in corpus grid, then the
+    ingested gadgets, then ``benchmarks`` (every SPEC-like profile when
+    ``None``; ``[]`` measures the labelled corpus alone).
 
     The window defaults to the analysis default (the certifier's
     always-mispredict semantics and the taint pass then agree on the
@@ -351,56 +361,10 @@ def run_precision_study(
     their certification claims hinge on completeness alone: a clean
     ``PROVED_SAFE`` at default budgets, or an honest ``UNKNOWN`` when
     the loop structure exhausts the path budget.
-
-    ``workers > 1`` fans the rows across a spawn-based process pool
-    (:class:`~repro.perf.parallel.ParallelSweepExecutor`); every row is
-    an independent, deterministic analysis, so the table is identical
-    to the serial one.  ``summary_cache`` names a file persisting the
-    CFG/loop summary tier across study runs; it requires the serial
-    path because the backing checkpoint store is single-writer.
     """
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    if summary_cache is not None and workers > 1:
-        raise ConfigError(
-            "summary_cache persistence requires workers=1: the backing "
-            "checkpoint store is single-writer"
-        )
     window = window if window is not None else DEFAULT_WINDOW
-    tasks: List[PrecisionTask] = []
-
-    def add(name: str, group: str, spec: Tuple[object, ...],
-            is_gadget: Optional[bool]) -> None:
-        tasks.append(PrecisionTask(
-            name=name, group=group, spec=spec, is_gadget=is_gadget,
-            window=window, machine=machine, max_paths=max_paths,
-            max_steps=max_steps, replay=replay,
-        ))
-
-    for kind in GADGET_KINDS:
-        for variant in CORPUS_VARIANTS:
-            add(f"{kind}-{variant}", "corpus",
-                ("corpus", kind, variant), variant == "unsafe")
-    # Fuzz-found gadgets extend the corpus without renumbering it:
-    # always appended after the built-in grid, never interleaved.
-    for gadget in ingested_gadgets():
-        add(gadget.name, "ingested", ("ingested", gadget.name),
-            gadget.is_gadget)
-    for name in (benchmarks if benchmarks is not None else spec_names()):
-        add(name, "spec", ("spec", name, scale), None)
-
-    if workers > 1:
-        from ..perf.parallel import ParallelSweepExecutor
-
-        executor = ParallelSweepExecutor(workers=workers)
-        rows = executor.run_tasks(tasks, run_fn=execute_precision_task)
-    else:
-        cache = SummaryCache(path=summary_cache) \
-            if summary_cache is not None else None
-        try:
-            rows = [execute_precision_task(task, summary_cache=cache)
-                    for task in tasks]
-        finally:
-            if cache is not None:
-                cache.close()
+    rows = [_study_row(case, window=window, machine=machine,
+                       max_paths=max_paths, max_steps=max_steps,
+                       replay=replay)
+            for case in _cases(benchmarks, scale)]
     return PrecisionStudyResult(rows=rows, window=window, scale=scale)

@@ -84,6 +84,11 @@ RunFn = Callable[..., SimReport]
 #: another experiment's result.
 _RESUME_KEYS = ("machine", "scale", "max_cycles", "injecting")
 
+#: Terminations that depend on the host rather than on the sweep's
+#: inputs (how fast it ran, whether someone cancelled it): such a row
+#: is re-run on resume, never reused.
+_HOST_TERMINATIONS = ("wall_clock", "cancelled")
+
 
 @dataclass(frozen=True)
 class SweepTask:
@@ -308,8 +313,9 @@ class SweepEngine:
     without re-running recorded pairs.  Rows are reused only when the
     checkpoint's header names this sweep's machine, scale, cycle budget
     and fault setting; otherwise the file starts over (the benchmark
-    and defense lists may grow between runs).  A failing workload is
-    recorded as a failure row; the sweep carries on.
+    and defense lists may grow between runs).  A row that stopped on
+    its wall-clock budget or was cancelled is re-run.  A failing
+    workload is recorded as a failure row; the sweep carries on.
 
     With ``workers > 1`` the pending pairs fan out across a process
     pool (:class:`repro.perf.parallel.ParallelSweepExecutor`).  The
@@ -396,9 +402,11 @@ class SweepEngine:
                 done: Dict[str, SweepRow] = {}
                 for key, record in records.items():
                     try:
-                        done[key] = SweepRow.from_record(record)
+                        row = SweepRow.from_record(record)
                     except (ValueError, KeyError):
                         continue  # unreadable row: re-run the pair
+                    if row.termination not in _HOST_TERMINATIONS:
+                        done[key] = row
                 return done
         store.reset(config)
         return {}

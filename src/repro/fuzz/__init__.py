@@ -25,6 +25,7 @@ from .agreement import (
 )
 from .campaign import (
     CampaignResult,
+    ingest_survivors,
     run_certify_campaign,
     run_diff_campaign,
     run_evolve_campaign,
@@ -82,6 +83,7 @@ __all__ = [
     "differential_check",
     "evolve_mode",
     "generate_program",
+    "ingest_survivors",
     "leak_fitness",
     "load_cases",
     "make_case",

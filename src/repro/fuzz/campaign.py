@@ -29,10 +29,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
-from ..analysis.corpus import GADGET_KINDS, build_corpus_variant, \
-    corpus_secret_words
+from ..analysis.corpus import GADGET_KINDS, IngestedGadget, \
+    build_corpus_variant, corpus_secret_words, register_ingested_gadget
 from ..core.defense import PAPER_DEFENSES
 from ..isa.assembler import disassemble
 from ..isa.program import Program
@@ -361,7 +362,7 @@ def run_evolve_campaign(
 ) -> Tuple[CampaignResult, List[FuzzCase]]:
     """Evolve gadget variants against each mode; returns the campaign
     result plus FuzzCases for verified survivors (the caller ingests
-    them into the analysis corpus)."""
+    them with :func:`ingest_survivors`)."""
     started = time.perf_counter()
     if config is None:
         config = GeneratorConfig(secret=True, length=22, loops=False)
@@ -407,6 +408,17 @@ def run_evolve_campaign(
                 _pin(result, regressions, case)
     result.duration_s = time.perf_counter() - started
     return result, survivors
+
+
+def ingest_survivors(survivors: Iterable[FuzzCase]) -> None:
+    """Register verified evolve survivors as labelled gadgets of the
+    analysis corpus, so the precision study measures them."""
+    for case in survivors:
+        register_ingested_gadget(IngestedGadget(
+            name=case.case_id, source=case.source,
+            base_address=case.base_address, is_gadget=True,
+            secret_words=case.secret_words,
+            origin=f"fuzz-evolve:{','.join(case.modes)}"))
 
 
 def assembleable(source: str, fallback: Program) -> Program:

@@ -8,13 +8,6 @@ deterministic simulation, so a sweep is embarrassingly parallel.  The
 :class:`~repro.experiments.runner.SweepRow` results back to the parent
 as they complete.
 
-The executor is generic over the payload: ``map_tasks`` accepts a
-``run_fn`` (a module-level function, so it pickles under spawn) and
-any picklable task type.  The default pairing stays
-``execute_sweep_task``/:class:`SweepTask` for the simulation sweeps;
-the precision study fans :class:`~repro.experiments.precision_study.
-PrecisionTask` payloads through the same pool.
-
 Design constraints (all load-bearing):
 
 - **Spawn-safe payloads.**  Workers are started with the ``spawn``
@@ -39,16 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import ConfigError, SimulationError
 from ..experiments.runner import SweepRow, SweepTask, execute_sweep_task
@@ -61,24 +45,16 @@ def default_workers() -> int:
     return max(1, multiprocessing.cpu_count())
 
 
-def _task_label(task: object) -> str:
-    benchmark = getattr(task, "benchmark", None)
-    mode = getattr(task, "mode", None)
-    if benchmark is not None and mode is not None:
-        return f"{benchmark}/{getattr(mode, 'value', mode)}"
-    return getattr(task, "name", None) or repr(task)
-
-
-def _check_spawn_safe(task: object) -> None:
+def _check_spawn_safe(task: SweepTask) -> None:
     """Fail fast (and clearly) on payloads a spawned worker can't load."""
     try:
         pickle.dumps(task)
     except Exception as exc:
         raise SimulationError(
-            f"sweep task {_task_label(task)} is not "
+            f"sweep task {task.benchmark}/{task.mode} is not "
             f"spawn-safe ({type(exc).__name__}: {exc}); parallel sweeps "
-            f"require picklable payloads — in particular run_fn must be "
-            f"a module-level function, not a lambda or closure"
+            f"require picklable payloads — in particular a task's run_fn "
+            f"must be a module-level function, not a lambda or closure"
         ) from exc
 
 
@@ -100,23 +76,19 @@ class ParallelSweepExecutor:
 
     def map_tasks(
         self,
-        tasks: Iterable[Tuple[int, object]],
-        run_fn: Callable[[Any], Any] = execute_sweep_task,
-    ) -> Iterator[Tuple[int, Any]]:
+        tasks: Iterable[Tuple[int, SweepTask]],
+    ) -> Iterator[Tuple[int, SweepRow]]:
         """Execute every task; yield ``(index, row)`` as each finishes.
 
-        ``run_fn`` (default :func:`~repro.experiments.runner.
-        execute_sweep_task`) runs in the worker and must be a
-        module-level function so it pickles under spawn.  A worker
-        whose simulation fails still yields a failure row (see
-        :func:`~repro.experiments.runner.execute_sweep_task`); only
-        infrastructure-level errors — an unpicklable payload, a dead
-        worker process — propagate as exceptions.
+        Each task runs through
+        :func:`~repro.experiments.runner.execute_sweep_task` in a
+        worker.  A worker whose simulation fails still yields a failure
+        row; only infrastructure-level errors — an unpicklable payload,
+        a dead worker process — propagate as exceptions.
         """
-        items: List[Tuple[int, object]] = list(tasks)
+        items: List[Tuple[int, SweepTask]] = list(tasks)
         if not items:
             return
-        _check_spawn_safe(run_fn)
         for _index, task in items:
             _check_spawn_safe(task)
         context = multiprocessing.get_context("spawn")
@@ -130,7 +102,7 @@ class ParallelSweepExecutor:
                     index, task = next(queue)
                 except StopIteration:
                     return False
-                in_flight[pool.submit(run_fn, task)] = index
+                in_flight[pool.submit(execute_sweep_task, task)] = index
                 return True
 
             for _ in range(min(2 * self.workers, len(items))):
@@ -142,15 +114,3 @@ class ParallelSweepExecutor:
                     index = in_flight.pop(future)
                     submit_next()
                     yield index, future.result()
-
-    def run_tasks(
-        self,
-        tasks: Iterable[object],
-        run_fn: Callable[[Any], Any] = execute_sweep_task,
-    ) -> List[Any]:
-        """Convenience: run a plain task list, rows in task order."""
-        indexed = list(enumerate(tasks))
-        rows: List[Optional[Any]] = [None] * len(indexed)
-        for index, row in self.map_tasks(indexed, run_fn):
-            rows[index] = row
-        return [row for row in rows if row is not None]

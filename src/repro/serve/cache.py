@@ -77,9 +77,7 @@ class Claim:
 class ResultCache:
     """Bounded LRU result cache + single-flight registry."""
 
-    def __init__(self, capacity: int = 1024,
-                 region_capacity: int = 4096,
-                 summary_cache_path: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
@@ -88,11 +86,10 @@ class ResultCache:
         self._results: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         #: key -> job id of the in-flight computation (the "leader").
         self._inflight: Dict[str, str] = {}
-        #: Region-granular summary tier; hand this to the engine so
-        #: certification jobs share it.  ``summary_cache_path``
-        #: additionally persists it across daemon restarts.
-        self.regions = SummaryCache(path=summary_cache_path,
-                                    capacity=region_capacity)
+        #: Region-granular summary tier, in memory for the daemon's
+        #: lifetime; hand this to the engine so certification jobs
+        #: share it.
+        self.regions = SummaryCache()
 
     # ---- plain cache ------------------------------------------------------
 

@@ -337,23 +337,12 @@ def _resolve_program(
         if not isinstance(spec, str) or not spec.startswith("corpus:"):
             raise SubmissionError(
                 "spec must be a 'corpus:<kind>[:<variant>]' string")
-        from ..analysis.corpus import (
-            CORPUS_VARIANTS,
-            GADGET_KINDS,
-            build_corpus_variant,
-            corpus_secret_words,
-        )
-        parts = spec.split(":")
-        kind = parts[1] if len(parts) > 1 else ""
-        variant = parts[2] if len(parts) > 2 else "unsafe"
-        if kind not in GADGET_KINDS or variant not in CORPUS_VARIANTS \
-                or len(parts) > 3:
-            raise SubmissionError(
-                f"bad corpus spec {spec!r}: expected "
-                f"corpus:{{{','.join(GADGET_KINDS)}}}"
-                f"[:{{{','.join(CORPUS_VARIANTS)}}}]")
-        return (build_corpus_variant(kind, variant), spec,
-                corpus_secret_words())
+        from ..analysis.corpus import corpus_secret_words, corpus_spec_program
+        try:
+            program = corpus_spec_program(spec)
+        except ValueError as exc:
+            raise SubmissionError(str(exc)) from None
+        return program, spec, corpus_secret_words()
     benchmark = data["benchmark"]
     if not isinstance(benchmark, str):
         raise SubmissionError("benchmark must be a string")

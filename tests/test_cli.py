@@ -300,3 +300,23 @@ class TestFenceCommand:
         names = {row["name"] for row in doc["rows"]}
         assert {"gadget-v1", "gadget-v2", "gadget-v4",
                 "gadget-rsb", "hmmer"} <= names
+
+
+class TestPrecisionCommand:
+    def test_precision_study_smoke(self, tmp_path, capsys):
+        import json
+
+        from repro.analysis.corpus import CORPUS_VARIANTS, GADGET_KINDS
+        out_json = tmp_path / "precision.json"
+        code = main(["precision", "hmmer", "--scale", "0.05",
+                     "--json", str(out_json)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "symx strictly stronger" in out
+        doc = json.loads(out_json.read_text())
+        assert [row["name"] for row in doc["rows"]] == [
+            f"{kind}-{variant}" for kind in GADGET_KINDS
+            for variant in CORPUS_VARIANTS] + ["hmmer"]
+        assert (doc["fp_rate_before"], doc["fp_rate_after"],
+                doc["fn_rate_before"], doc["fn_rate_after"]) \
+            == (0.5, 0.0, 0.0, 0.0)

@@ -13,8 +13,8 @@ from repro.analysis.corpus import (
     load_ingested_gadgets,
     register_ingested_gadget,
 )
-from repro.analysis.verify import corpus_precision
 from repro.cli import main
+from repro.experiments.precision_study import run_precision_study
 from repro.fuzz import (
     REGRESSION_DIR,
     FuzzCase,
@@ -105,19 +105,24 @@ def test_pinned_regressions_hold():
             f"got fires={fires}")
 
 
+def _counts(row):
+    return (row.name, row.group, row.is_gadget, row.findings,
+            row.confirmed, row.refuted, row.verdict)
+
+
 def test_ingestion_extends_without_renumbering():
-    baseline = corpus_precision()
+    baseline = run_precision_study(benchmarks=[])
     register_ingested_gadget(IngestedGadget(
         name="test_ingested", source=GADGET_SOURCE,
         secret_words=(20480,), origin="unit-test"))
-    extended = corpus_precision()
-    assert len(extended.cases) == len(baseline.cases) + 1
-    for before, after in zip(baseline.cases, extended.cases):
-        assert (before.kind, before.variant) == \
-            (after.kind, after.variant)
-        assert before.findings == after.findings
-    ingested = extended.cases[-1]
-    assert ingested.variant == "ingested"
+    extended = run_precision_study(benchmarks=[])
+    assert len(baseline.rows) == 12
+    assert len(extended.rows) == len(baseline.rows) + 1
+    assert [_counts(row) for row in extended.rows[:-1]] == \
+        [_counts(row) for row in baseline.rows]
+    ingested = extended.rows[-1]
+    assert (ingested.name, ingested.group) == ("test_ingested",
+                                                "ingested")
     assert ingested.is_gadget
     assert ingested.confirmed >= 1
     assert extended.fn_rate_after == 0.0
@@ -156,3 +161,27 @@ def test_cli_fuzz_json_summary(tmp_path, capsys):
     assert payload["kind"] == "diff"
     assert payload["cases"] == 3
     assert payload["disagreements"] == 0
+
+
+def test_cli_fuzz_evolve_ingests_survivors(monkeypatch, capsys):
+    import repro.fuzz
+    from repro.fuzz import CampaignResult
+
+    survivor = FuzzCase(
+        case_id="evolve_demo_cache_hit", kind="evolve_survivor",
+        seed="cli-test", source=GADGET_SOURCE, secret_words=(20480,),
+        modes=("cache_hit",), expect="reproduces")
+    monkeypatch.setattr(
+        repro.fuzz, "run_evolve_campaign",
+        lambda *args, **kwargs: (
+            CampaignResult(kind="evolve", master_seed="cli-test"),
+            [survivor]))
+    assert main(["fuzz", "evolve", "--seed", "cli-test"]) == 0
+    out = capsys.readouterr().out
+    assert "precision over the extended corpus (13 cases)" in out
+    assert "evolve_demo_cache_hit" in out and "ingested" in out
+    (gadget,) = ingested_gadgets()
+    assert (gadget.name, gadget.source, gadget.secret_words,
+            gadget.is_gadget, gadget.origin) == (
+        "evolve_demo_cache_hit", GADGET_SOURCE, (20480,), True,
+        "fuzz-evolve:cache_hit")

@@ -29,18 +29,6 @@ class TestSafeFraction:
 
 
 class TestCLIExperimentCommands:
-    def test_table6_subset(self, capsys):
-        code = main(["table6", "--scale", "0.05", "hmmer"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "a57-like" in out
-
-    def test_lru_subset(self, capsys):
-        code = main(["lru", "--scale", "0.05", "hmmer"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no_update" in out
-
     def test_run_with_trace_flag(self, tmp_path, capsys):
         source = tmp_path / "p.s"
         source.write_text("li r1, 1\nhalt\n")

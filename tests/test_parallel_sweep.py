@@ -1,7 +1,6 @@
 """Parallel sweep execution: determinism, resume, the single-writer
 lock, and the RunOptions parameter object."""
 import dataclasses
-import os
 
 import pytest
 
@@ -63,14 +62,17 @@ class TestSerialParallelDeterminism:
         parallel = _engine(workers=2, fault_seed=seed).run()
         assert _signature(serial) == _signature(parallel)
 
-    def test_run_tasks_preserves_task_order(self):
+    def test_map_tasks_keys_rows_to_their_tasks(self):
         tasks = [
             SweepTask(benchmark=name, mode=mode, scale=SCALE,
                       options=OPTIONS)
             for name in BENCHMARKS for mode in MODES
         ]
-        rows = ParallelSweepExecutor(workers=2).run_tasks(tasks)
-        assert [(r.benchmark, r.mode) for r in rows] == \
+        rows = dict(ParallelSweepExecutor(workers=2).map_tasks(
+            enumerate(tasks)))
+        assert sorted(rows) == list(range(len(tasks)))
+        assert [(rows[i].benchmark, rows[i].mode)
+                for i in range(len(tasks))] == \
             [(t.benchmark, t.mode) for t in tasks]
 
 
@@ -152,7 +154,8 @@ class TestSpawnSafety:
     def test_worker_failure_degrades_to_row(self):
         task = SweepTask(benchmark="nope", mode="origin",
                          options=OPTIONS)
-        rows = ParallelSweepExecutor(workers=2).run_tasks([task])
+        rows = [row for _index, row in
+                ParallelSweepExecutor(workers=2).map_tasks([(0, task)])]
         assert len(rows) == 1 and not rows[0].ok
         serial_row = execute_sweep_task(task)
         assert rows[0].error_type == serial_row.error_type

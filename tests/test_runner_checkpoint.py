@@ -232,6 +232,28 @@ class TestSweepEngine:
         assert header == engine._config()
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("termination", ("wall_clock", "cancelled"))
+    def test_resume_reruns_rows_the_host_cut_short(self, tmp_path,
+                                                   termination):
+        def cut_short(name, security=None, **kwargs):
+            return SimReport(name=name, mode=security.mode, cycles=4096,
+                             committed=100, halted=False,
+                             termination=termination)
+
+        first = self._engine(tmp_path, run_fn=cut_short).run()
+        assert {(row.status, row.termination) for row in first.rows} \
+            == {("ok", termination)}
+        calls = []
+
+        def counting(name, security=None, **kwargs):
+            calls.append((name, security.mode))
+            return _fake_report(name, security.mode)
+
+        result = self._engine(tmp_path, run_fn=counting,
+                              resume=True).run()
+        assert result.resumed == 0 and len(calls) == 4
+        assert {row.termination for row in result.rows} == {"halt"}
+
     def test_resume_keeps_rows_when_the_grid_grows(self, tmp_path):
         self._engine(tmp_path).run()
         calls = []

@@ -139,7 +139,9 @@ class TestBackgroundJobs:
         stats = client.request("GET", "/v1/stats")
         assert stats.status == 200
         region = stats.payload["region_cache"]
-        assert region["stores"] >= 1
+        assert set(region) == {"hits", "misses", "stores", "evictions",
+                               "hit_rate"}
+        assert region["stores"] >= 1 and region["misses"] >= 1
         server.shutdown()
 
     def test_concurrent_duplicates_coalesce(self, harness):

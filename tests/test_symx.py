@@ -239,24 +239,6 @@ class TestWallClockBudget:
         kinds = {w["kind"] for w in result.warnings}
         assert "cancelled" in kinds
 
-    def test_budgets_arrive_via_run_options(self):
-        from repro.params import RunOptions
-        result = certify(
-            "v1", "unsafe", replay=False,
-            options=RunOptions(wall_clock_budget=1e-9))
-        assert result.verdict is Verdict.UNKNOWN
-        kinds = {w["kind"] for w in result.warnings}
-        assert "wall_clock" in kinds
-
-    def test_explicit_keyword_wins_over_options(self):
-        from repro.params import RunOptions
-        # A generous explicit budget overrides the starved options
-        # bundle: the certification completes normally.
-        result = certify(
-            "v1", "unsafe", replay=False, wall_clock_budget=300.0,
-            options=RunOptions(wall_clock_budget=1e-9))
-        assert result.verdict is Verdict.LEAKY
-
     def test_generous_wall_clock_does_not_change_the_verdict(self):
         tight_free = certify("v2", "unsafe", replay=False)
         budgeted = certify("v2", "unsafe", replay=False,

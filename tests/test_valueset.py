@@ -7,7 +7,6 @@ from repro.analysis import (
     ValueSetState,
     analyze_program,
     compute_value_sets,
-    corpus_precision,
     cross_validate,
     refine_report,
 )
@@ -288,18 +287,23 @@ class TestRefinement:
 
 
 class TestCorpusPrecision:
-    """Satellite: asserted precision numbers on the gadget corpus."""
+    """Asserted precision numbers on the gadget corpus, as the
+    precision study measures them over its labelled rows."""
 
     @pytest.fixture(scope="class")
     def precision(self):
-        return corpus_precision()
+        from repro.experiments.precision_study import run_precision_study
+
+        return run_precision_study(benchmarks=[])
 
     def test_case_grid_is_complete(self, precision):
-        kinds = {case.kind for case in precision.cases}
-        variants = {case.variant for case in precision.cases}
-        assert kinds == set(GADGET_KINDS)
-        assert variants == set(CORPUS_VARIANTS)
-        assert len(precision.cases) == len(GADGET_KINDS) * len(CORPUS_VARIANTS)
+        assert [row.name for row in precision.rows] == [
+            f"{kind}-{variant}" for kind in GADGET_KINDS
+            for variant in CORPUS_VARIANTS]
+        assert {row.group for row in precision.rows} == {"corpus"}
+        assert [row.is_gadget for row in precision.rows] == [
+            variant == "unsafe" for _kind in GADGET_KINDS
+            for variant in CORPUS_VARIANTS]
 
     def test_false_positive_rate_halves_to_zero(self, precision):
         assert precision.fp_rate_before == pytest.approx(0.5)
@@ -310,19 +314,20 @@ class TestCorpusPrecision:
         assert precision.fn_rate_after == 0.0
 
     def test_refinement_strictly_reduces_suspects(self, precision):
-        # the ISSUE acceptance bar: strictly fewer flagged benign
-        # programs after refinement, no lost gadgets
-        benign = [c for c in precision.cases if not c.is_gadget]
-        gadgets = [c for c in precision.cases if c.is_gadget]
-        assert sum(c.flagged_after for c in benign) < \
-            sum(c.flagged_before for c in benign)
-        for case in gadgets:
-            assert case.flagged_before and case.flagged_after
+        # strictly fewer flagged benign programs after refinement,
+        # no lost gadgets
+        benign = [row for row in precision.rows if not row.is_gadget]
+        gadgets = [row for row in precision.rows if row.is_gadget]
+        assert sum(row.confirmed > 0 for row in benign) < \
+            sum(row.findings > 0 for row in benign)
+        for row in gadgets:
+            assert row.findings > 0 and row.confirmed > 0
 
     def test_render_smoke(self, precision):
         text = precision.render()
         assert "precision" in text
         assert "masked" in text
+        assert "false-positive rate 50% -> 0%" in text
 
 
 class TestAcceleratedWidening:

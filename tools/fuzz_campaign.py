@@ -31,10 +31,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.corpus import IngestedGadget, register_ingested_gadget
-from repro.analysis.verify import corpus_precision
+from repro.experiments.precision_study import run_precision_study
 from repro.fuzz import (
     ALL_MODES,
+    ingest_survivors,
     run_certify_campaign,
     run_diff_campaign,
     run_evolve_campaign,
@@ -122,24 +122,16 @@ def main() -> int:
         if best.get("origin", 0) == 0:
             failures.append("evolve: positive control failed "
                             "(no leak under origin)")
+        ingest_survivors(survivors)
+        precision = run_precision_study(benchmarks=[])
+        summary["extended_precision"] = precision.to_dict()
         if survivors:
-            for case in survivors:
-                register_ingested_gadget(IngestedGadget(
-                    name=case.case_id, source=case.source,
-                    base_address=case.base_address, is_gadget=True,
-                    secret_words=case.secret_words,
-                    origin=f"fuzz-evolve:{','.join(case.modes)}"))
-            precision = corpus_precision()
-            summary["extended_precision"] = precision.to_dict()
             print("[evolve]  precision over the extended corpus:")
             print(precision.render())
             if precision.fn_rate_after > 0:
                 failures.append(
                     "evolve: a surviving gadget evades the static "
                     "stack (fn_rate_after > 0 on extended corpus)")
-        else:
-            precision = corpus_precision()
-            summary["extended_precision"] = precision.to_dict()
 
     summary["total_s"] = round(time.perf_counter() - started, 1)
     summary["failures"] = failures
