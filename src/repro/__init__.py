@@ -43,7 +43,6 @@ from .params import (
 )
 from .pipeline import PipelineTracer, Processor, SimReport
 from .robustness import FaultInjector, FaultPlan
-from .config_io import load_machine, machine_from_dict, save_machine
 
 __version__ = "1.0.0"
 
@@ -71,8 +70,5 @@ __all__ = [
     "DeadlockError",
     "FaultPlan",
     "FaultInjector",
-    "load_machine",
-    "machine_from_dict",
-    "save_machine",
     "__version__",
 ]

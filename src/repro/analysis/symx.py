@@ -635,8 +635,8 @@ class _Explorer:
         if entry is None:
             entry = self.program.base_address
         stack: List[_Path] = [_Path(pc=entry, regs={})]
-        self._charge_path()
         try:
+            self._charge_path()
             while True:
                 while stack:
                     path = stack.pop()

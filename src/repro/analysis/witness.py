@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from ..core.policy import SecurityConfig
 from ..isa.instructions import WORD_BYTES, mask64
@@ -244,19 +244,4 @@ def replay_witness(
     )
 
 
-def replay_all(
-    program: Program,
-    witnesses: Iterable[Witness],
-    *,
-    machine: Optional[MachineParams] = None,
-    fault_plan: Optional[FaultPlan] = None,
-) -> Tuple[ReplayResult, ...]:
-    """Replay several witnesses against one program."""
-    return tuple(
-        replay_witness(program, witness, machine=machine,
-                       fault_plan=fault_plan)
-        for witness in witnesses
-    )
-
-
-__all__ = ["ReplayResult", "Witness", "replay_all", "replay_witness"]
+__all__ = ["ReplayResult", "Witness", "replay_witness"]

@@ -37,18 +37,28 @@ Commands:
 - ``figure5`` / ``table4`` / ``table5`` / ``table6`` / ``lru`` /
   ``area``   - regenerate a paper artifact.
 
-Each experiment subcommand calls its ``run_*`` driver in
-:mod:`repro.experiments` directly.  Every (SPEC profile x defense)
-grid runs through one :class:`~repro.experiments.runner.SweepEngine`;
-sweeping commands accept ``--workers N`` to fan independent
-simulations across a process pool.
+Each subcommand is one row of :data:`COMMANDS`: its name, help,
+arguments and driver.  An argument several subcommands take is one
+:class:`Arg`, declared once with its type and validation; a row may
+change only its default or help.  A driver returns its exit status and
+the document ``--json`` writes, and only :func:`main` writes it,
+through :func:`repro.documents.write_json`.  Each experiment driver
+calls its ``run_*`` function in :mod:`repro.experiments` directly;
+every (SPEC profile x defense) grid runs through one
+:class:`~repro.experiments.runner.SweepEngine`.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from .analysis.symx import (
+    DEFAULT_MAX_DEPTH,
+    DEFAULT_MAX_PATHS,
+    DEFAULT_MAX_STEPS,
+)
 from .attacks import ATTACKS, run_attack
 from .attacks.layout import AttackLayout
 from .attacks.sidechannel import (
@@ -58,8 +68,15 @@ from .attacks.sidechannel import (
     FlushReloadChannel,
     PrimeProbeChannel,
 )
-from .core.defense import PAPER_DEFENSES
+from .core.defense import (
+    DEFENSE_ALIASES,
+    PAPER_DEFENSES,
+    defense_names,
+    normalize_defense_name,
+)
 from .core.policy import SecurityConfig
+from .documents import write_json
+from .errors import ConfigError
 from .experiments import (
     SweepEngine,
     run_area_study,
@@ -74,8 +91,7 @@ from .experiments import (
 )
 from .experiments.area_study import render_area_study
 from .isa import assemble
-from .config_io import load_machine
-from .params import RunOptions, preset
+from .params import PRESETS, RunOptions, preset
 from .pipeline.processor import Processor
 from .pipeline.report import compare_table
 from .pipeline.trace import PipelineTracer
@@ -89,45 +105,100 @@ _CHANNELS = {
     "evict+time": EvictTimeChannel,
 }
 
-
-def _security(mode_name: str) -> SecurityConfig:
-    return SecurityConfig(mode_name)
-
-
-def _mode_choices() -> List[str]:
-    """Every registered defense name plus its accepted aliases."""
-    from .core.defense import DEFENSE_ALIASES, defense_names
-    return [*defense_names(), *DEFENSE_ALIASES]
+#: A driver's result: its exit status and the document ``--json``
+#: writes (``None`` when there is nothing to write).
+Outcome = Tuple[int, Optional[Dict[str, Any]]]
 
 
-def _add_machine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machine", default="paper",
-                        choices=["paper", "a57-like", "i7-like",
-                                 "xeon-like", "tiny"],
-                        help="machine preset (default: paper)")
-    parser.add_argument("--machine-file", default=None,
-                        help="JSON machine description (overrides "
-                             "--machine; see repro.config_io)")
+# -- argument types: each validates at the parser, so a bad value is a
+# -- usage error (exit 2) before any work starts -----------------------
 
 
-def _machine(args: argparse.Namespace):
-    if getattr(args, "machine_file", None):
-        return load_machine(args.machine_file, base=preset(args.machine))
-    return preset(args.machine)
+def _positive(kind: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A ``kind`` number greater than zero.  The rule of serve's
+    :class:`~repro.serve.protocol.Budgets`: a count, budget, window or
+    scale of zero or less is refused, never run."""
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(
+                f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = f"positive {kind.__name__}"
+    return parse
 
 
-def _add_mode_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", default="cache_hit_tpbuf",
-                        choices=_mode_choices(),
-                        help="defense (registered name or alias)")
+def _defense(text: str) -> str:
+    """A registered defense name or alias, as its registry name."""
+    try:
+        return normalize_defense_name(text)
+    except ConfigError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _benchmark(text: str) -> str:
+    """A SPEC-like profile name."""
+    if text not in spec_names():
+        raise argparse.ArgumentTypeError(
+            f"unknown benchmark {text!r}; choose from "
+            f"{', '.join(spec_names())}")
+    return text
+
+
+def _address(text: str) -> str:
+    """A word address (``0x`` accepted), kept as typed."""
+    try:
+        int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a word address: {text!r}") from None
+    return text
+
+
+@dataclass(frozen=True)
+class Arg:
+    """One argument: its flag (or positional name) and the argparse
+    keywords that type and validate it."""
+
+    flags: Tuple[str, ...]
+    options: Mapping[str, Any]
+
+    def but(self, **changes: Any) -> "Arg":
+        """This argument with another default and/or help string."""
+        assert set(changes) <= {"default", "help"}, changes
+        return Arg(self.flags, {**self.options, **changes})
+
+
+def _arg(*flags: str, **options: Any) -> Arg:
+    return Arg(flags, options)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the command table: a subcommand and its driver, or
+    (``fuzz``) a group of subcommands."""
+
+    name: str
+    help: str
+    args: Tuple[Arg, ...] = ()
+    driver: Optional[Callable[[argparse.Namespace], Outcome]] = None
+    subcommands: Tuple["Command", ...] = ()
+
+
+def _given(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
+    """The named flags the user gave, as keywords; an omitted one
+    (``None``) leaves the callee's own default in force."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
+def _cmd_run(args: argparse.Namespace) -> Outcome:
     with open(args.program) as handle:
         program = assemble(handle.read())
     tracer = PipelineTracer() if args.trace else None
-    cpu = Processor(program, machine=_machine(args),
-                    security=_security(args.mode), tracer=tracer)
+    cpu = Processor(program, machine=preset(args.machine),
+                    security=SecurityConfig(args.mode), tracer=tracer)
     report = cpu.run(max_cycles=args.max_cycles)
     print(report.render())
     if args.regs:
@@ -138,22 +209,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if tracer is not None:
         print()
         print(tracer.render(last=args.trace_last))
-    return 0 if report.halted else 1
+    return 0 if report.halted else 1, None
 
 
-def _load_analysis_program(spec: str):
-    """Resolve a program argument: an assembly file path, or
-    ``corpus:<kind>[:<variant>]`` naming a built-in gadget driver.
-    Returns ``(program, default_secret_words)``."""
+def _load_analysis_program(spec: str, secret: Optional[List[str]]):
+    """Resolve a program argument (an assembly file path, or
+    ``corpus:<kind>[:<variant>]`` naming a built-in gadget driver) and
+    its secret words: ``--secret`` when given, else a corpus program's
+    layout secret.  Returns ``(program, secret_words)``."""
     if spec.startswith("corpus:"):
         from .analysis.corpus import corpus_secret_words, corpus_spec_program
 
-        return corpus_spec_program(spec), corpus_secret_words()
-    with open(spec) as handle:
-        return assemble(handle.read()), ()
+        program = corpus_spec_program(spec)
+        layout_secrets = tuple(corpus_secret_words())
+    else:
+        with open(spec) as handle:
+            program = assemble(handle.read())
+        layout_secrets = ()
+    if secret:
+        return program, tuple(int(word, 0) for word in secret)
+    return program, layout_secrets
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Outcome:
     from .analysis import (
         DEFAULT_WINDOW,
         Verdict,
@@ -168,13 +246,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     try:
-        program, default_secrets = _load_analysis_program(args.program)
+        program, secrets = _load_analysis_program(args.program, args.secret)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-    secrets = tuple(int(word, 0) for word in args.secret) \
-        if args.secret else tuple(default_secrets)
-    window = args.window if args.window is not None else DEFAULT_WINDOW
+        return 2, None
+    window = args.window or DEFAULT_WINDOW
     report = analyze_program(program, window=window, name=args.program)
     print(report.render())
     summaries = None
@@ -203,27 +279,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print(f"  oracle equivalence: "
                   f"{'OK' if matches else 'MISMATCH'}")
             if not matches:
-                return 1
+                return 1, None
         if not synthesis.clean:
-            return 1
+            return 1, None
         if args.certify and not synthesis.certified:
-            return 1
+            return 1, None
     certified = None
     if args.certify:
-        from .analysis.symx import DEFAULT_MAX_PATHS
-
         certified = certify_program(
             program, secret_words=secrets, window=window,
-            max_paths=(args.max_paths if args.max_paths is not None
-                       else DEFAULT_MAX_PATHS),
-            name=args.program,
-            summaries=summaries,
+            name=args.program, summaries=summaries,
+            **_given(args, "max_paths"),
         )
         print()
         print(certified.render())
+    document = None
     if args.json:
-        import json
-
         certificates = (finding_certificates(certified, report)
                         if certified is not None else None)
         memdep_blocks = None
@@ -248,71 +319,52 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             document["fence_synthesis"] = synthesis.to_dict()
         if certified is not None:
             document["certify"] = certified.to_dict()
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2)
-        print(f"wrote {args.json}")
     if args.verify:
         validation = cross_validate(
-            program, machine=_machine(args), security=_security(args.mode),
-            name=args.program, max_cycles=args.max_cycles,
+            program, machine=preset(args.machine),
+            security=SecurityConfig(args.mode), name=args.program,
+            max_cycles=args.max_cycles,
         )
         print()
         print(validation.render())
         if not validation.covered:
-            return 1
+            return 1, document
     if args.fail_on_findings:
         surviving = refined.confirmed if refined is not None \
             else report.findings
         if surviving:
-            return 1
+            return 1, document
     if certified is not None:
         if certified.verdict is Verdict.UNKNOWN:
-            return 1
+            return 1, document
         if any(leak.replay is not None and not leak.replay.reproduced
                for leak in certified.leaks):
-            return 1
-    return 0
+            return 1, document
+    return 0, document
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    from .analysis import DEFAULT_WINDOW, Verdict, certify_program
-    from .analysis.symx import (
-        DEFAULT_MAX_DEPTH,
-        DEFAULT_MAX_PATHS,
-        DEFAULT_MAX_STEPS,
-    )
+def _cmd_certify(args: argparse.Namespace) -> Outcome:
+    from .analysis import Verdict, certify_program
 
-    machine = _machine(args)
-    window = args.window if args.window is not None else DEFAULT_WINDOW
-    max_depth = (args.max_depth if args.max_depth is not None
-                 else DEFAULT_MAX_DEPTH)
-    max_paths = (args.max_paths if args.max_paths is not None
-                 else DEFAULT_MAX_PATHS)
-    max_steps = (args.max_steps if args.max_steps is not None
-                 else DEFAULT_MAX_STEPS)
+    machine = preset(args.machine)
     exit_code = 0
-    documents = []
+    results = []
     for spec in args.programs:
         try:
-            program, default_secrets = _load_analysis_program(spec)
+            program, secrets = _load_analysis_program(spec, args.secret)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
-            return 2
-        secrets = tuple(int(word, 0) for word in args.secret) \
-            if args.secret else tuple(default_secrets)
+            return 2, None
         result = certify_program(
             program,
             secret_words=secrets,
-            window=window,
-            max_depth=max_depth,
-            max_paths=max_paths,
-            max_steps=max_steps,
             replay=not args.no_replay,
             machine=machine,
             name=spec,
+            **_given(args, "window", "max_depth", "max_paths", "max_steps"),
         )
         print(result.render())
-        documents.append(result.to_dict())
+        results.append(result.to_dict())
         if result.verdict is Verdict.UNKNOWN:
             exit_code = 1
         elif result.verdict is Verdict.LEAKY:
@@ -321,39 +373,27 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                 exit_code = 1
             if args.fail_on_leak:
                 exit_code = 1
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump({"results": documents}, handle, indent=2)
-        print(f"wrote {args.json}")
-    return exit_code
+    return exit_code, {"results": results}
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: argparse.Namespace) -> Outcome:
     layout = AttackLayout.same_page() if args.same_page else None
-    machine = _machine(args)
+    machine = preset(args.machine)
     kwargs = {"layout": layout, "machine": machine}
     if args.variant != "prime":
         kwargs["channel"] = _CHANNELS[args.channel]()
     attack = ATTACKS[args.variant](**kwargs)
     result = run_attack(attack, machine=machine,
-                        security=_security(args.mode))
+                        security=SecurityConfig(args.mode))
     print(result.render())
     print(f"timings: {result.timings}")
-    return 0
+    return 0, None
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    machine = _machine(args)
-    unknown = [name for name in args.benchmarks
-               if name not in spec_names()]
-    if unknown:
-        print(f"unknown benchmark(s) {', '.join(unknown)}; "
-              f"choose from {', '.join(spec_names())}", file=sys.stderr)
-        return 2
+def _cmd_bench(args: argparse.Namespace) -> Outcome:
+    machine = preset(args.machine)
     if args.suite:
-        from .perf.bench import run_bench, write_bench_json
+        from .perf.bench import run_bench
 
         result = run_bench(
             benchmarks=args.benchmarks or None, machine=machine,
@@ -361,33 +401,28 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             parallel=not args.serial_only,
         )
         print(result.render())
-        if args.out:
-            write_bench_json(result, args.out)
-            print(f"wrote {args.out}")
-        return 0
-    if len(args.benchmarks) != 1:
-        print("bench: give exactly one benchmark, or --suite",
-              file=sys.stderr)
-        return 2
+        return 0, result.to_dict()
+    if len(args.benchmarks) != 1 or args.json:
+        print("bench: give exactly one benchmark, or --suite (the only "
+              "mode with a result for --out)", file=sys.stderr)
+        return 2, None
     name = args.benchmarks[0]
     reports = SweepEngine(benchmarks=[name], machine=machine,
                           scale=args.scale).run().reports()[name]
     print(compare_table(list(reports.values()), reports["origin"]))
-    return 0
+    return 0, None
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     from .robustness import FaultPlan
 
-    machine = _machine(args)
-    modes = list(args.modes) if args.modes else list(PAPER_DEFENSES)
     fault_plan = None
     if args.inject:
         fault_plan = FaultPlan.moderate(seed=args.fault_seed)
     engine = SweepEngine(
         benchmarks=args.benchmarks or None,
-        modes=modes,
-        machine=machine,
+        modes=args.modes or list(PAPER_DEFENSES),
+        machine=preset(args.machine),
         scale=args.scale,
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -404,10 +439,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     print(result.render())
-    return 0 if not result.failures else 1
+    return 0 if not result.failures else 1, None
 
 
-def _cmd_shootout(args: argparse.Namespace) -> int:
+def _cmd_shootout(args: argparse.Namespace) -> Outcome:
     from .experiments.shootout import print_progress, \
         run_defense_shootout
 
@@ -415,7 +450,7 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
         defenses=args.defenses or None,
         attacks=args.attacks or None,
         benchmarks=args.benchmarks or None,
-        machine=_machine(args),
+        machine=preset(args.machine),
         scale=args.scale,
         trials=args.trials,
         evolve=not args.no_evolve,
@@ -424,128 +459,91 @@ def _cmd_shootout(args: argparse.Namespace) -> int:
         progress=None if args.quiet else print_progress,
     )
     print(result.render())
-    _write_json(args.json, result.to_dict())
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_prescreen(args: argparse.Namespace) -> int:
-    from .analysis.taint import DEFAULT_WINDOW
-    from .core.defense import normalize_defense_name
-
+def _cmd_prescreen(args: argparse.Namespace) -> Outcome:
     result = run_defense_prescreen(
-        machine=_machine(args),
-        defenses=([normalize_defense_name(d) for d in args.defenses]
-                  if args.defenses else None),
+        machine=preset(args.machine),
+        defenses=args.defenses or None,
         attacks=args.attacks or None,
-        window=args.window if args.window is not None else DEFAULT_WINDOW,
         dynamic=not args.static_only,
         trials=args.trials,
         seed=args.seed,
+        **_given(args, "window"),
     )
     print(result.render())
-    _write_json(args.json, result.to_dict())
-    if args.static_only:
-        return 0
-    return 0 if result.validated else 1
+    code = 0 if args.static_only or result.validated else 1
+    return code, result.to_dict()
 
 
-def _cmd_fence(args: argparse.Namespace) -> int:
+def _cmd_fence(args: argparse.Namespace) -> Outcome:
     result = run_fence_study(
-        machine=_machine(args),
+        machine=preset(args.machine),
         benchmarks=args.benchmarks or None,
         scale=args.scale,
         window=args.window,
         max_cycles=args.max_cycles,
     )
     print(result.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"wrote {args.json}")
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_precision(args: argparse.Namespace) -> int:
-    from .analysis.symx import DEFAULT_MAX_PATHS, DEFAULT_MAX_STEPS
-
+def _cmd_precision(args: argparse.Namespace) -> Outcome:
     result = run_precision_study(
-        machine=_machine(args),
+        machine=preset(args.machine),
         benchmarks=args.benchmarks or None,
         scale=args.scale,
-        window=args.window,
-        max_paths=(args.max_paths if args.max_paths is not None
-                   else DEFAULT_MAX_PATHS),
-        max_steps=(args.max_steps if args.max_steps is not None
-                   else DEFAULT_MAX_STEPS),
         replay=not args.no_replay,
+        **_given(args, "window", "max_paths", "max_steps"),
     )
     print(result.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
-        print(f"wrote {args.json}")
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_figure5(args: argparse.Namespace) -> int:
+def _cmd_figure5(args: argparse.Namespace) -> Outcome:
     result = run_figure5(benchmarks=args.benchmarks or None,
                          scale=args.scale,
                          checkpoint=args.checkpoint,
                          resume=args.resume,
                          workers=args.workers)
     print(result.render())
-    if args.json:
-        from .experiments.export import dump_json, figure5_to_dict
-        dump_json(figure5_to_dict(result), args.json)
-        print(f"wrote {args.json}")
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_table4(args: argparse.Namespace) -> int:
+def _cmd_table4(args: argparse.Namespace) -> Outcome:
     result = run_table4()
     print(result.render())
-    return 0 if result.all_match_paper() else 1
+    return 0 if result.all_match_paper() else 1, None
 
 
-def _cmd_table5(args: argparse.Namespace) -> int:
+def _cmd_table5(args: argparse.Namespace) -> Outcome:
     result = run_table5(benchmarks=args.benchmarks or None,
                         scale=args.scale,
                         checkpoint=args.checkpoint,
                         resume=args.resume,
                         workers=args.workers)
     print(result.render())
-    if args.json:
-        from .experiments.export import dump_json, table5_to_dict
-        dump_json(table5_to_dict(result), args.json)
-        print(f"wrote {args.json}")
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_table6(args: argparse.Namespace) -> int:
+def _cmd_table6(args: argparse.Namespace) -> Outcome:
     result = run_table6(benchmarks=args.benchmarks or None,
                         scale=args.scale)
     print(result.render())
-    if args.json:
-        from .experiments.export import dump_json, table6_to_dict
-        dump_json(table6_to_dict(result), args.json)
-        print(f"wrote {args.json}")
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_lru(args: argparse.Namespace) -> int:
+def _cmd_lru(args: argparse.Namespace) -> Outcome:
     result = run_lru_study(benchmarks=args.benchmarks or None,
                            scale=args.scale)
     print(result.render())
-    return 0
+    return 0, None
 
 
-def _cmd_area(args: argparse.Namespace) -> int:
+def _cmd_area(args: argparse.Namespace) -> Outcome:
     print(render_area_study(run_area_study()))
-    return 0
+    return 0, None
 
 
 def _fuzz_generator_config(args: argparse.Namespace,
@@ -559,25 +557,14 @@ def _fuzz_generator_config(args: argparse.Namespace,
     return GeneratorConfig()
 
 
-def _write_json(path: Optional[str], payload: object) -> None:
-    if not path:
-        return
-    import json
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _cmd_fuzz_diff(args: argparse.Namespace) -> int:
+def _cmd_fuzz_diff(args: argparse.Namespace) -> Outcome:
     from pathlib import Path
 
-    from .core.defense import normalize_defense_name
     from .fuzz import (ALL_MODES, case_seed, differential_check,
                        generate_program, run_diff_campaign)
-    modes = tuple(normalize_defense_name(m) for m in args.modes) \
-        if args.modes else ALL_MODES
+    modes = tuple(args.modes) if args.modes else ALL_MODES
     config = _fuzz_generator_config(args, secret=False)
-    machine = _machine(args)
+    machine = preset(args.machine)
     if args.only is not None:
         seed = case_seed(args.seed, args.only)
         generated = generate_program(seed, config)  # type: ignore[arg-type]
@@ -585,7 +572,7 @@ def _cmd_fuzz_diff(args: argparse.Namespace) -> int:
                                      machine=machine)
         print(f"case {args.only} (seed {seed!r}):")
         print(outcome.render())
-        return 0 if outcome.clean else 1
+        return 0 if outcome.clean else 1, None
     result = run_diff_campaign(
         args.seed, args.count,
         config=config,  # type: ignore[arg-type]
@@ -600,17 +587,16 @@ def _cmd_fuzz_diff(args: argparse.Namespace) -> int:
           f"{result.invalid} invalid, {result.resumed} resumed, "
           f"{result.disagreements} mismatch(es) "
           f"[{result.duration_s:.1f}s]")
-    _write_json(args.json, result.to_dict())
-    return 0 if result.clean else 1
+    return 0 if result.clean else 1, result.to_dict()
 
 
-def _cmd_fuzz_certify(args: argparse.Namespace) -> int:
+def _cmd_fuzz_certify(args: argparse.Namespace) -> Outcome:
     from pathlib import Path
 
     from .fuzz import (case_seed, certify_agreement, generate_program,
                        run_certify_campaign)
     config = _fuzz_generator_config(args, secret=True)
-    machine = _machine(args)
+    machine = preset(args.machine)
     if args.only is not None:
         seed = case_seed(args.seed, args.only)
         generated = generate_program(seed, config)  # type: ignore[arg-type]
@@ -619,10 +605,10 @@ def _cmd_fuzz_certify(args: argparse.Namespace) -> int:
         print(f"case {args.only} (seed {seed!r}):")
         if outcome is None:
             print("invalid program (dynamic run did not halt)")
-            return 0
+            return 0, None
         for line in outcome.to_dict().items():
             print(f"  {line[0]}: {line[1]}")
-        return 0 if outcome.clean else 1
+        return 0 if outcome.clean else 1, None
     result = run_certify_campaign(
         args.seed, args.count,
         config=config,  # type: ignore[arg-type]
@@ -639,25 +625,21 @@ def _cmd_fuzz_certify(args: argparse.Namespace) -> int:
           f"({verdicts}), {result.explained} explained, "
           f"{result.disagreements} disagreement(s) "
           f"[{result.duration_s:.1f}s]")
-    _write_json(args.json, result.to_dict())
-    return 0 if result.clean else 1
+    return 0 if result.clean else 1, result.to_dict()
 
 
-def _cmd_fuzz_evolve(args: argparse.Namespace) -> int:
+def _cmd_fuzz_evolve(args: argparse.Namespace) -> Outcome:
     from pathlib import Path
 
-    from .core.defense import normalize_defense_name
     from .fuzz import ingest_survivors, run_evolve_campaign
-    modes = tuple(normalize_defense_name(m) for m in args.modes) \
-        if args.modes else PAPER_DEFENSES
     result, survivors = run_evolve_campaign(
         args.seed,
-        modes=modes,
+        modes=tuple(args.modes) if args.modes else PAPER_DEFENSES,
         generated_seeds=args.generated_seeds,
         generations=args.generations,
         population=args.population,
         offspring=args.offspring,
-        machine=_machine(args),
+        machine=preset(args.machine),
         regressions=Path(args.pin_dir) if args.pin_dir else None,
         progress=print,
     )
@@ -670,11 +652,10 @@ def _cmd_fuzz_evolve(args: argparse.Namespace) -> int:
         print("precision over the extended corpus "
               f"({len(precision.rows)} cases):")
         print(precision.render())
-    _write_json(args.json, result.to_dict())
-    return 0
+    return 0, result.to_dict()
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> Outcome:
     import asyncio
 
     from .serve import ServeConfig, run_server
@@ -695,7 +676,292 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(run_server(config))
     except KeyboardInterrupt:  # pragma: no cover - interactive exit
         pass
-    return 0
+    return 0, None
+
+
+# -- arguments several subcommands share, each declared once ----------
+
+_DEFENSE_CHOICES = [*defense_names(), *DEFENSE_ALIASES]
+
+PROGRAM = _arg("program", help="assembly source file, or "
+               "corpus:<kind>[:<variant>] for a built-in gadget driver")
+MACHINE = _arg("--machine", default="paper", choices=list(PRESETS),
+               help="machine preset (default: %(default)s)")
+MODE = _arg("--mode", default="cache_hit_tpbuf", type=_defense,
+            choices=_DEFENSE_CHOICES,
+            help="defense (registered name or alias)")
+MODES = _arg("--modes", nargs="*", default=None, type=_defense,
+             choices=_DEFENSE_CHOICES,
+             help="defenses (default: the paper's four modes; any "
+                  "registered name or alias works)")
+DEFENSES = _arg("--defenses", nargs="*", default=None, type=_defense,
+                choices=_DEFENSE_CHOICES,
+                help="defense subset (default: the whole zoo)")
+ATTACK_SUBSET = _arg("--attacks", nargs="*", default=None,
+                     choices=list(ATTACKS),
+                     help="attack subset (default: all five)")
+BENCHMARKS = _arg("benchmarks", nargs="*", type=_benchmark,
+                  help="SPEC-like benchmark subset (default: all)")
+SCALE = _arg("--scale", type=_positive(float), default=1.0,
+             help="SPEC workload scale (default %(default)s)")
+WINDOW = _arg("--window", type=_positive(int), default=None,
+              help="speculation window in instructions (default: the "
+                   "analysis default, ~ROB size)")
+MAX_DEPTH = _arg("--max-depth", type=_positive(int), default=None,
+                 help=f"nested misprediction depth "
+                      f"(default {DEFAULT_MAX_DEPTH})")
+MAX_PATHS = _arg("--max-paths", type=_positive(int), default=None,
+                 help=f"symbolic path budget (default "
+                      f"{DEFAULT_MAX_PATHS}; exhaustion degrades to "
+                      f"UNKNOWN)")
+MAX_STEPS = _arg("--max-steps", type=_positive(int), default=None,
+                 help=f"symbolic step budget (default "
+                      f"{DEFAULT_MAX_STEPS})")
+MAX_CYCLES = _arg("--max-cycles", type=_positive(int), default=2_000_000,
+                  help="simulated-cycle budget (default %(default)s)")
+SECRET = _arg("--secret", action="append", default=None, type=_address,
+              metavar="ADDR",
+              help="word address holding a secret (may repeat; accepts "
+                   "0x...; corpus programs default to their layout's "
+                   "secret)")
+NO_REPLAY = _arg("--no-replay", action="store_true",
+                 help="skip replaying witnesses on the dynamic pipeline")
+CHECKPOINT = _arg("--checkpoint", default=None,
+                  help="JSONL checkpoint file: finished work is durably "
+                       "recorded as it completes")
+RESUME = _arg("--resume", action="store_true",
+              help="skip work already in --checkpoint")
+WORKERS = _arg("--workers", type=_positive(int), default=1,
+               help="process-pool size; >1 fans independent runs "
+                    "across cores (default %(default)s)")
+TRIALS = _arg("--trials", type=_positive(int), default=1,
+              help="secrets swept per attack (default %(default)s)")
+GENERATIONS = _arg("--generations", type=_positive(int), default=4,
+                   help="evolve generations (default %(default)s)")
+SEED = _arg("--seed", default="fuzz",
+            help="RNG seed (default: %(default)s)")
+JSON = _arg("--json", default=None,
+            help="also write the result as JSON")
+COUNT = _arg("--count", type=_positive(int), default=500,
+             help="programs to generate (default %(default)s)")
+
+#: The flags of every fuzz campaign, then those of the two that
+#: checkpoint (``diff`` and ``certify``).
+_FUZZ = (
+    SEED.but(help="campaign master seed (default: fuzz)"),
+    _arg("--length", type=_positive(int), default=None,
+         help="generated program body length"),
+    _arg("--pin-dir", default=None,
+         help="write FuzzCase files for disagreements here "
+              "(e.g. tests/data/fuzz_regressions)"),
+    JSON, MACHINE.but(default="tiny"))
+_FUZZ_CAMPAIGN = (
+    CHECKPOINT,
+    _arg("--no-resume", action="store_true",
+         help="restart even if --checkpoint matches"),
+    _arg("--no-minimize", action="store_true",
+         help="pin disagreements unminimized"),
+    _arg("--only", type=int, default=None,
+         help="replay one case index and exit"))
+
+_CORPUS_INCLUDED = ("SPEC-like benchmark subset (default: all; the "
+                    "gadget corpus is always included)")
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("run", "assemble and simulate a program", (
+        PROGRAM.but(help="assembly source file"), MAX_CYCLES,
+        _arg("--regs", action="store_true",
+             help="dump non-zero registers"),
+        _arg("--trace", action="store_true",
+             help="print a pipeline trace"),
+        _arg("--trace-last", type=_positive(int), default=40,
+             help="trace records to print (default 40)"),
+        MACHINE, MODE), _cmd_run),
+    Command("analyze", "statically scan a program for Spectre gadgets", (
+        PROGRAM, WINDOW, JSON,
+        _arg("--refine", action="store_true",
+             help="apply value-set refinement: refute findings whose "
+                  "speculative loads are provably in-bounds"),
+        _arg("--fix", action="store_true",
+             help="synthesize a minimal fence placement for the "
+                  "confirmed findings and verify it (implies --refine)"),
+        _arg("--certify", action="store_true",
+             help="run the symbolic speculative-noninterference "
+                  "certifier; attaches a per-finding certificate to "
+                  "--json and (with --fix) proves the fenced image"),
+        MAX_PATHS, SECRET,
+        _arg("--verify", action="store_true",
+             help="simulate the program and cross-check static "
+                  "coverage of the dynamic security dependences"),
+        _arg("--fail-on-findings", action="store_true",
+             help="exit non-zero when gadgets survive (confirmed "
+                  "findings under --refine; lint mode)"),
+        MAX_CYCLES, MACHINE, MODE), _cmd_analyze),
+    Command("certify", "symbolically certify programs speculatively "
+            "noninterferent, or refute them with replayed witnesses", (
+                _arg("programs", nargs="+",
+                     help="assembly files or corpus:<kind>[:<variant>] "
+                          "specs"),
+                WINDOW, MAX_DEPTH, MAX_PATHS, MAX_STEPS, NO_REPLAY,
+                SECRET,
+                _arg("--fail-on-leak", action="store_true",
+                     help="exit non-zero on LEAKY verdicts too (lint "
+                          "mode)"),
+                JSON, MACHINE), _cmd_certify),
+    Command("attack", "run a Spectre PoC", (
+        _arg("variant", choices=sorted(ATTACKS)),
+        _arg("--channel", default="flush+reload", choices=sorted(_CHANNELS)),
+        _arg("--same-page", action="store_true",
+             help="same-page transmit layout (non-shared scenario; "
+                  "evades the TPBuf)"),
+        MACHINE, MODE), _cmd_attack),
+    Command("fence", "fence overhead study: unsafe vs fence-all vs "
+            "synthesized fences vs the hardware filters", (
+                BENCHMARKS.but(help=_CORPUS_INCLUDED),
+                SCALE.but(default=0.3),
+                WINDOW.but(help="speculation window in instructions "
+                                "(default: the machine's ROB size)"),
+                MAX_CYCLES, JSON, MACHINE), _cmd_fence),
+    Command("precision", "static precision study: taint vs +valueset vs "
+            "+symx over the corpus + SPEC-like workloads", (
+                BENCHMARKS.but(help=_CORPUS_INCLUDED),
+                SCALE.but(default=0.1), WINDOW, MAX_PATHS, MAX_STEPS,
+                NO_REPLAY, JSON, MACHINE), _cmd_precision),
+    Command("bench", "simulate one SPEC profile, or --suite for the "
+            "performance harness (BENCH_sweep.json)", (
+                BENCHMARKS.but(help="one benchmark, or a subset with "
+                                    "--suite (default with --suite: all)"),
+                SCALE,
+                _arg("--suite", action="store_true",
+                     help="run the sweep benchmark harness: "
+                          "simulated-instructions/sec and "
+                          "serial-vs-parallel wall-clock"),
+                WORKERS.but(default=None,
+                            help="process-pool size for the parallel "
+                                 "pass (default: one per CPU, minimum 2)"),
+                _arg("--serial-only", action="store_true",
+                     help="skip the parallel pass (throughput only)"),
+                _arg("--out", dest="json", default=None, metavar="JSON",
+                     help="write the --suite harness result "
+                          "(e.g. BENCH_sweep.json)"),
+                MACHINE), _cmd_bench),
+    Command("sweep", "checkpointed benchmark x mode sweep (crash-safe, "
+            "resumable, optional fault injection)", (
+                BENCHMARKS, MODES, SCALE,
+                MAX_CYCLES.but(default=None,
+                               help="simulated-cycle budget per run "
+                                    "(default: the runner's)"),
+                _arg("--wall-clock-budget", type=_positive(float),
+                     default=None,
+                     help="per-run wall-clock budget in seconds"),
+                CHECKPOINT, RESUME, WORKERS,
+                _arg("--inject", action="store_true",
+                     help="run under seeded fault injection"),
+                _arg("--fault-seed", type=int, default=0,
+                     help="fault-injection seed (default 0)"),
+                MACHINE), _cmd_sweep),
+    Command("shootout", "defense zoo shootout: attack suite x SPEC "
+            "overhead x area frontier over every registered defense "
+            "(docs/defenses.md)", (
+                BENCHMARKS,
+                DEFENSES.but(help="defense subset (default: the whole "
+                                  "zoo; origin is always included)"),
+                ATTACK_SUBSET, SCALE.but(default=0.05),
+                TRIALS.but(default=3),
+                _arg("--no-evolve", action="store_true",
+                     help="skip the adversarial evolve leg"),
+                GENERATIONS, SEED.but(default="shootout"),
+                _arg("--quiet", action="store_true",
+                     help="suppress per-leg progress on stderr"),
+                JSON, MACHINE), _cmd_shootout),
+    Command("prescreen", "static defense-coverage pre-screen: predict the "
+            "attack x defense matrix and cross-validate it against the "
+            "dynamic shootout (docs/analysis.md)", (
+                DEFENSES, ATTACK_SUBSET, WINDOW,
+                _arg("--static-only", action="store_true",
+                     help="skip the dynamic cross-validation leg"),
+                TRIALS, SEED.but(default="prescreen"), JSON, MACHINE),
+            _cmd_prescreen),
+    Command("fuzz", "adversarial fuzzing: differential, "
+            "certifier-agreement and gadget-evolution campaigns "
+            "(docs/fuzzing.md)", subcommands=(
+                Command("diff", "OoO-vs-oracle differential + round-trip "
+                        "sweep", (
+                            *_FUZZ, COUNT,
+                            MODES.but(help="defenses (default: every "
+                                           "registered defense)"),
+                            *_FUZZ_CAMPAIGN), _cmd_fuzz_diff),
+                Command("certify", "symx verdict vs dynamic two-secret "
+                        "reality sweep", (
+                            *_FUZZ, COUNT.but(default=100),
+                            *_FUZZ_CAMPAIGN), _cmd_fuzz_certify),
+                Command("evolve", "evolve gadget variants against each "
+                        "defense mode; verified survivors extend the "
+                        "analysis corpus", (
+                            *_FUZZ, MODES,
+                            _arg("--generated-seeds", type=int, default=2,
+                                 help="leaky generated seed programs "
+                                      "(default 2)"),
+                            GENERATIONS.but(default=6),
+                            _arg("--population", type=_positive(int),
+                                 default=5),
+                            _arg("--offspring", type=_positive(int),
+                                 default=3)), _cmd_fuzz_evolve),
+            )),
+    Command("serve", "run the analysis-as-a-service daemon (HTTP/JSON "
+            "job queue with tiered graceful degradation; see "
+            "docs/serving.md)", (
+                _arg("--host", default="127.0.0.1"),
+                _arg("--port", type=int, default=8377,
+                     help="listen port (0 = ephemeral; default 8377)"),
+                WORKERS.but(default=4,
+                            help="analysis worker threads (default 4)"),
+                _arg("--queue-depth", type=int, default=64,
+                     help="background-job queue bound; submissions "
+                          "beyond it are shed with 429 (default 64)"),
+                _arg("--rate", type=float, default=50.0,
+                     help="per-client admission rate, requests/s "
+                          "(default 50)"),
+                _arg("--burst", type=float, default=100.0,
+                     help="per-client burst allowance (default 100)"),
+                CHECKPOINT.but(help="JSONL job journal for crash-safe "
+                                    "restart/resume (default: ephemeral)"),
+                MACHINE.but(default="tiny",
+                            help="machine preset for simulate jobs "
+                                 "(default: tiny)"),
+                _arg("--wall-clock", type=float, default=20.0,
+                     help="default per-job wall-clock budget in seconds "
+                          "(default 20)"),
+                _arg("--drain-grace", type=float, default=30.0,
+                     help="seconds a SIGTERM drain waits before "
+                          "cancelling in-flight jobs (default 30)")),
+            _cmd_serve),
+    Command("figure5", "regenerate figure5", (
+        SCALE, BENCHMARKS, JSON, CHECKPOINT, RESUME, WORKERS),
+        _cmd_figure5),
+    Command("table4", "regenerate table4", driver=_cmd_table4),
+    Command("table5", "regenerate table5", (
+        SCALE, BENCHMARKS, JSON, CHECKPOINT, RESUME, WORKERS),
+        _cmd_table5),
+    Command("table6", "regenerate table6", (SCALE, BENCHMARKS, JSON),
+            _cmd_table6),
+    Command("lru", "regenerate lru", (SCALE, BENCHMARKS), _cmd_lru),
+    Command("area", "regenerate area", driver=_cmd_area),
+)
+
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str,
+                  commands: Tuple[Command, ...]) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for command in commands:
+        child = sub.add_parser(command.name, help=command.help)
+        for arg in command.args:
+            child.add_argument(*arg.flags, **arg.options)
+        if command.subcommands:
+            _add_commands(child, f"{command.name}_command",
+                          command.subcommands)
+        else:
+            child.set_defaults(driver=command.driver)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,413 +969,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Conditional Speculation (HPCA 2019) reproduction",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="assemble and simulate a program")
-    p_run.add_argument("program", help="assembly source file")
-    p_run.add_argument("--max-cycles", type=int, default=2_000_000)
-    p_run.add_argument("--regs", action="store_true",
-                       help="dump non-zero registers")
-    p_run.add_argument("--trace", action="store_true",
-                       help="print a pipeline trace")
-    p_run.add_argument("--trace-last", type=int, default=40,
-                       help="trace records to print (default 40)")
-    _add_machine_arg(p_run)
-    _add_mode_arg(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="statically scan a program for Spectre gadgets",
-    )
-    p_analyze.add_argument("program",
-                           help="assembly source file, or "
-                                "corpus:<kind>[:<variant>] for a "
-                                "built-in gadget driver")
-    p_analyze.add_argument("--window", type=int, default=None,
-                           help="speculation window in instructions "
-                                "(default: analysis default, ~ROB size)")
-    p_analyze.add_argument("--json", default=None,
-                           help="also write the findings as JSON")
-    p_analyze.add_argument("--refine", action="store_true",
-                           help="apply value-set refinement: refute "
-                                "findings whose speculative loads are "
-                                "provably in-bounds")
-    p_analyze.add_argument("--fix", action="store_true",
-                           help="synthesize a minimal fence placement "
-                                "for the confirmed findings and verify "
-                                "it (implies --refine)")
-    p_analyze.add_argument("--certify", action="store_true",
-                           help="run the symbolic speculative-"
-                                "noninterference certifier; attaches a "
-                                "per-finding certificate to --json and "
-                                "(with --fix) proves the fenced image")
-    p_analyze.add_argument("--max-paths", type=int, default=None,
-                           help="symbolic path budget for --certify "
-                                "(exhaustion degrades to UNKNOWN)")
-    p_analyze.add_argument("--secret", action="append", default=None,
-                           metavar="ADDR",
-                           help="word address holding a secret (may "
-                                "repeat; accepts 0x...; corpus "
-                                "programs default to their layout's "
-                                "secret)")
-    p_analyze.add_argument("--verify", action="store_true",
-                           help="simulate the program and cross-check "
-                                "static coverage of the dynamic "
-                                "security dependences")
-    p_analyze.add_argument("--fail-on-findings", action="store_true",
-                           help="exit non-zero when gadgets survive "
-                                "(confirmed findings under --refine; "
-                                "lint mode)")
-    p_analyze.add_argument("--max-cycles", type=int, default=2_000_000)
-    _add_machine_arg(p_analyze)
-    _add_mode_arg(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_certify = sub.add_parser(
-        "certify",
-        help="symbolically certify programs speculatively "
-             "noninterferent, or refute them with replayed witnesses",
-    )
-    p_certify.add_argument("programs", nargs="+",
-                           help="assembly files or corpus:<kind>"
-                                "[:<variant>] specs")
-    p_certify.add_argument("--window", type=int, default=None,
-                           help="speculation window in instructions "
-                                "(default: analysis default)")
-    p_certify.add_argument("--max-depth", type=int, default=None,
-                           help="nested misprediction depth (default 2)")
-    p_certify.add_argument("--max-paths", type=int, default=None,
-                           help="symbolic path budget (exhaustion "
-                                "degrades to UNKNOWN, exit 1)")
-    p_certify.add_argument("--max-steps", type=int, default=None,
-                           help="symbolic step budget")
-    p_certify.add_argument("--no-replay", action="store_true",
-                           help="skip replaying witnesses on the "
-                                "dynamic pipeline")
-    p_certify.add_argument("--secret", action="append", default=None,
-                           metavar="ADDR",
-                           help="word address holding a secret (may "
-                                "repeat; corpus programs default to "
-                                "their layout's secret)")
-    p_certify.add_argument("--fail-on-leak", action="store_true",
-                           help="exit non-zero on LEAKY verdicts too "
-                                "(lint mode)")
-    p_certify.add_argument("--json", default=None,
-                           help="write all certification results as "
-                                "JSON")
-    _add_machine_arg(p_certify)
-    p_certify.set_defaults(func=_cmd_certify)
-
-    p_attack = sub.add_parser("attack", help="run a Spectre PoC")
-    p_attack.add_argument("variant", choices=sorted(ATTACKS))
-    p_attack.add_argument("--channel", default="flush+reload",
-                          choices=sorted(_CHANNELS))
-    p_attack.add_argument("--same-page", action="store_true",
-                          help="same-page transmit layout (non-shared "
-                               "scenario; evades the TPBuf)")
-    _add_machine_arg(p_attack)
-    _add_mode_arg(p_attack)
-    p_attack.set_defaults(func=_cmd_attack)
-
-    p_fence = sub.add_parser(
-        "fence",
-        help="fence overhead study: unsafe vs fence-all vs synthesized "
-             "fences vs the hardware filters",
-    )
-    p_fence.add_argument("benchmarks", nargs="*",
-                         help="SPEC-like benchmark subset (default: all; "
-                              "the gadget corpus is always included)")
-    p_fence.add_argument("--scale", type=float, default=0.3,
-                         help="SPEC workload scale (default 0.3)")
-    p_fence.add_argument("--window", type=int, default=None,
-                         help="speculation window (default: ROB size)")
-    p_fence.add_argument("--max-cycles", type=int, default=2_000_000)
-    p_fence.add_argument("--json", default=None,
-                         help="also write the study table as JSON")
-    _add_machine_arg(p_fence)
-    p_fence.set_defaults(func=_cmd_fence)
-
-    p_precision = sub.add_parser(
-        "precision",
-        help="static precision study: taint vs +valueset vs +symx "
-             "over the corpus + SPEC-like workloads",
-    )
-    p_precision.add_argument(
-        "benchmarks", nargs="*",
-        help="SPEC-like benchmark subset (default: all; the gadget "
-             "corpus is always included)")
-    p_precision.add_argument("--scale", type=float, default=0.1,
-                             help="SPEC workload scale (default 0.1)")
-    p_precision.add_argument("--window", type=int, default=None,
-                             help="speculation window "
-                                  "(default: analysis default)")
-    p_precision.add_argument("--max-paths", type=int, default=None,
-                             help="certifier path budget")
-    p_precision.add_argument("--max-steps", type=int, default=None,
-                             help="certifier step budget")
-    p_precision.add_argument("--no-replay", action="store_true",
-                             help="skip dynamic witness replay")
-    p_precision.add_argument("--json", default=None,
-                             help="also write the study table as JSON")
-    _add_machine_arg(p_precision)
-    p_precision.set_defaults(func=_cmd_precision)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="simulate one SPEC profile, or --suite for the "
-             "performance harness (BENCH_sweep.json)",
-    )
-    p_bench.add_argument("benchmarks", nargs="*",
-                         help="one benchmark, or a subset with --suite "
-                              "(default with --suite: all)")
-    p_bench.add_argument("--scale", type=float, default=1.0)
-    p_bench.add_argument("--suite", action="store_true",
-                         help="run the sweep benchmark harness: "
-                              "simulated-instructions/sec and "
-                              "serial-vs-parallel wall-clock")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="process-pool size for the parallel pass "
-                              "(default: one per CPU, minimum 2)")
-    p_bench.add_argument("--serial-only", action="store_true",
-                         help="skip the parallel pass (throughput only)")
-    p_bench.add_argument("--out", default=None, metavar="JSON",
-                         help="write the harness result "
-                              "(e.g. BENCH_sweep.json)")
-    _add_machine_arg(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="checkpointed benchmark x mode sweep (crash-safe, "
-             "resumable, optional fault injection)",
-    )
-    p_sweep.add_argument("benchmarks", nargs="*",
-                         help="benchmark subset (default: all)")
-    p_sweep.add_argument("--modes", nargs="*", default=None,
-                         choices=_mode_choices(),
-                         help="defenses (default: the paper's four "
-                              "modes; any registered zoo name works)")
-    p_sweep.add_argument("--scale", type=float, default=1.0)
-    p_sweep.add_argument("--max-cycles", type=int, default=None)
-    p_sweep.add_argument("--wall-clock-budget", type=float, default=None,
-                         help="per-run wall-clock budget in seconds")
-    p_sweep.add_argument("--checkpoint", default=None,
-                         help="JSONL checkpoint file; completed "
-                              "(benchmark, mode) pairs are durably "
-                              "recorded as they finish")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="skip pairs already in --checkpoint")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="process-pool size; >1 fans independent "
-                              "runs across cores (default 1)")
-    p_sweep.add_argument("--inject", action="store_true",
-                         help="run under seeded fault injection")
-    p_sweep.add_argument("--fault-seed", type=int, default=0,
-                         help="fault-injection seed (default 0)")
-    _add_machine_arg(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_shoot = sub.add_parser(
-        "shootout",
-        help="defense zoo shootout: attack suite x SPEC overhead x "
-             "area frontier over every registered defense "
-             "(docs/defenses.md)",
-    )
-    p_shoot.add_argument("benchmarks", nargs="*",
-                         help="SPEC subset (default: all profiles)")
-    p_shoot.add_argument("--defenses", nargs="*", default=None,
-                         choices=_mode_choices(),
-                         help="defense subset (default: whole zoo; "
-                              "origin is always included)")
-    p_shoot.add_argument("--attacks", nargs="*", default=None,
-                         choices=list(ATTACKS),
-                         help="attack subset (default: all five)")
-    p_shoot.add_argument("--scale", type=float, default=0.05,
-                         help="SPEC profile scale (default 0.05)")
-    p_shoot.add_argument("--trials", type=int, default=3,
-                         help="secrets swept per attack (default 3)")
-    p_shoot.add_argument("--no-evolve", action="store_true",
-                         help="skip the adversarial evolve leg")
-    p_shoot.add_argument("--generations", type=int, default=4,
-                         help="evolve generations (default 4)")
-    p_shoot.add_argument("--seed", default="shootout",
-                         help="evolve RNG seed (default: shootout)")
-    p_shoot.add_argument("--quiet", action="store_true",
-                         help="suppress per-leg progress on stderr")
-    p_shoot.add_argument("--json", default=None,
-                         help="write the frontier as JSON")
-    _add_machine_arg(p_shoot)
-    p_shoot.set_defaults(func=_cmd_shootout)
-
-    p_pre = sub.add_parser(
-        "prescreen",
-        help="static defense-coverage pre-screen: predict the attack x "
-             "defense matrix and cross-validate it against the "
-             "dynamic shootout (docs/analysis.md)",
-    )
-    p_pre.add_argument("--defenses", nargs="*", default=None,
-                       choices=_mode_choices(),
-                       help="defense subset (default: whole zoo)")
-    p_pre.add_argument("--attacks", nargs="*", default=None,
-                       choices=list(ATTACKS),
-                       help="attack subset (default: all five)")
-    p_pre.add_argument("--window", type=int, default=None,
-                       help="speculation window for the static passes "
-                            "(default: analysis default)")
-    p_pre.add_argument("--static-only", action="store_true",
-                       help="skip the dynamic cross-validation leg")
-    p_pre.add_argument("--trials", type=int, default=1,
-                       help="secrets swept per dynamic attack "
-                            "(default 1)")
-    p_pre.add_argument("--seed", default="prescreen",
-                       help="dynamic-leg RNG seed (default: prescreen)")
-    p_pre.add_argument("--json", default=None,
-                       help="write matrix + validation as JSON")
-    _add_machine_arg(p_pre)
-    p_pre.set_defaults(func=_cmd_prescreen)
-
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="adversarial fuzzing: differential, certifier-agreement "
-             "and gadget-evolution campaigns (docs/fuzzing.md)",
-    )
-    fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command", required=True)
-
-    def _fuzz_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", default="fuzz",
-                       help="campaign master seed (default: fuzz)")
-        p.add_argument("--length", type=int, default=None,
-                       help="generated program body length")
-        p.add_argument("--pin-dir", default=None,
-                       help="write FuzzCase files for disagreements "
-                            "here (e.g. tests/data/fuzz_regressions)")
-        p.add_argument("--json", default=None,
-                       help="write the campaign summary as JSON")
-        p.add_argument("--machine", default="tiny",
-                       choices=["paper", "a57-like", "i7-like",
-                                "xeon-like", "tiny"],
-                       help="machine preset (default: tiny)")
-        p.add_argument("--machine-file", default=None,
-                       help="JSON machine description")
-
-    p_fdiff = fuzz_sub.add_parser(
-        "diff", help="OoO-vs-oracle differential + round-trip sweep")
-    _fuzz_common(p_fdiff)
-    p_fdiff.add_argument("--count", type=int, default=500,
-                         help="programs to generate (default 500)")
-    p_fdiff.add_argument("--modes", nargs="*", default=None,
-                         choices=_mode_choices(),
-                         help="defenses (default: every registered "
-                              "defense)")
-    p_fdiff.add_argument("--checkpoint", default=None,
-                         help="JSONL campaign checkpoint")
-    p_fdiff.add_argument("--no-resume", action="store_true",
-                         help="restart even if --checkpoint matches")
-    p_fdiff.add_argument("--no-minimize", action="store_true",
-                         help="pin disagreements unminimized")
-    p_fdiff.add_argument("--only", type=int, default=None,
-                         help="replay one case index and exit")
-    p_fdiff.set_defaults(func=_cmd_fuzz_diff)
-
-    p_fcert = fuzz_sub.add_parser(
-        "certify",
-        help="symx verdict vs dynamic two-secret reality sweep")
-    _fuzz_common(p_fcert)
-    p_fcert.add_argument("--count", type=int, default=100,
-                         help="programs to generate (default 100)")
-    p_fcert.add_argument("--checkpoint", default=None,
-                         help="JSONL campaign checkpoint")
-    p_fcert.add_argument("--no-resume", action="store_true",
-                         help="restart even if --checkpoint matches")
-    p_fcert.add_argument("--no-minimize", action="store_true",
-                         help="pin disagreements unminimized")
-    p_fcert.add_argument("--only", type=int, default=None,
-                         help="replay one case index and exit")
-    p_fcert.set_defaults(func=_cmd_fuzz_certify)
-
-    p_fev = fuzz_sub.add_parser(
-        "evolve",
-        help="evolve gadget variants against each defense mode; "
-             "verified survivors extend the analysis corpus")
-    _fuzz_common(p_fev)
-    p_fev.add_argument("--modes", nargs="*", default=None,
-                       choices=_mode_choices(),
-                       help="defenses (default: the paper's four "
-                            "modes)")
-    p_fev.add_argument("--generated-seeds", type=int, default=2,
-                       help="leaky generated seed programs (default 2)")
-    p_fev.add_argument("--generations", type=int, default=6)
-    p_fev.add_argument("--population", type=int, default=5)
-    p_fev.add_argument("--offspring", type=int, default=3)
-    p_fev.set_defaults(func=_cmd_fuzz_evolve)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the analysis-as-a-service daemon (HTTP/JSON job "
-             "queue with tiered graceful degradation; see "
-             "docs/serving.md)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8377,
-                         help="listen port (0 = ephemeral; default 8377)")
-    p_serve.add_argument("--workers", type=int, default=4,
-                         help="analysis worker threads (default 4)")
-    p_serve.add_argument("--queue-depth", type=int, default=64,
-                         help="background-job queue bound; submissions "
-                              "beyond it are shed with 429 (default 64)")
-    p_serve.add_argument("--rate", type=float, default=50.0,
-                         help="per-client admission rate, requests/s "
-                              "(default 50)")
-    p_serve.add_argument("--burst", type=float, default=100.0,
-                         help="per-client burst allowance (default 100)")
-    p_serve.add_argument("--checkpoint", default=None,
-                         help="JSONL job journal for crash-safe "
-                              "restart/resume (default: ephemeral)")
-    p_serve.add_argument("--machine", default="tiny",
-                         choices=["paper", "a57-like", "i7-like",
-                                  "xeon-like", "tiny"],
-                         help="machine preset for simulate jobs "
-                              "(default: tiny)")
-    p_serve.add_argument("--wall-clock", type=float, default=20.0,
-                         help="default per-job wall-clock budget in "
-                              "seconds (default 20)")
-    p_serve.add_argument("--drain-grace", type=float, default=30.0,
-                         help="seconds a SIGTERM drain waits before "
-                              "cancelling in-flight jobs (default 30)")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    for name, func, with_scale in [
-        ("figure5", _cmd_figure5, True),
-        ("table4", _cmd_table4, False),
-        ("table5", _cmd_table5, True),
-        ("table6", _cmd_table6, True),
-        ("lru", _cmd_lru, True),
-        ("area", _cmd_area, False),
-    ]:
-        p_exp = sub.add_parser(name, help=f"regenerate {name}")
-        if with_scale:
-            p_exp.add_argument("--scale", type=float, default=1.0)
-            p_exp.add_argument("benchmarks", nargs="*",
-                               help="benchmark subset (default: all)")
-        if name in ("figure5", "table5", "table6"):
-            p_exp.add_argument("--json", default=None,
-                               help="also write the result as JSON")
-        if name in ("figure5", "table5"):
-            p_exp.add_argument("--checkpoint", default=None,
-                               help="JSONL checkpoint file for "
-                                    "crash-safe regeneration")
-            p_exp.add_argument("--resume", action="store_true",
-                               help="skip runs already in --checkpoint")
-            p_exp.add_argument("--workers", type=int, default=1,
-                               help="process-pool size (default 1)")
-        p_exp.set_defaults(func=func)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; returns its exit status (2 on a usage
+    error, which argparse has already printed)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        return int(stop.code or 0)
+    code, document = args.driver(args)
+    if document is not None and getattr(args, "json", None):
+        write_json(args.json, document)
+        print(f"wrote {args.json}")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

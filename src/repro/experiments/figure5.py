@@ -3,13 +3,13 @@ the SPEC CPU 2006 suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams
 from ..stats import safe_div
 from ..workloads import spec_names
-from .formatting import text_table
+from .formatting import artifact_document, text_table
 from .runner import SweepEngine, average
 
 
@@ -42,6 +42,21 @@ class Figure5Result:
             if row.benchmark == benchmark:
                 return row
         raise KeyError(benchmark)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return artifact_document(
+            "figure5",
+            benchmarks={
+                row.benchmark: {
+                    "cycles": dict(row.cycles),
+                    "normalized": {mode: row.normalized(mode)
+                                   for mode in PROTECTED},
+                }
+                for row in self.rows
+            },
+            average_overhead={mode: self.average_overhead(mode)
+                              for mode in PROTECTED},
+        )
 
     def render(self) -> str:
         headers = ["benchmark", *PROTECTED]

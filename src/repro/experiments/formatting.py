@@ -1,7 +1,21 @@
-"""Plain-text table rendering shared by all experiment drivers."""
+"""Rendering shared by the experiment drivers: plain-text tables and
+the header of a paper artifact's JSON document."""
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
+
+#: The paper every artifact document reproduces.
+PAPER = "Conditional Speculation (HPCA 2019)"
+
+
+def artifact_document(artifact: str, **body: Any) -> Dict[str, Any]:
+    """A paper artifact's JSON document: which artifact, the code
+    version and the paper that produced it, then ``body``."""
+    # Imported here: the package sets __version__ after its imports.
+    from .. import __version__
+
+    return {"artifact": artifact, "repro_version": __version__,
+            "paper": PAPER, **body}
 
 
 def percent(value: float, digits: int = 1) -> str:

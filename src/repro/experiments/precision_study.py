@@ -85,7 +85,6 @@ class PrecisionRow:
     merged_paths: int = 0          # join-point path fusions
     summarized_loops: int = 0      # loop headers havocked
     accelerated_loops: int = 0     # havocked with proven induction caps
-    summary_cache_hit: bool = False
 
     @property
     def resolved_taint(self) -> bool:
@@ -240,8 +239,6 @@ class PrecisionStudyResult:
                                          for row in self.rows),
                 "merged_paths": sum(row.merged_paths
                                     for row in self.rows),
-                "cache_hits": sum(1 for row in self.rows
-                                  if row.summary_cache_hit),
             },
             "runtimes_s": {tier: self.tier_runtime(tier)
                            for tier in ("taint", "valueset", "symx")},
@@ -264,7 +261,6 @@ class PrecisionStudyResult:
                     "merged_paths": row.merged_paths,
                     "summarized_loops": row.summarized_loops,
                     "accelerated_loops": row.accelerated_loops,
-                    "summary_cache_hit": row.summary_cache_hit,
                 }
                 for row in self.rows
             ],
@@ -336,7 +332,6 @@ def _study_row(case: _Case, *, window: int,
         merged_paths=certified.merged_paths,
         summarized_loops=certified.summarized_loops,
         accelerated_loops=certified.accelerated_loops,
-        summary_cache_hit=certified.summary_cache_hit,
     )
 
 

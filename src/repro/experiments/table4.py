@@ -3,7 +3,7 @@ attack scenarios (plus the unprotected Origin sanity column)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..attacks import (
     AttackResult,
@@ -23,7 +23,7 @@ from ..attacks.sidechannel import (
 from ..core.defense import PAPER_DEFENSES
 from ..core.policy import SecurityConfig
 from ..params import MachineParams, paper_config
-from .formatting import text_table
+from .formatting import artifact_document, text_table
 
 #: The six rows of Table IV, in paper order.  Each entry carries the
 #: paper's expected protection verdict per mechanism (True = protected).
@@ -95,6 +95,20 @@ class Table4Result:
 
     def all_match_paper(self) -> bool:
         return all(row.matches_paper() for row in self.rows)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return artifact_document(
+            "table4",
+            scenarios={
+                row.scenario: {
+                    "protected": {mode: row.protected(mode)
+                                  for mode in row.results},
+                    "matches_paper": row.matches_paper(),
+                }
+                for row in self.rows
+            },
+            all_match_paper=self.all_match_paper(),
+        )
 
     def render(self) -> str:
         headers = ["attack scenario", "origin", "baseline",

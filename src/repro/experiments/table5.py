@@ -3,12 +3,12 @@ under the three mechanisms, the speculative-access hit rate seen by the
 Cache-hit filter, and the TPBuf S-Pattern mismatch rate."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..params import MachineParams
 from ..workloads import spec_names
-from .formatting import percent, text_table
+from .formatting import artifact_document, percent, text_table
 from .runner import SweepEngine, average
 
 
@@ -21,6 +21,11 @@ class Table5Row:
     spec_hit_rate: float          # hit rate of suspect accesses (C-h)
     tpbuf_blocked: float          # C-h + TPBuf "Blocked Rate"
     spattern_mismatch: float      # "S-Pattern Mismatch Rate"
+
+    def rates(self) -> Dict[str, float]:
+        """The six measured rates, keyed by field name."""
+        return {key: value for key, value in asdict(self).items()
+                if key != "benchmark"}
 
 
 @dataclass
@@ -43,6 +48,13 @@ class Table5Result:
             tpbuf_blocked=average(r.tpbuf_blocked for r in self.rows),
             spattern_mismatch=average(
                 r.spattern_mismatch for r in self.rows),
+        )
+
+    def to_dict(self) -> Dict[str, Any]:
+        return artifact_document(
+            "table5",
+            benchmarks={row.benchmark: row.rates() for row in self.rows},
+            average=self.averages().rates(),
         )
 
     def render(self) -> str:

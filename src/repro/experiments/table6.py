@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..core.defense import PAPER_DEFENSES
 from ..params import MachineParams, a57_like, i7_like, xeon_like
 from ..stats import safe_div
 from ..workloads import spec_names
-from .formatting import percent, text_table
+from .formatting import artifact_document, percent, text_table
 from .runner import SweepEngine, average
 
 #: The three mechanisms (every paper defense but Origin).
@@ -33,6 +33,16 @@ class Table6Result:
     @property
     def machines(self) -> List[str]:
         return list(self.overheads)
+
+    def to_dict(self) -> Dict[str, Any]:
+        return artifact_document(
+            "table6",
+            machines={
+                machine: {benchmark: dict(per_mode)
+                          for benchmark, per_mode in per_bench.items()}
+                for machine, per_bench in self.overheads.items()
+            },
+        )
 
     def render(self) -> str:
         machines = self.machines

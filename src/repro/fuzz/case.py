@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..documents import write_json
 from ..isa.assembler import assemble, disassemble
 from ..isa.program import Program
 
@@ -99,8 +100,7 @@ class FuzzCase:
     def save(self, directory: Path) -> Path:
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{self.case_id}.json"
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
         return path
 
     @classmethod

@@ -21,7 +21,6 @@ floor.
 """
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -38,7 +37,6 @@ from .parallel import default_workers
 __all__ = [
     "BenchResult",
     "run_bench",
-    "write_bench_json",
 ]
 
 #: JSON schema version of ``BENCH_sweep.json``.
@@ -165,9 +163,3 @@ def run_bench(
         result.deterministic = \
             _row_signature(serial) == _row_signature(fanned)
     return result
-
-
-def write_bench_json(result: BenchResult, path: str) -> None:
-    with open(path, "w") as handle:
-        json.dump(result.to_dict(), handle, indent=1, sort_keys=True)
-        handle.write("\n")

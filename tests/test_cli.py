@@ -1,4 +1,7 @@
 """Tests for the command-line interface."""
+import argparse
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,6 +26,30 @@ class TestParser:
     def test_bad_variant_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "v9"])
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "corpus:v1", "--max-depth", "0"],
+        ["certify", "corpus:v1", "--max-depth", "-1"],
+        ["certify", "corpus:v1", "--max-paths", "0"],
+        ["certify", "corpus:v1", "--max-steps", "0"],
+        ["analyze", "corpus:v1", "--window", "0", "--fail-on-findings"],
+        ["analyze", "corpus:v1", "--certify", "--max-paths", "0"],
+        ["prescreen", "--static-only", "--window", "0",
+         "--defenses", "origin", "baseline"],
+        ["precision", "hmmer", "--scale", "0.05", "--max-paths", "0"],
+        ["sweep", "hmmer", "--max-cycles", "0"],
+        ["sweep", "hmmer", "--wall-clock-budget", "0"],
+        ["fuzz", "diff", "--count", "-3"],
+        ["figure5", "--scale", "0", "hmmer"],
+        ["figure5", "--scale", "-1", "hmmer"],
+    ], ids="_".join)
+    def test_non_positive_budget_is_a_usage_error(self, argv, capsys):
+        # Depth 0 allows no misprediction, so "PROVED_SAFE" would be
+        # vacuous; a zero path budget, window, count or scale likewise
+        # runs nothing worth reporting.  The parser refuses them all.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be positive" in err
 
 
 class TestCommands:
@@ -320,3 +347,48 @@ class TestPrecisionCommand:
         assert (doc["fp_rate_before"], doc["fp_rate_after"],
                 doc["fn_rate_before"], doc["fn_rate_after"]) \
             == (0.5, 0.0, 0.0, 0.0)
+
+
+#: The cheapest invocation of each subcommand that takes ``--json``.
+_JSON_INVOCATIONS = {
+    "analyze": ["analyze", "corpus:v1"],
+    "certify": ["certify", "corpus:v1:fenced"],
+    "fence": ["fence", "hmmer", "--scale", "0.05", "--machine", "tiny"],
+    "precision": ["precision", "hmmer", "--scale", "0.05"],
+    "shootout": ["shootout", "bzip2", "--scale", "0.02", "--trials", "1",
+                 "--no-evolve", "--defenses", "origin", "--attacks", "v1",
+                 "--quiet"],
+    "prescreen": ["prescreen", "--static-only", "--defenses", "origin",
+                  "--attacks", "v1"],
+    "fuzz diff": ["fuzz", "diff", "--count", "2"],
+    "fuzz certify": ["fuzz", "certify", "--count", "2"],
+    "fuzz evolve": ["fuzz", "evolve", "--generated-seeds", "0",
+                    "--generations", "1", "--population", "1",
+                    "--offspring", "1", "--modes", "origin"],
+    "figure5": ["figure5", "--scale", "0.05", "hmmer"],
+    "table5": ["table5", "--scale", "0.05", "hmmer"],
+    "table6": ["table6", "--scale", "0.05", "hmmer"],
+}
+
+
+def _json_subcommands(parser=None, prefix=()):
+    """Every (nested) subcommand whose parser accepts ``--json``."""
+    parser = parser or build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _json_subcommands(child, (*prefix, name))
+        elif "--json" in action.option_strings:
+            yield " ".join(prefix)
+
+
+@pytest.mark.parametrize("command", sorted(_json_subcommands()),
+                         ids=lambda command: command.replace(" ", "-"))
+def test_json_subcommand_writes_a_loadable_document(command, tmp_path,
+                                                    capsys):
+    assert command in _JSON_INVOCATIONS, \
+        f"add the cheapest '{command}' invocation to _JSON_INVOCATIONS"
+    path = tmp_path / "document.json"
+    assert main([*_JSON_INVOCATIONS[command], "--json", str(path)]) == 0
+    assert f"wrote {path}" in capsys.readouterr().out
+    assert isinstance(json.loads(path.read_text()), dict)

@@ -1,114 +1,32 @@
-"""Tests for JSON machine configs and result export."""
-
-import pytest
-
-from repro import paper_config
-from repro.config_io import (
-    load_machine,
-    machine_from_dict,
-    machine_to_dict,
-    save_machine,
-)
-from repro.errors import ConfigError
-
-
-class TestMachineFromDict:
-    def test_empty_spec_is_paper_config(self):
-        machine = machine_from_dict({})
-        assert machine.core.rob_entries == paper_config().core.rob_entries
-
-    def test_core_overrides(self):
-        machine = machine_from_dict(
-            {"core": {"name": "my", "rob_entries": 96, "issue_width": 2}}
-        )
-        assert machine.name == "my"
-        assert machine.core.rob_entries == 96
-        assert machine.core.commit_width == 4   # inherited
-
-    def test_cache_overrides_size_kb(self):
-        machine = machine_from_dict(
-            {"memory": {"l1d": {"size_kb": 32, "ways": 8}}}
-        )
-        assert machine.memory.l1d.size_bytes == 32 * 1024
-        assert machine.memory.l1d.ways == 8
-        assert machine.memory.l2.size_bytes == \
-            paper_config().memory.l2.size_bytes
-
-    def test_dram_latency_override(self):
-        machine = machine_from_dict({"memory": {"dram_latency": 333}})
-        assert machine.memory.dram_latency == 333
-
-    def test_tlb_override(self):
-        machine = machine_from_dict(
-            {"memory": {"dtlb": {"entries": 16}}}
-        )
-        assert machine.memory.dtlb.entries == 16
-
-    def test_unknown_top_level_rejected(self):
-        with pytest.raises(ConfigError):
-            machine_from_dict({"pipeline": {}})
-
-    def test_unknown_core_field_rejected(self):
-        with pytest.raises(ConfigError):
-            machine_from_dict({"core": {"warp_drive": True}})
-
-    def test_unknown_cache_field_rejected(self):
-        with pytest.raises(ConfigError):
-            machine_from_dict({"memory": {"l1d": {"banks": 4}}})
-
-    def test_invalid_geometry_propagates(self):
-        with pytest.raises(ConfigError):
-            machine_from_dict({"memory": {"l1d": {"size_kb": 33}}})
-
-
-class TestRoundTrip:
-    def test_to_dict_from_dict_roundtrip(self):
-        original = paper_config()
-        rebuilt = machine_from_dict(machine_to_dict(original))
-        assert rebuilt == original
-
-    def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "machine.json"
-        save_machine(paper_config(), str(path))
-        loaded = load_machine(str(path))
-        assert loaded == paper_config()
-
-    def test_invalid_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(ConfigError):
-            load_machine(str(path))
+"""Tests for the paper artifacts' JSON documents."""
+import json
 
 
 class TestResultExport:
     def test_figure5_export(self, tmp_path):
+        from repro.documents import write_json
         from repro.experiments import run_figure5
-        from repro.experiments.export import (
-            dump_json, figure5_to_dict, load_json,
-        )
         result = run_figure5(benchmarks=["hmmer"], scale=0.05)
-        payload = figure5_to_dict(result)
+        payload = result.to_dict()
         assert payload["artifact"] == "figure5"
         assert "hmmer" in payload["benchmarks"]
         path = tmp_path / "fig5.json"
-        dump_json(payload, str(path))
-        loaded = load_json(str(path))
+        write_json(path, payload)
+        loaded = json.loads(path.read_text())
         assert loaded["paper"].startswith("Conditional Speculation")
         assert loaded["benchmarks"]["hmmer"]["normalized"]["baseline"] > 0
 
     def test_table5_export(self):
         from repro.experiments import run_table5
-        from repro.experiments.export import table5_to_dict
         result = run_table5(benchmarks=["hmmer"], scale=0.05)
-        payload = table5_to_dict(result)
+        payload = result.to_dict()
         assert 0 <= payload["benchmarks"]["hmmer"]["l1_hit_rate"] <= 1
         assert "average" in payload
 
     def test_table4_export_shape(self):
         from repro.experiments import run_table4
-        from repro.experiments.export import table4_to_dict
         result = run_table4(scenarios=["Flush+Reload, share data"])
-        payload = table4_to_dict(result)
+        payload = result.to_dict()
         scenario = payload["scenarios"]["Flush+Reload, share data"]
         assert scenario["matches_paper"]
         assert not scenario["protected"]["origin"]

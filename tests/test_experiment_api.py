@@ -7,7 +7,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.errors import SimulationError
 from repro.experiments import run_figure5, runner
-from repro.perf.bench import run_bench, write_bench_json
+from repro.documents import write_json
+from repro.perf.bench import run_bench
 from repro.robustness.checkpoint import CheckpointStore
 
 SCALE = 0.05
@@ -80,7 +81,7 @@ class TestBenchHarness:
         result = run_bench(benchmarks=["bzip2"], scale=SCALE,
                            parallel=False)
         path = str(tmp_path / "BENCH_sweep.json")
-        write_bench_json(result, path)
+        write_json(path, result.to_dict())
         with open(path) as handle:
             data = json.load(handle)
         assert data["instructions_per_sec"] == result.instructions_per_sec
@@ -105,7 +106,12 @@ class TestBenchHarness:
         assert code == 0
         assert "origin" in capsys.readouterr().out
 
-    def test_cli_bench_rejects_ambiguity(self, capsys):
+    def test_cli_bench_rejects_ambiguity(self, capsys, tmp_path):
         assert cli_main(["bench"]) == 2
         assert cli_main(["bench", "bzip2", "mcf"]) == 2
         assert cli_main(["bench", "nonesuch"]) == 2
+        # --out is written only by --suite; without it, refuse
+        # rather than exit 0 with no file.
+        out = tmp_path / "BENCH_sweep.json"
+        assert cli_main(["bench", "bzip2", "--out", str(out)]) == 2
+        assert not out.exists()

@@ -3,7 +3,6 @@ figure5 helpers and runner utilities."""
 import pytest
 
 from repro.experiments import run_figure5, run_table6
-from repro.experiments.export import table6_to_dict
 from repro.experiments.runner import average
 from repro.params import a57_like
 
@@ -18,7 +17,7 @@ class TestTable6Export:
     def test_shape(self):
         result = run_table6(machines=[a57_like()], benchmarks=["hmmer"],
                             scale=0.05)
-        payload = table6_to_dict(result)
+        payload = result.to_dict()
         machine = payload["machines"]["a57-like"]
         assert "hmmer" in machine
         assert "baseline" in machine["hmmer"]

@@ -18,8 +18,7 @@ class TestPackageSurface:
     @pytest.mark.parametrize("module", [
         "repro.isa", "repro.memory", "repro.frontend", "repro.pipeline",
         "repro.core", "repro.attacks", "repro.workloads",
-        "repro.experiments", "repro.cli", "repro.config_io",
-        "repro.paperdata",
+        "repro.experiments", "repro.cli", "repro.paperdata",
     ])
     def test_submodules_import(self, module):
         importlib.import_module(module)

@@ -196,6 +196,13 @@ class TestBudgets:
                        if w["kind"] == "path_budget")
         assert warning["max_paths"] == 16
 
+    def test_zero_path_budget_degrades_instead_of_raising(self):
+        # The entry path is charged like every other path.
+        result = certify_program(_branchy_program(), max_paths=0,
+                                 replay=False, name="branchy")
+        assert result.verdict is Verdict.UNKNOWN
+        assert [w["kind"] for w in result.warnings] == ["path_budget"]
+
     def test_max_steps_yields_unknown(self):
         result = certify_program(_branchy_program(), max_steps=64,
                                  replay=False, name="branchy")

@@ -48,6 +48,7 @@ from repro.analysis.corpus import (  # noqa: E402
 from repro.attacks import ATTACKS, run_attack  # noqa: E402
 from repro.core.defense import defense_names  # noqa: E402
 from repro.core.policy import SecurityConfig  # noqa: E402
+from repro.documents import write_json  # noqa: E402
 from repro.params import paper_config  # noqa: E402
 from repro.pipeline.processor import Processor  # noqa: E402
 from repro.workloads import spec_names, spec_program  # noqa: E402
@@ -127,16 +128,6 @@ def digest(cpu: Optional[Processor], outcome: Any) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def ordered(node: Any) -> Any:
-    """``node`` with every mapping's keys sorted, except that the
-    ``origin`` column (the unprotected reference) always comes last: a
-    newly registered defense then only adds lines to the file."""
-    if not isinstance(node, dict):
-        return node
-    keys = sorted(node, key=lambda key: (key == "origin", key))
-    return {key: ordered(node[key]) for key in keys}
-
-
 def diff(expected: Dict[str, Any], actual: Dict[str, Any]) -> list:
     """Human-readable list of mismatches between two captures."""
     problems = []
@@ -167,9 +158,7 @@ def main(argv=None) -> int:
     actual = capture()
     if args.write:
         os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-        with open(GOLDEN_PATH, "w") as handle:
-            json.dump(ordered(actual), handle, indent=1)
-            handle.write("\n")
+        write_json(GOLDEN_PATH, actual)
         print(f"wrote {os.path.relpath(GOLDEN_PATH)}")
         return 0
     with open(GOLDEN_PATH) as handle:

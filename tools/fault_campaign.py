@@ -22,11 +22,11 @@ Run:  PYTHONPATH=src python tools/fault_campaign.py [options]
     --json PATH      also dump the per-run results as JSON
 """
 import argparse
-import json
 import sys
 import time
 
 from repro.core.defense import defense_names
+from repro.documents import write_json
 from repro.robustness import (
     FaultPlan,
     gadget_cases,
@@ -83,8 +83,7 @@ def main(argv=None):
           f"{result.total_injected} injected events, "
           f"{len(result.failures)} divergences")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2)
+        write_json(args.json, result.to_dict())
         print(f"wrote {args.json}")
     if result.failures:
         print("\nDIVERGENT RUNS:")

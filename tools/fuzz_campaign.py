@@ -26,11 +26,11 @@ Exit status 0 iff every campaign is clean.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
+from repro.documents import write_json
 from repro.experiments.precision_study import run_precision_study
 from repro.fuzz import (
     ALL_MODES,
@@ -136,9 +136,7 @@ def main() -> int:
     summary["total_s"] = round(time.perf_counter() - started, 1)
     summary["failures"] = failures
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(args.out, summary)
         print(f"summary -> {args.out}")
 
     if failures:

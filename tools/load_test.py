@@ -28,7 +28,6 @@ every shed explicit, degradation tagged, duplicates cache-served.
 """
 import argparse
 import asyncio
-import json
 import os
 import platform
 import random
@@ -39,6 +38,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.documents import write_json  # noqa: E402
 from repro.serve import (  # noqa: E402
     ReproServer,
     ServeClient,
@@ -366,9 +366,7 @@ def main(argv=None):
         args.requests = min(args.requests, 200)
 
     report = run_load(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    write_json(args.out, report)
 
     print(f"load test: {report['requests']} request(s) in "
           f"{report['wall_s']}s -> {report['jobs_per_sec']} jobs/sec")

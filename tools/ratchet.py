@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core.defense import defense_names  # noqa: E402
+from repro.documents import write_json  # noqa: E402
 from repro.experiments.precision_study import (  # noqa: E402
     run_precision_study,
 )
@@ -237,12 +238,6 @@ SUITES: Dict[str, Suite] = {
 }
 
 
-def _write_json(path: str, data: Payload) -> None:
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-
-
 def ratchet(name: str, write_baseline: bool, raise_floor: bool,
             out: str) -> int:
     """Run one suite and hold it to (or record) its baseline."""
@@ -263,7 +258,7 @@ def ratchet(name: str, write_baseline: bool, raise_floor: bool,
 
     document = suite.run()
     if out:
-        _write_json(os.path.join(out, f"{name}.json"), document)
+        write_json(os.path.join(out, f"{name}.json"), document)
     run = dict(suite.payload(document), format=suite.format)
     problems = suite.pins(run)
     if baseline is not None:
@@ -275,7 +270,7 @@ def ratchet(name: str, write_baseline: bool, raise_floor: bool,
             print(f"  - {problem}", file=sys.stderr)
         return 1
     if baseline is None or (raise_floor and suite.raises(run, baseline)):
-        _write_json(path, run)
+        write_json(path, run)
         print(f"{name}: {'raised the floor in' if baseline else 'recorded'}"
               f" {path}")
     else:
