@@ -15,10 +15,8 @@ Commands:
   witness replayed on the unsafe pipeline (``LEAKY``); budget
   exhaustion degrades to ``UNKNOWN`` and a non-zero exit.
 - ``attack``   - run a Spectre PoC under a protection mode.
-- ``bench``    - simulate a SPEC profile under one or all modes, or
-  (``--suite``) run the performance harness: simulated-instructions/sec
-  plus serial-vs-parallel sweep wall-clock, written to
-  ``BENCH_sweep.json``.
+- ``bench``    - simulate one SPEC profile under the paper's four
+  modes and compare each against ``origin``.
 - ``sweep``    - checkpointed benchmark x mode sweep with ``--resume``
   and optional fault injection (``--inject``).
 - ``fence``    - fence overhead study: unsafe vs fence-all vs
@@ -391,23 +389,11 @@ def _cmd_attack(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Outcome:
-    machine = preset(args.machine)
-    if args.suite:
-        from .perf.bench import run_bench
-
-        result = run_bench(
-            benchmarks=args.benchmarks or None, machine=machine,
-            scale=args.scale, workers=args.workers,
-            parallel=not args.serial_only,
-        )
-        print(result.render())
-        return 0, result.to_dict()
-    if len(args.benchmarks) != 1 or args.json:
-        print("bench: give exactly one benchmark, or --suite (the only "
-              "mode with a result for --out)", file=sys.stderr)
+    if len(args.benchmarks) != 1:
+        print("bench: give exactly one benchmark", file=sys.stderr)
         return 2, None
     name = args.benchmarks[0]
-    reports = SweepEngine(benchmarks=[name], machine=machine,
+    reports = SweepEngine(benchmarks=[name], machine=preset(args.machine),
                           scale=args.scale).run().reports()[name]
     print(compare_table(list(reports.values()), reports["origin"]))
     return 0, None
@@ -827,24 +813,11 @@ COMMANDS: Tuple[Command, ...] = (
                 BENCHMARKS.but(help=_CORPUS_INCLUDED),
                 SCALE.but(default=0.1), WINDOW, MAX_PATHS, MAX_STEPS,
                 NO_REPLAY, JSON, MACHINE), _cmd_precision),
-    Command("bench", "simulate one SPEC profile, or --suite for the "
-            "performance harness (BENCH_sweep.json)", (
-                BENCHMARKS.but(help="one benchmark, or a subset with "
-                                    "--suite (default with --suite: all)"),
-                SCALE,
-                _arg("--suite", action="store_true",
-                     help="run the sweep benchmark harness: "
-                          "simulated-instructions/sec and "
-                          "serial-vs-parallel wall-clock"),
-                WORKERS.but(default=None,
-                            help="process-pool size for the parallel "
-                                 "pass (default: one per CPU, minimum 2)"),
-                _arg("--serial-only", action="store_true",
-                     help="skip the parallel pass (throughput only)"),
-                _arg("--out", dest="json", default=None, metavar="JSON",
-                     help="write the --suite harness result "
-                          "(e.g. BENCH_sweep.json)"),
-                MACHINE), _cmd_bench),
+    Command("bench", "simulate one SPEC profile under the paper's four "
+            "modes", (
+                BENCHMARKS.but(help="the one SPEC-like benchmark to "
+                                    "simulate"),
+                SCALE, MACHINE), _cmd_bench),
     Command("sweep", "checkpointed benchmark x mode sweep (crash-safe, "
             "resumable, optional fault injection)", (
                 BENCHMARKS, MODES, SCALE,
@@ -916,20 +889,20 @@ COMMANDS: Tuple[Command, ...] = (
                      help="listen port (0 = ephemeral; default 8377)"),
                 WORKERS.but(default=4,
                             help="analysis worker threads (default 4)"),
-                _arg("--queue-depth", type=int, default=64,
+                _arg("--queue-depth", type=_positive(int), default=64,
                      help="background-job queue bound; submissions "
                           "beyond it are shed with 429 (default 64)"),
-                _arg("--rate", type=float, default=50.0,
+                _arg("--rate", type=_positive(float), default=50.0,
                      help="per-client admission rate, requests/s "
                           "(default 50)"),
-                _arg("--burst", type=float, default=100.0,
+                _arg("--burst", type=_positive(float), default=100.0,
                      help="per-client burst allowance (default 100)"),
                 CHECKPOINT.but(help="JSONL job journal for crash-safe "
                                     "restart/resume (default: ephemeral)"),
                 MACHINE.but(default="tiny",
                             help="machine preset for simulate jobs "
                                  "(default: tiny)"),
-                _arg("--wall-clock", type=float, default=20.0,
+                _arg("--wall-clock", type=_positive(float), default=20.0,
                      help="default per-job wall-clock budget in seconds "
                           "(default 20)"),
                 _arg("--drain-grace", type=float, default=30.0,

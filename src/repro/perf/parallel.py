@@ -37,12 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 from ..errors import ConfigError, SimulationError
 from ..experiments.runner import SweepRow, SweepTask, execute_sweep_task
 
-__all__ = ["ParallelSweepExecutor", "default_workers"]
-
-
-def default_workers() -> int:
-    """A sensible worker count: one per CPU, at least one."""
-    return max(1, multiprocessing.cpu_count())
+__all__ = ["ParallelSweepExecutor"]
 
 
 def _check_spawn_safe(task: SweepTask) -> None:

@@ -13,8 +13,9 @@ worker:
    finish; an unbounded queue under sustained overload is just a
    slow-motion out-of-memory crash.
 
-Shedding is always explicit and accounted — the load-test harness
-asserts the shed rate is reported, not hidden in timeouts.
+Shedding is always explicit and accounted — ``tools/serve_smoke.py``
+holds ``/stats`` ``admission.shed`` to the 429s its clients received,
+so a shed is reported, not hidden in timeouts.
 
 Time is injected (``clock``) so tests drive the bucket
 deterministically.

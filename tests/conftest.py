@@ -1,6 +1,10 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 from repro import Processor, SecurityConfig, paper_config, tiny_config
@@ -45,3 +49,15 @@ ALL_SECURITY_CONFIGS = [
     SecurityConfig.cache_hit(),
     SecurityConfig.cache_hit_tpbuf(),
 ]
+
+
+def load_tool(name):
+    """``tools/<name>.py`` loaded as a module.  It is registered in
+    ``sys.modules`` before it runs, because ``@dataclass`` resolves a
+    module's postponed annotations through it."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location(name, path / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import load_tool
 from repro.cli import build_parser, main
 
 
@@ -50,6 +51,35 @@ class TestParser:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "must be positive" in err
+
+    @pytest.mark.parametrize("flag", ["--rate", "--burst", "--queue-depth",
+                                      "--wall-clock"])
+    def test_serve_refuses_a_non_positive_limit(self, flag, capsys):
+        # Parsed, never run: a daemon started on a zero rate answers
+        # /health, then fails every submission with a 500.
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(["serve", flag, "0"])
+        assert stop.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_serve_port_and_drain_grace_may_be_zero(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--drain-grace", "0"])
+        assert (args.port, args.drain_grace) == (0, 0.0)
+
+
+@pytest.mark.parametrize("tool,argv", [
+    ("fault_campaign", ["--seeds", "0"]),
+    ("fault_campaign", ["--smoke", "--scale", "0"]),
+    ("fuzz_campaign", ["--diff", "0"]),
+    ("fuzz_campaign", ["--certify", "0"]),
+], ids=["fault-seeds", "fault-scale", "fuzz-diff", "fuzz-certify"])
+def test_campaign_that_runs_nothing_is_a_usage_error(tool, argv, capsys):
+    # Zero runs would report zero divergences and pass.
+    with pytest.raises(SystemExit) as stop:
+        load_tool(tool).main(argv)
+    assert stop.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -1,14 +1,10 @@
-"""The experiment drivers' one sweep path, and the bench harness
-CLI."""
-import json
-
+"""The experiment drivers' one sweep path, and the ``repro bench``
+command."""
 import pytest
 
 from repro.cli import main as cli_main
 from repro.errors import SimulationError
 from repro.experiments import run_figure5, runner
-from repro.documents import write_json
-from repro.perf.bench import run_bench
 from repro.robustness.checkpoint import CheckpointStore
 
 SCALE = 0.05
@@ -69,37 +65,7 @@ class TestOneSweepPath:
 
 
 class TestBenchHarness:
-    def test_run_bench_serial_only(self):
-        result = run_bench(benchmarks=["bzip2"], scale=SCALE,
-                           parallel=False)
-        assert result.rows == 4
-        assert result.sim_instructions > 0
-        assert result.instructions_per_sec > 0
-        assert result.speedup == 1.0
-
-    def test_json_round_trip(self, tmp_path):
-        result = run_bench(benchmarks=["bzip2"], scale=SCALE,
-                           parallel=False)
-        path = str(tmp_path / "BENCH_sweep.json")
-        write_json(path, result.to_dict())
-        with open(path) as handle:
-            data = json.load(handle)
-        assert data["instructions_per_sec"] == result.instructions_per_sec
-        assert data["benchmarks"] == ["bzip2"]
-        assert data["cpu_count"] == result.cpu_count >= 1
-        assert data["format"] == "repro-bench-sweep"
-        assert data["python"]
-
-    def test_cli_bench_suite(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_sweep.json")
-        code = cli_main(["bench", "--suite", "bzip2",
-                         "--scale", str(SCALE), "--serial-only",
-                         "--out", out])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "simulated throughput" in captured
-        with open(out) as handle:
-            assert json.load(handle)["rows"] == 4
+    """``repro bench NAME``: one profile under the paper modes."""
 
     def test_cli_bench_single_benchmark_still_works(self, capsys):
         code = cli_main(["bench", "bzip2", "--scale", str(SCALE)])
@@ -109,9 +75,10 @@ class TestBenchHarness:
     def test_cli_bench_rejects_ambiguity(self, capsys, tmp_path):
         assert cli_main(["bench"]) == 2
         assert cli_main(["bench", "bzip2", "mcf"]) == 2
+        assert "exactly one benchmark" in capsys.readouterr().err
         assert cli_main(["bench", "nonesuch"]) == 2
-        # --out is written only by --suite; without it, refuse
-        # rather than exit 0 with no file.
+        # --out went with the --suite harness; a script that still
+        # passes it is refused rather than told 0 with no file.
         out = tmp_path / "BENCH_sweep.json"
         assert cli_main(["bench", "bzip2", "--out", str(out)]) == 2
         assert not out.exists()

@@ -6,22 +6,16 @@ each forged regression must fail with the documented exit status and
 leave the baseline as it was.
 """
 import dataclasses
-import importlib.util
 import json
 import pathlib
 import shutil
-import sys
 
 import pytest
 
+from conftest import load_tool
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "ratchet", ROOT / "tools" / "ratchet.py")
-ratchet = importlib.util.module_from_spec(_spec)
-# @dataclass resolves the module's postponed annotations through
-# sys.modules, so the module must be registered before it runs.
-sys.modules["ratchet"] = ratchet
-_spec.loader.exec_module(ratchet)
+ratchet = load_tool("ratchet")
 
 
 def _row(document, name, key):
@@ -31,8 +25,6 @@ def _row(document, name, key):
 
 def _clean_document(suite, baseline):
     """The run document that reproduces ``baseline`` exactly."""
-    if suite == "bench":
-        return dict(baseline)
     if suite == "precision":
         rows = [{"name": name, "group": group, "verdict": verdict}
                 for group, verdicts in (("corpus", baseline["verdicts"]),
@@ -116,10 +108,6 @@ def _baseline_row(defense, add):
 
 #: Breaches that fail whatever the baseline says, --write-baseline too.
 PIN_BREACHES = [
-    pytest.param("bench", _set("deterministic", to=lambda _: False),
-                 "diverged from serial rows", id="bench-nondeterministic"),
-    pytest.param("bench", _set("failures", to=lambda _: 3),
-                 "3 sweep row(s) failed", id="bench-failed-rows"),
     pytest.param("precision",
                  _set("symx_strictly_stronger", to=lambda _: False),
                  "no longer strictly stronger", id="precision-no-tier-gain"),
@@ -139,10 +127,6 @@ PIN_BREACHES = [
 
 #: Regressions against the committed baseline.
 REGRESSIONS = [
-    pytest.param("bench",
-                 _set("instructions_per_sec", to=lambda ips: ips * 0.79),
-                 "simulated-instructions/sec regressed",
-                 id="bench-throughput-below-floor"),
     pytest.param("precision", _set("unknown_count", to=lambda n: n + 1),
                  "UNKNOWN count rose", id="precision-unknown-rises"),
     pytest.param("precision", _verdict("v1-unsafe", "PROVED_SAFE"),
@@ -164,7 +148,7 @@ REGRESSIONS = [
 
 
 class TestForgedRuns:
-    @pytest.mark.parametrize("suite", ["bench", "precision", "shootout"])
+    @pytest.mark.parametrize("suite", ["precision", "shootout"])
     def test_clean_run_passes_and_leaves_the_baseline(self, harness,
                                                       suite):
         before = harness.path(suite).read_bytes()
@@ -193,7 +177,7 @@ class TestForgedRuns:
         assert message in capsys.readouterr().err
         assert harness.path(suite).read_bytes() == before
 
-    @pytest.mark.parametrize("suite", ["bench", "precision", "shootout"])
+    @pytest.mark.parametrize("suite", ["precision", "shootout"])
     def test_write_baseline_reproduces_the_committed_file(self, harness,
                                                           suite):
         committed = harness.path(suite).read_bytes()
@@ -202,7 +186,7 @@ class TestForgedRuns:
         assert harness.main(suite, document, "--write-baseline") == 0
         assert harness.path(suite).read_bytes() == committed
 
-    @pytest.mark.parametrize("suite", ["bench", "precision", "shootout"])
+    @pytest.mark.parametrize("suite", ["precision", "shootout"])
     def test_missing_or_foreign_baseline_exits_2(self, harness, suite):
         def no_run():
             raise AssertionError("a suite without a baseline must not run")
@@ -225,45 +209,6 @@ class TestForgedRuns:
         with pytest.raises(SystemExit) as exit_info:
             ratchet.main(["nonesuch"])
         assert exit_info.value.code == 2
-
-
-class TestBench:
-    def _run(self, harness, ips, **fields):
-        return dict(harness.document("bench"), instructions_per_sec=ips,
-                    **fields)
-
-    def test_check_regression(self, harness):
-        floor = harness.baseline("bench")["instructions_per_sec"] * 0.8
-        assert harness.main("bench", self._run(harness, floor)) == 0
-        assert harness.main("bench", self._run(harness, floor - 1)) == 1
-
-    def test_should_raise_floor_ratchet(self, harness):
-        base = harness.baseline("bench")["instructions_per_sec"]
-        before = harness.path("bench").read_bytes()
-        # >10% improvement raises the floor; anything at or below the
-        # margin is noise and leaves the file alone
-        for ips in (base * 1.1, base * 1.05, base * 0.9):
-            assert harness.main("bench", self._run(harness, ips),
-                                "--raise-floor") == 0
-            assert harness.path("bench").read_bytes() == before
-        # a fast-but-broken run never becomes the new bar
-        for broken in ({"deterministic": False}, {"failures": 1}):
-            assert harness.main("bench",
-                                self._run(harness, base * 2, **broken),
-                                "--raise-floor") == 1
-            assert harness.path("bench").read_bytes() == before
-        assert harness.main("bench", self._run(harness, base * 1.1 + 1),
-                            "--raise-floor") == 0
-        assert (harness.baseline("bench")["instructions_per_sec"]
-                == base * 1.1 + 1)
-
-    def test_bench_tool_raise_floor_rewrites_baseline(self, harness):
-        # an artificially slow baseline is ratcheted up to the run
-        measured = harness.document("bench")
-        harness.write_baseline("bench",
-                               dict(measured, instructions_per_sec=1.0))
-        assert harness.main("bench", measured, "--raise-floor") == 0
-        assert harness.baseline("bench") == measured
 
 
 class TestRaiseFloor:

@@ -25,6 +25,7 @@ import argparse
 import sys
 import time
 
+from repro.cli import _positive
 from repro.core.defense import defense_names
 from repro.documents import write_json
 from repro.robustness import (
@@ -39,7 +40,7 @@ from repro.robustness.campaign import DEFAULT_SPEC_PROFILES
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="seeded fault-injection campaign, oracle-refereed")
-    parser.add_argument("--seeds", type=int, default=10,
+    parser.add_argument("--seeds", type=_positive(int), default=10,
                         help="number of campaign seeds (default 10)")
     parser.add_argument("--smoke", action="store_true",
                         help="quick CI configuration")
@@ -48,7 +49,7 @@ def main(argv=None):
     parser.add_argument("--benchmarks", nargs="*", default=None,
                         help=f"SPEC profiles "
                              f"(default {' '.join(DEFAULT_SPEC_PROFILES)})")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=_positive(float), default=0.1,
                         help="SPEC workload scale (default 0.1)")
     parser.add_argument("--json", default=None,
                         help="dump per-run results as JSON")

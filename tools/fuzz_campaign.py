@@ -30,6 +30,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cli import _positive
 from repro.documents import write_json
 from repro.experiments.precision_study import run_precision_study
 from repro.fuzz import (
@@ -41,16 +42,16 @@ from repro.fuzz import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", default="acceptance-v1",
                         help="campaign master seed")
     parser.add_argument("--smoke", action="store_true",
                         help="CI budget: 200 diff + 60 certify, "
                              "no evolve")
-    parser.add_argument("--diff", type=int, default=None,
+    parser.add_argument("--diff", type=_positive(int), default=None,
                         help="differential program count override")
-    parser.add_argument("--certify", type=int, default=None,
+    parser.add_argument("--certify", type=_positive(int), default=None,
                         help="certify program count override")
     parser.add_argument("--skip-evolve", action="store_true")
     parser.add_argument("--checkpoint-dir", default=None,
@@ -61,7 +62,7 @@ def main() -> int:
     parser.add_argument("--out", default=None,
                         help="write the JSON summary here")
     parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     diff_count = args.diff if args.diff is not None else \
         (200 if args.smoke else 5000)

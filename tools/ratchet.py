@@ -4,17 +4,12 @@
 Each suite re-runs at the one configuration its baseline under
 ``benchmarks/`` was recorded at, and is compared against it::
 
-    python tools/ratchet.py                      # every suite
-    python tools/ratchet.py precision shootout   # a subset
-    python tools/ratchet.py bench --raise-floor  # tighten after a real gain
+    python tools/ratchet.py                          # every suite
+    python tools/ratchet.py shootout                 # one of them
+    python tools/ratchet.py precision --raise-floor  # after a real gain
     python tools/ratchet.py shootout --write-baseline
-    python tools/ratchet.py --out runs           # keep each full run
+    python tools/ratchet.py --out runs               # keep each full run
 
-- ``bench`` (``BENCH_baseline.json``): the sweep harness over bzip2,
-  mcf, hmmer and libquantum at scale 0.3, every paper mode, serial then
-  parallel.  Fails when simulated instructions/sec drops below 80% of
-  the baseline; ``--raise-floor`` rewrites it after a run more than 10%
-  faster.
 - ``precision`` (``BENCH_precision.json``): the taint -> valueset ->
   symx study at scale 0.1.  Fails when the certifier's UNKNOWN count
   rises or a pinned corpus verdict flips or vanishes (labelled gadgets
@@ -26,16 +21,17 @@ Each suite re-runs at the one configuration its baseline under
   and the baseline disagree on which defenses exist.
 
 Pins hold whatever a baseline says and are checked before any write,
-so no baseline records a broken run: the bench rows are deterministic
-and none failed; symx is strictly stronger than taint+valueset;
-``origin`` leaks on every attack, every registered defense ran,
-``delay_on_miss`` and ``eager_delay`` keep their documented V4 leak
-(docs/defenses.md) and ``delay_on_miss_ss``, its store-set closure,
-leaks nothing.
+so no baseline records a broken run: symx is strictly stronger than
+taint+valueset; ``origin`` leaks on every attack, every registered
+defense ran, ``delay_on_miss`` and ``eager_delay`` keep their
+documented V4 leak (docs/defenses.md) and ``delay_on_miss_ss``, its
+store-set closure, leaks nothing.
 
-Ad-hoc sizes are ``repro bench --suite``, ``repro precision`` and
-``repro shootout``.  Exit status: 0 pass, 1 a regression or a pin
-breach, 2 a missing baseline or one in a foreign format.
+Ad-hoc sizes are ``repro precision`` and ``repro shootout``.  Speed is
+not ratcheted here: ``perfbench/run.py`` (``BENCHMARK.json``) measures
+it, comparing a change with its parent on the same host.  Exit status:
+0 pass, 1 a regression or a pin breach, 2 a missing baseline or one in
+a foreign format.
 """
 from __future__ import annotations
 
@@ -54,20 +50,11 @@ from repro.experiments.precision_study import (  # noqa: E402
     run_precision_study,
 )
 from repro.experiments.shootout import run_defense_shootout  # noqa: E402
-from repro.perf.bench import BENCH_FORMAT, run_bench  # noqa: E402
 
 BASELINE_DIR = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "benchmarks"))
 
 Payload = Dict[str, Any]
-
-#: bench fails when instructions/sec drops more than this share below
-#: the baseline.
-BENCH_TOLERANCE = 0.2
-#: A run must beat the baseline by more than this before
-#: ``--raise-floor`` rewrites it: real speedups ratchet the floor up,
-#: run-to-run noise does not churn the file.
-RAISE_FLOOR_MARGIN = 0.1
 
 #: Row groups whose certifier verdicts are pinned verbatim.
 PINNED_GROUPS = ("corpus", "ingested")
@@ -81,30 +68,6 @@ def _shown(result: Any) -> Payload:
     """Print a run's table; its JSON document is what a suite reads."""
     print(result.render())
     return result.to_dict()
-
-
-def _bench_pins(run: Payload) -> List[str]:
-    problems = []
-    if not run["deterministic"]:
-        problems.append("parallel sweep rows diverged from serial rows")
-    if run["failures"]:
-        problems.append(f"{run['failures']} sweep row(s) failed")
-    return problems
-
-
-def _bench_check(run: Payload, baseline: Payload) -> List[str]:
-    floor = baseline["instructions_per_sec"] * (1.0 - BENCH_TOLERANCE)
-    if run["instructions_per_sec"] >= floor:
-        return []
-    return [f"simulated-instructions/sec regressed: "
-            f"{run['instructions_per_sec']:,.0f} < {floor:,.0f} "
-            f"(baseline {baseline['instructions_per_sec']:,.0f} "
-            f"- {BENCH_TOLERANCE:.0%})"]
-
-
-def _bench_raises(run: Payload, baseline: Payload) -> bool:
-    return (run["instructions_per_sec"]
-            > baseline["instructions_per_sec"] * (1.0 + RAISE_FLOOR_MARGIN))
 
 
 def _precision_payload(document: Payload) -> Payload:
@@ -218,11 +181,6 @@ class Suite:
 
 
 SUITES: Dict[str, Suite] = {
-    "bench": Suite(
-        "BENCH_baseline.json", BENCH_FORMAT,
-        lambda: _shown(run_bench(
-            benchmarks=["bzip2", "mcf", "hmmer", "libquantum"], scale=0.3)),
-        dict, _bench_pins, _bench_check, _bench_raises),
     "precision": Suite(
         "BENCH_precision.json", "repro-precision-baseline",
         lambda: _shown(run_precision_study(scale=0.1)),
@@ -288,8 +246,7 @@ def main(argv: List[str] | None = None) -> int:
                              "pins pass)")
     record.add_argument("--raise-floor", action="store_true",
                         help="rewrite the baseline when this clean run "
-                             "beats it (bench: >10%% faster; precision: "
-                             "fewer UNKNOWNs)")
+                             "beats it (precision: fewer UNKNOWNs)")
     parser.add_argument("--out", default="", metavar="DIR",
                         help="also write each suite's full run to "
                              "DIR/<suite>.json")

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke test for the ``repro serve`` daemon — the real thing.
 
-Unlike ``tools/load_test.py`` (in-process server, statistical load),
-this drives the daemon exactly the way an operator does: spawn
+Drives the daemon exactly the way an operator does: spawn
 ``python -m repro.cli serve`` as a subprocess, speak HTTP to it, then
 SIGTERM it and require a clean drain.  Asserts, end to end:
 
@@ -15,27 +14,68 @@ SIGTERM it and require a clean drain.  Asserts, end to end:
 6.  a poisoned program (never-filling fault plan) comes back as a
     degraded deadlock result and the worker pool stays healthy;
 7.  a hot client is shed with explicit 429s;
-8.  jobs survive the daemon: the journal holds every background job;
-9.  SIGTERM drains within the grace window, exit code 0.
+8.  concurrent clients submitting a seeded batch of every traffic
+    class (taint, valueset, symx, symx under an impossible budget,
+    simulate, poisoned simulate) get no transport error, no 5xx and
+    no error result, and every tight or poisoned answer is tagged
+    degraded;
+9.  jobs survive the daemon: the journal holds every background job;
+    the daemon reports zero unhandled errors, and its shed count
+    equals the 429s the smoke received, each naming its reason;
+10. SIGTERM drains within the grace window, exit code 0.
 
 Exits non-zero on the first violated assertion.  Budget: well under
 two minutes.
 """
 import os
+import random
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.errors import ServeError  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
 from repro.serve.jobs import JobStore  # noqa: E402
 
 PORT = int(os.environ.get("SERVE_SMOKE_PORT", "18431"))
 
 FAILURES = []
+#: The reason of every 429 the smoke received, in any phase.
+SHED = []
+
+#: A simulation whose fills never arrive: the watchdog must end it.
+POISON = {"kind": "simulate",
+          "fault": {"fill_delay_rate": 1.0,
+                    "fill_delay_max": 1_000_000_000},
+          "budgets": {"watchdog_cycles": 2_000}}
+#: (class, program pool, request fields) of the concurrent phase.
+MIX = [
+    ("taint", ["corpus:v1", "corpus:v4", "corpus:rsb"], {"tier": "taint"}),
+    ("valueset", ["corpus:v1:fenced", "corpus:v2", "corpus:rsb"],
+     {"tier": "valueset"}),
+    ("symx", ["corpus:v1", "corpus:v2", "corpus:v4"], {"tier": "symx"}),
+    ("tight", ["corpus:v1", "corpus:v4"],
+     {"tier": "symx", "budgets": {"wall_clock": 0.0005}}),
+    ("simulate", ["corpus:v2", "corpus:rsb"],
+     {"kind": "simulate", "budgets": {"max_cycles": 50_000}}),
+    ("poisoned", ["corpus:v1"], POISON),
+]
+CLIENTS, SEED = 4, 23
+
+
+class SmokeClient(ServeClient):
+    """Records every 429 it receives in :data:`SHED`."""
+
+    def request(self, method, path, body=None):
+        response = super().request(method, path, body)
+        if response.shed:
+            SHED.append(response.payload.get("reason"))
+        return response
 
 
 def check(condition, label):
@@ -43,6 +83,48 @@ def check(condition, label):
     print(f"  [{marker}] {label}")
     if not condition:
         FAILURES.append(label)
+
+
+def drive(client_id, batch, outcomes):
+    """Submit ``batch`` in order as ``client_id``, waiting on each."""
+    client = SmokeClient(port=PORT, timeout=30.0)
+    for name, body in batch:
+        try:
+            response, result = client.submit_and_wait(
+                dict(body, client=client_id), timeout=60.0)
+        except ServeError as exc:
+            outcomes.append((name, 0, f"{type(exc).__name__}: {exc}"))
+        else:
+            outcomes.append((name, response.status, result))
+
+
+def concurrent_phase():
+    """Every traffic class from several clients at once."""
+    rng = random.Random(SEED)
+    outcomes = []
+    threads = []
+    for index in range(CLIENTS):
+        batch = [(name, dict(fields, spec=rng.choice(specs)))
+                 for name, specs, fields in MIX]
+        rng.shuffle(batch)
+        threads.append(threading.Thread(
+            target=drive, args=(f"mixed-{index}", batch, outcomes),
+            daemon=True))
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=90.0)
+    # Each request is answered with a non-error result or shed; a
+    # transport error, a 5xx or a "status": "error" result is neither.
+    failed = [outcome for outcome in outcomes if outcome[1] != 429
+              and (not isinstance(outcome[2], dict)
+                   or outcome[2].get("status") == "error")]
+    check(len(outcomes) == CLIENTS * len(MIX) and not failed,
+          f"concurrent: {len(outcomes)} requests, failed: "
+          f"{str(failed)[:300]}")
+    check(all(result.get("degraded") for name, _, result in outcomes
+              if name in ("tight", "poisoned") and isinstance(result, dict)),
+          "concurrent: tight and poisoned answers degraded")
 
 
 def main():
@@ -60,7 +142,7 @@ def main():
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     try:
-        client = ServeClient(port=PORT, timeout=30.0)
+        client = SmokeClient(port=PORT, timeout=30.0)
         client.wait_healthy(15.0)
         check(True, "daemon healthy")
 
@@ -101,11 +183,7 @@ def main():
 
         # 6. Poisoned program: degraded deadlock, pool survives.
         _, poisoned = client.submit_and_wait(
-            {"spec": "corpus:v1", "kind": "simulate",
-             "fault": {"fill_delay_rate": 1.0,
-                       "fill_delay_max": 1_000_000_000},
-             "budgets": {"watchdog_cycles": 2_000},
-             "client": "smoke"}, timeout=60.0)
+            dict(POISON, spec="corpus:v1", client="smoke"), timeout=60.0)
         check(poisoned and poisoned["degraded"]
               and poisoned["warnings"][0]["kind"] == "deadlock",
               "poisoned job degrades to deadlock report")
@@ -116,20 +194,17 @@ def main():
               "work still served after poison")
 
         # 7. Hot client shed with explicit 429s.
-        shed = 0
         for _ in range(60):
-            response = client.submit(
-                {"spec": "corpus:v1", "tier": "taint",
-                 "client": "hot"})
-            if response.shed:
-                shed += 1
-                reason = response.payload.get("reason")
-                check(reason in ("rate_limited", "queue_full"),
-                      f"shed reason explicit ({reason})")
+            if client.submit({"spec": "corpus:v1", "tier": "taint",
+                              "client": "hot"}).shed:
                 break
-        check(shed > 0, "hot client rate-limited")
+        check("rate_limited" in SHED, "hot client rate-limited")
 
-        # 8. The journal holds the background jobs durably.
+        # 8. Every traffic class from concurrent clients.
+        concurrent_phase()
+
+        # 9. The journal holds the background jobs durably, and the
+        # daemon's counters match what the clients saw.
         _, jobs = JobStore(journal).snapshot()
         check(any(j.submission.tier.value == "symx"
                   for j in jobs.values()),
@@ -137,8 +212,13 @@ def main():
 
         stats = client.stats()
         check(stats["server"]["errors"] == 0, "zero unhandled errors")
+        check(set(SHED) <= {"rate_limited", "queue_full"},
+              f"every 429 names its reason {sorted(map(str, set(SHED)))}")
+        check(stats["admission"]["shed"] == len(SHED),
+              f"shed accounting: the daemon counts "
+              f"{stats['admission']['shed']}, clients saw {len(SHED)}")
 
-        # 9. Clean SIGTERM drain.
+        # 10. Clean SIGTERM drain.
         daemon.send_signal(signal.SIGTERM)
         try:
             daemon.wait(timeout=90)
