@@ -389,10 +389,7 @@ def _cmd_attack(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Outcome:
-    if len(args.benchmarks) != 1:
-        print("bench: give exactly one benchmark", file=sys.stderr)
-        return 2, None
-    name = args.benchmarks[0]
+    name = args.benchmark
     reports = SweepEngine(benchmarks=[name], machine=preset(args.machine),
                           scale=args.scale).run().reports()[name]
     print(compare_table(list(reports.values()), reports["origin"]))
@@ -815,8 +812,8 @@ COMMANDS: Tuple[Command, ...] = (
                 NO_REPLAY, JSON, MACHINE), _cmd_precision),
     Command("bench", "simulate one SPEC profile under the paper's four "
             "modes", (
-                BENCHMARKS.but(help="the one SPEC-like benchmark to "
-                                    "simulate"),
+                _arg("benchmark", type=_benchmark,
+                     help="the SPEC-like benchmark to simulate"),
                 SCALE, MACHINE), _cmd_bench),
     Command("sweep", "checkpointed benchmark x mode sweep (crash-safe, "
             "resumable, optional fault injection)", (

@@ -31,6 +31,13 @@ class OpClass(Enum):
     HALT = auto()
 
 
+class LSQKind(Enum):
+    """Which load/store queue a memory instruction occupies."""
+
+    LOAD = auto()    # the load queue
+    STORE = auto()   # the store queue (stores and line flushes)
+
+
 class Opcode(Enum):
     """All opcodes understood by the core and the oracle."""
 
@@ -162,9 +169,19 @@ class Instruction:
     # - ``is_serializing`` — issues only from the head of the ROB
     #   (FENCE, RDCYCLE)
     # - ``dest`` — destination architectural register or None (R0
-    #   writes are discarded by the core, but still rename for
-    #   simplicity)
+    #   writes are discarded by the core)
     # - ``sources`` — architectural source registers, in operand order
+    #
+    # and the facts dispatch needs, decoded once per static instruction
+    # instead of once per dynamic instance:
+    #
+    # - ``needs_iq`` — takes an issue-queue entry (NOP and HALT do not)
+    # - ``lsq_kind`` — the :class:`LSQKind` it occupies, or None
+    # - ``renames_dest`` — allocates a physical destination register
+    #   (R0 is never renamed)
+    # - ``issue_operands`` — how many leading ``sources`` it waits for
+    #   before it may issue: all of them, except a store, which issues
+    #   on its address operand alone and captures its data later
     #
     # They are intentionally NOT dataclass fields: equality, hashing,
     # repr and pickling still consider only the encoding fields above.
@@ -186,7 +203,8 @@ class Instruction:
         put(self, "is_return", op is Opcode.RET)
         put(self, "is_serializing",
             op is Opcode.FENCE or op is Opcode.RDCYCLE)
-        put(self, "dest", self.rd if _HAS_DEST[op] else None)
+        dest = self.rd if _HAS_DEST[op] else None
+        put(self, "dest", dest)
         pattern = _SRC_PATTERN[op]
         if pattern == 2:
             sources: Tuple[int, ...] = (self.rs1, self.rs2)
@@ -195,6 +213,16 @@ class Instruction:
         else:
             sources = ()
         put(self, "sources", sources)
+        put(self, "needs_iq", op is not Opcode.NOP and op is not Opcode.HALT)
+        if op is Opcode.LOAD:
+            lsq_kind = LSQKind.LOAD
+        elif op is Opcode.STORE or op is Opcode.CLFLUSH:
+            lsq_kind = LSQKind.STORE
+        else:
+            lsq_kind = None
+        put(self, "lsq_kind", lsq_kind)
+        put(self, "renames_dest", dest is not None and dest != 0)
+        put(self, "issue_operands", 1 if op is Opcode.STORE else pattern)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.name.lower()]

@@ -27,7 +27,7 @@ class DynInst:
     __slots__ = (
         "seq", "pc", "instr",
         "pdst", "old_pdst", "psrcs",
-        "iq_pos", "lsq_slot", "tpbuf_index",
+        "iq_pos", "waiting", "lsq_slot", "tpbuf_index",
         "state", "squashed",
         "value", "vaddr", "paddr", "ppn",
         "addr_ready", "store_data_ready", "forward_seq",
@@ -51,6 +51,8 @@ class DynInst:
         self.psrcs: Tuple[int, ...] = ()
         # Structure slots.
         self.iq_pos: Optional[int] = None
+        #: Issue operands still awaiting writeback (issue-queue wakeup).
+        self.waiting = 0
         self.lsq_slot: Optional[int] = None
         self.tpbuf_index: Optional[int] = None
         # Lifecycle.

@@ -9,22 +9,26 @@ must hold unconditionally.
 
 Checked invariants:
 
-- **ROB**: occupancy within capacity, sequence numbers strictly
-  increasing head-to-tail, no squashed residents.
+- **ROB**: occupancy within capacity and equal to its free-entry
+  count, sequence numbers strictly increasing head-to-tail, no
+  squashed residents.
 - **IQ**: free list consistent with slot contents, every resident's
   ``iq_pos`` backlink correct, occupancy bookkeeping exact.
-- **Security matrix**: a column may only be non-zero while its slot
-  holds a valid, not-yet-issued producer (or the clear is still
-  staged / the slot's free-up is still deferred) — i.e. rows are
-  cleared for issued producers, the paper's Update-Vector contract.
+- **Ready set**: exactly the DISPATCHED residents whose issue operands
+  are ready by the rename ready bits - what a scan of every slot
+  would select from - in age order (squashed entries aside, which
+  leave lazily).
 - **LSQ**: occupancy bookkeeping exact, backlinks correct, and every
   resident also lives in the ROB.
 - **Rename**: free list and active mappings disjoint.
-- **Defense wiring**: the processor honours the defense's flags.  A
-  defense that declares no security matrix never accumulates
-  dependence rows; only a defense that tags suspects (it declares the
-  matrix or overrides ``is_suspect``) marks an instruction suspect;
-  a blocked instruction is always an un-issued memory resident.
+- **Defense wiring**: the processor honours the defense's flags.  Only
+  a defense that tags suspects (it declares the matrix or overrides
+  ``is_suspect``) marks an instruction suspect; a blocked instruction
+  is always an un-issued memory resident.
+
+The security matrix needs no check of its own: its rows follow from
+producer age order and cannot hold an issued producer past the cycle
+edge (see :mod:`repro.core.security_matrix`).
 """
 from __future__ import annotations
 
@@ -50,6 +54,9 @@ def check_rob(cpu: "Processor") -> None:
     if len(rob) > rob.capacity:
         _fail(cpu.cycle, f"ROB occupancy {len(rob)} exceeds capacity "
                          f"{rob.capacity}")
+    if rob.space != rob.capacity - len(rob):
+        _fail(cpu.cycle, f"ROB space {rob.space} but {len(rob)} of "
+                         f"{rob.capacity} entries are occupied")
     last_seq = None
     for inst in rob:
         if inst.squashed:
@@ -82,40 +89,29 @@ def check_issue_queue(cpu: "Processor") -> None:
                          f"{occupied} slots are populated")
 
 
-def check_security_matrix(cpu: "Processor") -> None:
-    """Rows must not reference retired/issued producers: once the
-    producer at column Y has issued (and its staged clear applied), no
-    row may still depend on Y."""
-    iq = cpu.iq
-    matrix = iq.matrix
-    staged = matrix._update_vector
-    deferred = set(iq._deferred_free)
-    for pos in range(iq.entries):
-        column = matrix.column_mask(pos)
-        if not column:
-            continue
-        if staged & (1 << pos) or pos in deferred:
-            continue  # clear already staged; lands at the cycle edge
-        producer = iq.slot(pos)
-        if producer is None:
-            _fail(cpu.cycle, f"matrix column {pos} set (rows "
-                             f"{column:#x}) but the slot is empty and "
-                             f"no clear is staged")
-        if iq.is_issued(pos):
-            _fail(cpu.cycle, f"matrix column {pos} set for issued "
-                             f"producer {producer!r}")
+def check_ready_set(cpu: "Processor") -> None:
+    """The wakeup-maintained ready set must be what a scan of every
+    slot would find: the DISPATCHED residents whose issue operands are
+    all ready."""
+    ready_bits = cpu.rename.ready
+    expected = [
+        inst for inst in cpu.iq
+        if inst.state is InstState.DISPATCHED
+        and all(ready_bits[psrc]
+                for psrc in inst.psrcs[:inst.instr.issue_operands])
+    ]
+    expected.sort(key=lambda inst: inst.seq)
+    actual = [inst for inst in cpu.iq.ready if not inst.squashed]
+    if actual != expected:
+        _fail(cpu.cycle, f"ready set {[inst.seq for inst in actual]} but "
+                         f"the ready residents are "
+                         f"{[inst.seq for inst in expected]}")
 
 
 def check_defense_wiring(cpu: "Processor") -> None:
-    """The defense's declared hardware and derived wiring bound what
-    may appear in flight."""
+    """The defense's derived wiring bounds what may appear in
+    flight."""
     defense = cpu.defense
-    if not defense.uses_matrix:
-        for pos in range(cpu.iq.entries):
-            if cpu.iq.matrix.column_mask(pos):
-                _fail(cpu.cycle,
-                      f"defense '{defense.name}' declares no matrix "
-                      f"but column {pos} holds dependence rows")
     for inst in cpu.rob:
         if inst.suspect and not defense.tags_suspect:
             _fail(cpu.cycle,
@@ -167,7 +163,7 @@ def check_processor_invariants(cpu: "Processor") -> None:
     """Run every structural invariant check (debug aid, O(structures))."""
     check_rob(cpu)
     check_issue_queue(cpu)
-    check_security_matrix(cpu)
+    check_ready_set(cpu)
     check_defense_wiring(cpu)
     check_lsq(cpu)
     check_rename(cpu)

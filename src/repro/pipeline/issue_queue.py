@@ -1,110 +1,131 @@
-"""Issue queue with security-hazard detection (Section V.B).
+"""Issue queue: wakeup, the ready set, and security-hazard detection
+(Section V.B).
 
 The queue owns fixed positions (``IQPos``) so the security dependence
-matrix can be indexed by slot, exactly as in the paper's Figure 2.
-Data readiness is tracked through physical-register ready bits (the
-functional equivalent of the conventional data-dependence matrix) and
-age ordering through the global sequence number (the equivalent of the
-age matrix); the security dependence matrix is modelled bit-for-bit.
+matrix can be indexed by slot, as in the paper's Figure 2.  Wakeup
+plays the part of the conventional data-dependence matrix: a resident
+counts the issue operands it still waits for, each physical register
+lists the residents waiting on it, and the writeback of that register
+moves every resident whose count reaches zero into :attr:`ready`, the
+age-ordered ready set that select walks (the age matrix's job).  The
+security dependence matrix answers from producer age order (see
+:mod:`repro.core.security_matrix`).
 
 Loads keep their slot until they *complete* so that a load blocked by a
 hazard filter can wait in the queue and re-issue once its security
 dependence clears, as Section V.C requires; every other instruction
 frees its slot at issue.
 
-The producer masks consumed by the matrix formula (valid & !issued &
-memory-or-branch) are maintained *incrementally* as bit vectors updated
-at insert/issue/release, so dispatch reads them in O(1) instead of
-re-scanning every slot — one of the simulator hot-path optimizations
-documented in ``docs/performance.md``.
+A squashed resident leaves the ready set and the waiter lists lazily:
+select drops it, and a writeback skips it.
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import operator
+from bisect import insort
+from typing import Dict, Iterator, List, Optional
 
 from ..core.security_matrix import SecurityDependenceMatrix
 from .dyninst import DynInst
 
+_SEQ_KEY = operator.attrgetter("seq")
+
 
 class IssueQueue:
-    """Fixed-slot issue queue paired with the security matrix."""
+    """Fixed-slot issue queue with wakeup, paired with the security
+    matrix."""
 
-    def __init__(self, entries: int) -> None:
+    def __init__(self, entries: int, matrix: bool = True,
+                 branch_only: bool = False) -> None:
+        """``matrix`` and ``branch_only`` configure the security
+        dependence matrix (see :class:`SecurityDependenceMatrix`)."""
         self.entries = entries
         self._slots: List[Optional[DynInst]] = [None] * entries
         self._free: List[int] = list(range(entries - 1, -1, -1))
-        self._issued: List[bool] = [False] * entries
         self._deferred_free: List[int] = []
-        # Incremental views of the slots: bit ``pos`` set iff the slot
-        # holds a valid, not-yet-issued memory-or-branch (respectively
-        # branch) instruction.  Kept in lockstep by insert/mark_issued/
-        # release; read by the matrix formula every dispatch.
-        self._producer_bits = 0
-        self._branch_bits = 0
-        self.matrix = SecurityDependenceMatrix(entries)
+        #: Free slots, kept current for dispatch's capacity check.
+        self.space = entries
+        #: Residents waiting in DISPATCHED whose issue operands are all
+        #: ready, oldest first (plus squashed ones not yet dropped).
+        self.ready: List[DynInst] = []
+        #: Physical register -> residents waiting for its writeback.
+        self._waiters: Dict[int, List[DynInst]] = {}
+        self.matrix = SecurityDependenceMatrix(entries, matrix, branch_only)
 
     # ---- occupancy -----------------------------------------------------
 
-    @property
-    def full(self) -> bool:
-        return not self._free
-
     def occupancy(self) -> int:
-        return self.entries - len(self._free)
+        return self.entries - self.space
 
     def __iter__(self) -> Iterator[DynInst]:
         for inst in self._slots:
             if inst is not None:
                 yield inst
 
-    def slot(self, pos: int) -> Optional[DynInst]:
-        return self._slots[pos]
-
     # ---- dispatch ---------------------------------------------------------
 
-    def producer_mask(self) -> int:
-        """Bit vector of slots holding valid, not-yet-issued memory or
-        branch instructions - the Y-side of the matrix formula."""
-        return self._producer_bits
-
-    def branch_producer_mask(self) -> int:
-        """Producer mask restricted to branches (the branch-only matrix
-        ablation of Section VI.C(1))."""
-        return self._branch_bits
-
-    def insert(self, inst: DynInst, producer_mask: int) -> int:
-        """Allocate a slot for ``inst`` and install its matrix row."""
+    def insert(self, inst: DynInst, ready: List[bool]) -> int:
+        """Allocate a slot for ``inst``, install its matrix row and
+        count the issue operands it waits for; ``ready`` holds the
+        physical registers' ready bits.  With none to wait for it joins
+        the ready set (as the youngest, at its end)."""
         pos = self._free.pop()
+        self.space -= 1
         self._slots[pos] = inst
-        self._issued[pos] = False
         inst.iq_pos = pos
         instr = inst.instr
-        if instr.is_branch:
-            self._producer_bits |= 1 << pos
-            self._branch_bits |= 1 << pos
-        elif instr.is_memory:
-            self._producer_bits |= 1 << pos
-        self.matrix.set_row(pos, producer_mask if instr.is_memory else 0)
+        self.matrix.install(pos, inst.seq, instr)
+        waiting = 0
+        for psrc in inst.psrcs[:instr.issue_operands]:
+            if not ready[psrc]:
+                waiting += 1
+                waiters = self._waiters.get(psrc)
+                if waiters is None:
+                    self._waiters[psrc] = [inst]
+                else:
+                    waiters.append(inst)
+        inst.waiting = waiting
+        if not waiting:
+            self.ready.append(inst)
         return pos
+
+    # ---- wakeup -------------------------------------------------------------
+
+    def wake(self, preg: int) -> None:
+        """Physical register ``preg`` was written back: every resident
+        waiting on it has one operand fewer to wait for."""
+        waiters = self._waiters.pop(preg, None)
+        if waiters is None:
+            return
+        for inst in waiters:
+            if inst.squashed:
+                continue
+            inst.waiting -= 1
+            if not inst.waiting:
+                insort(self.ready, inst, key=_SEQ_KEY)
+
+    def requeue(self, inst: DynInst) -> None:
+        """A filter-blocked load went back to DISPATCHED: its operands
+        are ready, so it rejoins the ready set."""
+        insort(self.ready, inst, key=_SEQ_KEY)
+
+    def drop_squashed(self) -> None:
+        """Drop squashed instructions from the ready set."""
+        self.ready = [inst for inst in self.ready if not inst.squashed]
 
     # ---- issue ----------------------------------------------------------------
 
     def mark_issued(self, inst: DynInst) -> None:
-        """Record issue: stage the matrix-column clear (Update Vector
-        Register) and free the slot unless the instruction is a load
-        (loads stay resident for possible filter-blocked re-issue)."""
-        pos = inst.iq_pos
-        assert pos is not None
-        self._issued[pos] = True
-        keep = ~(1 << pos)
-        self._producer_bits &= keep
-        self._branch_bits &= keep
-        self.matrix.schedule_clear(pos)
-        if not inst.instr.is_load:
+        """Record issue: leave the ready set, stage the matrix-column
+        clear (Update Vector Register) and free the slot unless the
+        instruction is a load (loads stay resident for possible
+        filter-blocked re-issue)."""
+        self.ready.remove(inst)
+        if inst.instr.is_load:
+            assert inst.iq_pos is not None
+            self.matrix.schedule_clear(inst.iq_pos)
+        else:
             self.release(inst)
-
-    def is_issued(self, pos: int) -> bool:
-        return self._issued[pos]
 
     # ---- release / squash ---------------------------------------------------------
 
@@ -121,10 +142,6 @@ class IssueQueue:
             return
         assert self._slots[pos] is inst
         self._slots[pos] = None
-        self._issued[pos] = False
-        keep = ~(1 << pos)
-        self._producer_bits &= keep
-        self._branch_bits &= keep
         self.matrix.schedule_clear(pos)
         self._deferred_free.append(pos)
         inst.iq_pos = None
@@ -135,8 +152,7 @@ class IssueQueue:
         was staged (every release stages one)."""
         cleared = self.matrix.apply_clears()
         if self._deferred_free:
-            for pos in self._deferred_free:
-                self.matrix.clear_entry(pos)
-                self._free.append(pos)
+            self._free.extend(self._deferred_free)
+            self.space += len(self._deferred_free)
             self._deferred_free.clear()
         return cleared

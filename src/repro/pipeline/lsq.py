@@ -56,21 +56,19 @@ class LoadStoreQueue:
         self._stores: List[Optional[DynInst]] = [None] * stq_entries
         self._free_loads: List[int] = list(range(ldq_entries - 1, -1, -1))
         self._free_stores: List[int] = list(range(stq_entries - 1, -1, -1))
+        #: Free load and store queue slots, kept current for dispatch's
+        #: capacity check.
+        self.load_space = ldq_entries
+        self.store_space = stq_entries
         self.tpbuf = tpbuf
 
     # ---- capacity ----------------------------------------------------------
 
-    def can_allocate_load(self) -> bool:
-        return bool(self._free_loads)
-
-    def can_allocate_store(self) -> bool:
-        return bool(self._free_stores)
-
     def load_occupancy(self) -> int:
-        return self.ldq_entries - len(self._free_loads)
+        return self.ldq_entries - self.load_space
 
     def store_occupancy(self) -> int:
-        return self.stq_entries - len(self._free_stores)
+        return self.stq_entries - self.store_space
 
     # ---- allocation (dispatch, program order) ---------------------------------
 
@@ -78,6 +76,7 @@ class LoadStoreQueue:
         if not self._free_loads:
             raise SimulationError("LDQ overflow")
         slot = self._free_loads.pop()
+        self.load_space -= 1
         self._loads[slot] = inst
         inst.lsq_slot = slot
         inst.tpbuf_index = slot
@@ -89,6 +88,7 @@ class LoadStoreQueue:
         if not self._free_stores:
             raise SimulationError("STQ overflow")
         slot = self._free_stores.pop()
+        self.store_space -= 1
         self._stores[slot] = inst
         inst.lsq_slot = slot
         inst.tpbuf_index = self.ldq_entries + slot
@@ -106,10 +106,12 @@ class LoadStoreQueue:
             assert self._loads[slot] is inst
             self._loads[slot] = None
             self._free_loads.append(slot)
+            self.load_space += 1
         else:
             assert self._stores[slot] is inst
             self._stores[slot] = None
             self._free_stores.append(slot)
+            self.store_space += 1
         if self.tpbuf is not None and inst.tpbuf_index is not None:
             self.tpbuf.deallocate(inst.tpbuf_index)
         inst.lsq_slot = None

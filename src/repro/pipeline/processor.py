@@ -10,7 +10,9 @@ The pipeline is cycle-driven.  Each cycle, in order: fire deferred
 events (FU/cache completions, branch resolution), apply the oldest
 pending squash, commit, replay waiting memory operations, issue,
 dispatch, fetch, then apply the security matrix's staged column clears,
-tick the store buffer and let the watchdog observe.
+tick the store buffer and let the watchdog observe.  Issue selects from
+the issue queue's ready set, which register writeback fills (wakeup),
+instead of scanning every slot.
 
 A cycle in which none of those stages does anything is *quiet*: it
 changes no state and only bumps waiting counters (block events,
@@ -37,7 +39,6 @@ Fidelity notes (also in DESIGN.md):
 """
 from __future__ import annotations
 
-import operator
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ from ..isa.instructions import (
     INSTRUCTION_BYTES,
     WORD_BYTES,
     Instruction,
+    LSQKind,
     Opcode,
     branch_taken,
     evaluate_alu,
@@ -85,8 +87,6 @@ from .rob import ReorderBuffer
 from .store_buffer import StoreBuffer
 
 _WORD_ALIGN = ~(WORD_BYTES - 1)
-#: Age-order sort key for the issue select (hot path).
-_SEQ_KEY = operator.attrgetter("seq")
 _AGU_LATENCY = 1
 #: Forwarded loads complete with L1-hit-like latency.
 _FORWARD_LATENCY = 2
@@ -176,7 +176,9 @@ class Processor:
                 if arch != 0:
                     self.rename.write(self.rename.lookup(arch), value)
         self.rob = ReorderBuffer(core.rob_entries)
-        self.iq = IssueQueue(core.iq_entries)
+        self.iq = IssueQueue(core.iq_entries,
+                             matrix=self.defense.uses_matrix,
+                             branch_only=self.security.branch_only_matrix)
         self.tpbuf: Optional[TPBuf] = None
         if self.defense.uses_tpbuf:
             self.tpbuf = TPBuf(core.ldq_entries + core.stq_entries)
@@ -210,6 +212,12 @@ class Processor:
         self.quiet = False
         #: Instructions the last issue stage held back (block events).
         self._issue_blocked: List[DynInst] = []
+        self._dispatch_width = core.dispatch_width
+        self._issue_width = core.issue_width
+        #: Functional-unit latency by opcode (the ALU path of issue).
+        self._fu_latency = {op: core.int_alu_latency for op in Opcode}
+        self._fu_latency[Opcode.MUL] = core.mul_latency
+        self._fu_latency[Opcode.DIV] = core.div_latency
 
         self.tracer = tracer
         #: Debug flag: run the structural invariant lint every step
@@ -236,6 +244,7 @@ class Processor:
         # Defense wiring flags (derived from the hooks the defense
         # overrides), hoisted off the hot paths.
         self._tags_suspect = self.defense.tags_suspect
+        self._gates_issue = self.defense.gates_issue
         self._filters_at_cache = self.defense.filters_at_cache
         self._defense_events = self.defense.wants_events
         self._taints_writeback = self.defense.taints_writeback
@@ -304,9 +313,14 @@ class Processor:
             self._inject_spurious_squash()
         seq = self._seq
         busy = self.events.fire(self.cycle)
-        busy = self._apply_pending_squash() or busy
+        pending = self._pending_squash
+        if pending is not None:
+            self._pending_squash = None
+            self._squash(*pending)
+            busy = True
         self._commit()
-        busy = self._retry_waiting_memory() or busy
+        if self._stores_waiting_data or self._load_replay:
+            busy = self._retry_waiting_memory() or busy
         busy = self._issue() or busy
         self._dispatch()
         busy = self._fetch() or busy
@@ -427,46 +441,47 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _dispatch(self) -> None:
-        core = self.machine.core
-        matrix_on = self.defense.uses_matrix
-        for _ in range(core.dispatch_width):
-            if not self._fetch_buffer:
+        fetch_buffer = self._fetch_buffer
+        if not fetch_buffer:
+            return
+        cycle = self.cycle
+        rob, iq, lsq, rename = self.rob, self.iq, self.lsq, self.rename
+        stats = self.stats
+        for _ in range(self._dispatch_width):
+            if not fetch_buffer:
                 return
-            entry = self._fetch_buffer[0]
-            if entry.ready_cycle > self.cycle:
+            entry = fetch_buffer[0]
+            if entry.ready_cycle > cycle:
                 return
             instr = entry.instr
-            if self.rob.full:
-                self.stats.incr("dispatch_stall_rob")
+            if not rob.space:
+                stats.incr("dispatch_stall_rob")
                 return
-            needs_iq = instr.op not in (Opcode.NOP, Opcode.HALT)
-            if needs_iq and self.iq.full:
-                self.stats.incr("dispatch_stall_iq")
+            needs_iq = instr.needs_iq
+            if needs_iq and not iq.space:
+                stats.incr("dispatch_stall_iq")
                 return
-            if instr.is_load and not self.lsq.can_allocate_load():
-                self.stats.incr("dispatch_stall_ldq")
+            lsq_kind = instr.lsq_kind
+            if lsq_kind is LSQKind.LOAD and not lsq.load_space:
+                stats.incr("dispatch_stall_ldq")
                 return
-            if (instr.is_store or instr.is_flush) \
-                    and not self.lsq.can_allocate_store():
-                self.stats.incr("dispatch_stall_stq")
+            if lsq_kind is LSQKind.STORE and not lsq.store_space:
+                stats.incr("dispatch_stall_stq")
                 return
-            dest = instr.dest
-            renames_dest = dest is not None and dest != 0
-            if renames_dest and not self.rename.can_allocate():
-                self.stats.incr("dispatch_stall_prf")
+            renames_dest = instr.renames_dest
+            if renames_dest and not rename.space:
+                stats.incr("dispatch_stall_prf")
                 return
 
-            self._fetch_buffer.popleft()
+            fetch_buffer.popleft()
             self._seq += 1
             inst = DynInst(self._seq, entry.pc, instr)
-            inst.cycle_dispatched = self.cycle
-            inst.psrcs = tuple(
-                self.rename.lookup(src) for src in instr.sources
-            )
+            inst.cycle_dispatched = cycle
+            inst.psrcs = rename.lookup_sources(instr.sources)
             if renames_dest:
-                inst.pdst, inst.old_pdst = self.rename.allocate(dest)
-            self.rob.append(inst)
-            self.stats.incr("dispatched")
+                inst.pdst, inst.old_pdst = rename.allocate(instr.dest)
+            rob.append(inst)
+            stats.incr("dispatched")
 
             if instr.is_branch:
                 inst.pred_target = entry.pred_target
@@ -476,64 +491,44 @@ class Processor:
             if self._defense_events:
                 self.defense.on_dispatch(self, inst)
 
-            if instr.op is Opcode.NOP or instr.op is Opcode.HALT:
+            if not needs_iq:
                 inst.state = InstState.COMPLETED
                 continue
-
-            if matrix_on and instr.is_memory:
-                if self.security.branch_only_matrix:
-                    producer_mask = self.iq.branch_producer_mask()
-                else:
-                    producer_mask = self.iq.producer_mask()
-            else:
-                producer_mask = 0
-            self.iq.insert(inst, producer_mask)
-
-            if instr.is_load:
-                self.lsq.allocate_load(inst)
-            elif instr.is_store or instr.is_flush:
-                self.lsq.allocate_store(inst)
+            iq.insert(inst, rename.ready)
+            if lsq_kind is LSQKind.LOAD:
+                lsq.allocate_load(inst)
+            elif lsq_kind is LSQKind.STORE:
+                lsq.allocate_store(inst)
 
     # ------------------------------------------------------------------
     # Issue
     # ------------------------------------------------------------------
 
     def _issue(self) -> bool:
-        """Select and issue; returns whether anything issued."""
-        # The issue loop dominates simulation time, so locals are
-        # hoisted and the readiness check is inlined rather than going
-        # through RenameState.is_ready per instruction.
+        """Select and issue from the ready set; returns whether any
+        instruction was eligible to issue."""
+        ready = self.iq.ready
+        if not ready:
+            self._issue_blocked = []
+            return False
         eligible: List[DynInst] = []
         blocked: List[DynInst] = []
         barrier = self._barrier_seqs[0] if self._barrier_seqs else None
         defense = self.defense
-        gated = defense.gates_issue
-        ready = self.rename.ready
-        dispatched = InstState.DISPATCHED
-        for inst in self.iq._slots:
-            if inst is None or inst.state is not dispatched:
+        gated = self._gates_issue
+        squashed = False
+        for inst in ready:  # oldest first
+            if inst.squashed:
+                squashed = True
                 continue
-            instr = inst.instr
             if barrier is not None and inst.seq > barrier:
-                continue
+                break  # so is every younger one
+            instr = inst.instr
             if instr.is_serializing and (
                 not self.rob.is_head(inst)
                 or self.cycle < self._commit_stall_until
             ):
                 continue
-            # Operand readiness; stores only need their address operand.
-            psrcs = inst.psrcs
-            if instr.is_store:
-                if not ready[psrcs[0]]:
-                    continue
-            else:
-                sources_ready = True
-                for psrc in psrcs:
-                    if not ready[psrc]:
-                        sources_ready = False
-                        break
-                if not sources_ready:
-                    continue
             if inst.blocked:
                 # Filter-blocked load: re-issue once the defense no
                 # longer finds it suspect (Section V.C).
@@ -547,14 +542,15 @@ class Processor:
                 blocked.append(inst)
                 continue
             eligible.append(inst)
+        if squashed:
+            self.iq.drop_squashed()
         self._issue_blocked = blocked
         if blocked:
             self._count_blocks(blocked, 1)
         if not eligible:
             return False
-        eligible.sort(key=_SEQ_KEY)
         issued = 0
-        issue_width = self.machine.core.issue_width
+        issue_width = self._issue_width
         for inst in eligible:
             if issued >= issue_width:
                 break
@@ -593,7 +589,6 @@ class Processor:
 
         self.iq.mark_issued(inst)
 
-        core = self.machine.core
         op = instr.op
         if op is Opcode.RDCYCLE:
             self._schedule(1, lambda: self._complete_simple(
@@ -613,12 +608,8 @@ class Processor:
             return
         # ALU / LI / MOV: compute now, write back after the FU latency.
         value = self._compute_alu(inst)
-        latency = core.int_alu_latency
-        if op is Opcode.MUL:
-            latency = core.mul_latency
-        elif op is Opcode.DIV:
-            latency = core.div_latency
-        self._schedule(latency, lambda: self._complete_simple(inst, value))
+        self._schedule(self._fu_latency[op],
+                       lambda: self._complete_simple(inst, value))
 
     def _compute_alu(self, inst: DynInst) -> int:
         instr = inst.instr
@@ -641,6 +632,13 @@ class Processor:
     def _schedule(self, delay: int, action) -> None:
         self.events.schedule(self.cycle + max(1, delay), action)
 
+    def _write_back(self, pdst: int, value: int) -> None:
+        """Write a result to its physical register and wake the issue
+        queue residents waiting on it: every register writeback goes
+        through here."""
+        self.rename.write(pdst, value)
+        self.iq.wake(pdst)
+
     def _complete_simple(self, inst: DynInst, value: int) -> None:
         if inst.squashed:
             return
@@ -648,7 +646,7 @@ class Processor:
             value = self.cycle
         inst.value = mask64(value)
         if inst.pdst is not None:
-            self.rename.write(inst.pdst, inst.value)
+            self._write_back(inst.pdst, inst.value)
         inst.state = InstState.COMPLETED
         inst.cycle_completed = self.cycle
         if self._taints_writeback:
@@ -673,7 +671,7 @@ class Processor:
             taken, target = True, instr.target
             inst.value = fallthrough
             if inst.pdst is not None:
-                self.rename.write(inst.pdst, fallthrough)
+                self._write_back(inst.pdst, fallthrough)
         elif instr.op in (Opcode.JMPI, Opcode.RET):
             taken, target = True, self.rename.read(inst.psrcs[0])
         else:
@@ -775,6 +773,7 @@ class Processor:
                 inst.ever_blocked = True
                 inst.block_events += 1
                 inst.state = InstState.DISPATCHED
+                self.iq.requeue(inst)
                 self.report.block_events += 1
                 self.stats.incr("filter_blocked_misses")
                 return
@@ -811,7 +810,7 @@ class Processor:
             return
         inst.value = mask64(value)
         if inst.pdst is not None:
-            self.rename.write(inst.pdst, inst.value)
+            self._write_back(inst.pdst, inst.value)
         inst.state = InstState.COMPLETED
         inst.cycle_completed = self.cycle
         if self._taints_writeback:
@@ -938,14 +937,6 @@ class Processor:
                 and self._pending_squash[2] == "injected" \
                 and kind != "injected":
             self._pending_squash = (keep_seq, redirect_pc, kind)
-
-    def _apply_pending_squash(self) -> bool:
-        if self._pending_squash is None:
-            return False
-        keep_seq, redirect_pc, kind = self._pending_squash
-        self._pending_squash = None
-        self._squash(keep_seq, redirect_pc, kind)
-        return True
 
     def _squash(self, keep_seq: int, redirect_pc: int, kind: str) -> None:
         squashed = self.rob.squash_younger_than(keep_seq)

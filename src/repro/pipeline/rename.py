@@ -7,7 +7,7 @@ youngest-first.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Tuple
 
 from ..errors import SimulationError
 from ..isa.instructions import mask64
@@ -26,6 +26,9 @@ class RenameState:
         self._free: Deque[int] = deque(range(num_arch_regs, num_phys_regs))
         self.values: List[int] = [0] * num_phys_regs
         self.ready: List[bool] = [True] * num_phys_regs
+        #: Free physical registers, kept current for dispatch's
+        #: capacity check.
+        self.space = len(self._free)
 
     # ---- dispatch-side ----------------------------------------------------
 
@@ -33,13 +36,15 @@ class RenameState:
         """Current physical register for an architectural source."""
         return self._map[arch_reg]
 
-    def can_allocate(self) -> bool:
-        return bool(self._free)
+    def lookup_sources(self, arch_regs: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Current physical registers of an instruction's sources."""
+        return tuple(map(self._map.__getitem__, arch_regs))
 
     def allocate(self, arch_reg: int) -> tuple[int, int]:
         """Rename a destination; returns (new_phys, old_phys)."""
         if not self._free:
             raise SimulationError("physical register file exhausted")
+        self.space -= 1
         new_phys = self._free.popleft()
         old_phys = self._map[arch_reg]
         self._map[arch_reg] = new_phys
@@ -64,6 +69,7 @@ class RenameState:
     def release(self, phys_reg: int) -> None:
         """Free a dead physical register (the *old* mapping, at commit)."""
         self._free.append(phys_reg)
+        self.space += 1
 
     def rollback(self, arch_reg: int, new_phys: int, old_phys: int) -> None:
         """Undo one rename during a squash walk (youngest first)."""
@@ -73,6 +79,7 @@ class RenameState:
             )
         self._map[arch_reg] = old_phys
         self._free.append(new_phys)
+        self.space += 1
 
     # ---- introspection ----------------------------------------------------------
 
@@ -90,6 +97,9 @@ class RenameState:
         seen = set(self._free)
         if len(seen) != len(self._free):
             raise SimulationError("duplicate entries in free list")
+        if self.space != len(self._free):
+            raise SimulationError(f"space {self.space} but "
+                                  f"{len(self._free)} registers are free")
         overlap = seen.intersection(self._map)
         if overlap:
             raise SimulationError(f"freed registers still mapped: {overlap}")

@@ -13,16 +13,14 @@ class ReorderBuffer:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: Deque[DynInst] = deque()
+        #: Free entries, kept current for dispatch's capacity check.
+        self.space = capacity
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
 
     @property
     def empty(self) -> bool:
@@ -32,10 +30,12 @@ class ReorderBuffer:
         return self._entries[0] if self._entries else None
 
     def append(self, inst: DynInst) -> None:
-        assert not self.full, "ROB overflow"
+        assert self.space, "ROB overflow"
         self._entries.append(inst)
+        self.space -= 1
 
     def pop_head(self) -> DynInst:
+        self.space += 1
         return self._entries.popleft()
 
     def squash_younger_than(self, seq: int) -> List[DynInst]:
@@ -44,6 +44,7 @@ class ReorderBuffer:
         squashed: List[DynInst] = []
         while self._entries and self._entries[-1].seq > seq:
             squashed.append(self._entries.pop())
+        self.space += len(squashed)
         return squashed
 
     def is_head(self, inst: DynInst) -> bool:

@@ -1,8 +1,8 @@
 """Cycle-exactness golden test.
 
-The hot-path optimizations (cached instruction flags, the big-integer
-security matrix, incremental producer masks, the inlined issue loop)
-must not move a single cycle: ``tests/data/cycles_golden.json`` pins
+The hot-path optimizations (decoded instruction facts, the age-ordered
+security matrix, issue by wakeup from a ready set) must not move a
+single cycle: ``tests/data/cycles_golden.json`` pins
 cycle counts and attack leakage verdicts captured from the unoptimized
 simulator.  The full sweep lives in ``tools/cycles_golden.py``; this
 tier-1 test re-runs a representative subset — every corpus gadget kind,

@@ -74,8 +74,9 @@ class TestBenchHarness:
 
     def test_cli_bench_rejects_ambiguity(self, capsys, tmp_path):
         assert cli_main(["bench"]) == 2
+        assert "required: benchmark" in capsys.readouterr().err
         assert cli_main(["bench", "bzip2", "mcf"]) == 2
-        assert "exactly one benchmark" in capsys.readouterr().err
+        assert "unrecognized arguments: mcf" in capsys.readouterr().err
         assert cli_main(["bench", "nonesuch"]) == 2
         # --out went with the --suite harness; a script that still
         # passes it is refused rather than told 0 with no file.

@@ -291,7 +291,8 @@ def _machine_state(cpu):
             cpu.events.pending, cpu.events.next_deadline(),
             len(cpu.store_buffer), cpu.store_buffer.next_deadline(),
             cpu.iq.occupancy(),
-            [cpu.iq.matrix.row(pos) for pos in range(cpu.iq.entries)],
+            [inst.seq for inst in cpu.iq.ready if not inst.squashed],
+            [(inst.seq, cpu.iq.matrix.row(inst.iq_pos)) for inst in cpu.iq],
             [(inst.seq, inst.state, inst.blocked) for inst in cpu.rob],
             [load.seq for load in cpu._load_replay if not load.squashed],
             [store.seq for store in cpu._stores_waiting_data

@@ -21,6 +21,10 @@ def dyninst(seq, op=Opcode.ADD, **kwargs):
     return DynInst(seq, 0x1000 + 4 * seq, Instruction(op, **kwargs))
 
 
+#: Ready bits of a register file whose every register is ready.
+ALL_READY = [True] * 16
+
+
 class TestRename:
     def test_initial_identity_mapping(self):
         rename = RenameState(8, 24)
@@ -52,7 +56,7 @@ class TestRename:
         rename = RenameState(8, 10)
         rename.allocate(1)
         rename.allocate(2)
-        assert not rename.can_allocate()
+        assert not rename.space
         with pytest.raises(SimulationError):
             rename.allocate(3)
 
@@ -60,7 +64,7 @@ class TestRename:
         rename = RenameState(8, 9)
         new, old = rename.allocate(1)
         rename.release(old)    # commit frees the previous mapping
-        assert rename.can_allocate()
+        assert rename.space == 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 7), min_size=1, max_size=10))
@@ -88,8 +92,9 @@ class TestROB:
         rob = ReorderBuffer(2)
         assert rob.empty
         rob.append(dyninst(1))
+        assert rob.space == 1
         rob.append(dyninst(2))
-        assert rob.full
+        assert not rob.space
 
     def test_squash_younger_than_returns_youngest_first(self):
         rob = ReorderBuffer(8)
@@ -99,6 +104,7 @@ class TestROB:
         squashed = rob.squash_younger_than(2)
         assert [i.seq for i in squashed] == [5, 4, 3]
         assert len(rob) == 2
+        assert rob.space == 6
 
     def test_is_head(self):
         rob = ReorderBuffer(4)
@@ -112,7 +118,7 @@ class TestIssueQueue:
     def test_insert_assigns_slot(self):
         iq = IssueQueue(4)
         inst = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
-        pos = iq.insert(inst, 0)
+        pos = iq.insert(inst, ALL_READY)
         assert inst.iq_pos == pos
         assert iq.occupancy() == 1
 
@@ -121,53 +127,61 @@ class TestIssueQueue:
         load = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
         branch = dyninst(2, Opcode.BNE, rs1=1, rs2=2)
         alu = dyninst(3, Opcode.ADD, rd=1, rs1=2, rs2=3)
-        iq.insert(load, 0)
-        iq.insert(branch, 0)
-        iq.insert(alu, 0)
-        mask = iq.producer_mask()
-        assert mask & (1 << load.iq_pos)
-        assert mask & (1 << branch.iq_pos)
-        assert not mask & (1 << alu.iq_pos)
+        consumer = dyninst(4, Opcode.LOAD, rd=1, rs1=2)
+        for inst in (load, branch, alu, consumer):
+            iq.insert(inst, ALL_READY)
+        row = iq.matrix.row(consumer.iq_pos)
+        assert row & (1 << load.iq_pos)
+        assert row & (1 << branch.iq_pos)
+        assert not row & (1 << alu.iq_pos)
 
     def test_branch_only_mask(self):
-        iq = IssueQueue(8)
+        iq = IssueQueue(8, branch_only=True)
         load = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
         branch = dyninst(2, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(load, 0)
-        iq.insert(branch, 0)
-        mask = iq.branch_producer_mask()
-        assert not mask & (1 << load.iq_pos)
-        assert mask & (1 << branch.iq_pos)
+        consumer = dyninst(3, Opcode.LOAD, rd=1, rs1=2)
+        for inst in (load, branch, consumer):
+            iq.insert(inst, ALL_READY)
+        row = iq.matrix.row(consumer.iq_pos)
+        assert not row & (1 << load.iq_pos)
+        assert row & (1 << branch.iq_pos)
 
     def test_issued_producer_leaves_mask(self):
+        """A memory instruction dispatched after a producer issued -
+        even in the same cycle - does not depend on it."""
         iq = IssueQueue(8)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(branch, 0)
+        iq.insert(branch, ALL_READY)
         iq.mark_issued(branch)
-        assert iq.producer_mask() == 0
+        load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
+        iq.insert(load, ALL_READY)
+        assert iq.matrix.row(load.iq_pos) == 0
+        assert not iq.matrix.has_dependence(load.iq_pos)
 
     def test_memory_consumer_gets_row(self):
         iq = IssueQueue(8)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(branch, 0)
+        iq.insert(branch, ALL_READY)
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
-        iq.insert(load, iq.producer_mask())
+        iq.insert(load, ALL_READY)
         assert iq.matrix.has_dependence(load.iq_pos)
+        assert iq.matrix.row(load.iq_pos) == 1 << branch.iq_pos
 
     def test_non_memory_consumer_gets_empty_row(self):
         iq = IssueQueue(8)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(branch, 0)
+        iq.insert(branch, ALL_READY)
         alu = dyninst(2, Opcode.ADD, rd=1, rs1=2, rs2=3)
-        iq.insert(alu, iq.producer_mask())
+        iq.insert(alu, ALL_READY)
         assert not iq.matrix.has_dependence(alu.iq_pos)
+        assert iq.matrix.row(alu.iq_pos) == 0
 
     def test_dependence_clears_next_cycle_after_producer_issue(self):
         iq = IssueQueue(8)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(branch, 0)
+        iq.insert(branch, ALL_READY)
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
-        iq.insert(load, iq.producer_mask())
+        iq.insert(load, ALL_READY)
         iq.mark_issued(branch)
         assert iq.matrix.has_dependence(load.iq_pos)   # same cycle: suspect
         iq.end_cycle()
@@ -176,7 +190,7 @@ class TestIssueQueue:
     def test_load_keeps_slot_at_issue(self):
         iq = IssueQueue(8)
         load = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
-        iq.insert(load, 0)
+        iq.insert(load, ALL_READY)
         iq.mark_issued(load)
         assert load.iq_pos is not None
         iq.release(load)
@@ -186,11 +200,50 @@ class TestIssueQueue:
     def test_slot_not_reusable_until_end_cycle(self):
         iq = IssueQueue(1)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
-        iq.insert(branch, 0)
+        iq.insert(branch, ALL_READY)
         iq.mark_issued(branch)   # releases (non-load) ...
-        assert iq.full           # ... but the slot recycles at end_cycle
+        assert not iq.space      # ... but the slot recycles at end_cycle
         iq.end_cycle()
-        assert not iq.full
+        assert iq.space == 1
+
+    def test_wakeup_fills_the_ready_set_in_age_order(self):
+        """A resident joins the ready set when its last issue operand
+        is written back; the set stays oldest first."""
+        iq = IssueQueue(8)
+        ready = [True] * 8
+        ready[5] = ready[6] = False
+        older = dyninst(1, Opcode.ADD, rd=1, rs1=2, rs2=3)
+        older.psrcs = (5, 6)
+        younger = dyninst(2, Opcode.ADD, rd=1, rs1=2, rs2=3)
+        younger.psrcs = (1, 2)
+        iq.insert(older, ready)
+        iq.insert(younger, ready)
+        assert iq.ready == [younger]
+        iq.wake(5)
+        assert iq.ready == [younger]
+        iq.wake(6)
+        assert iq.ready == [older, younger]
+
+    def test_store_waits_on_its_address_operand_only(self):
+        iq = IssueQueue(8)
+        ready = [True] * 8
+        ready[4] = False
+        store = dyninst(1, Opcode.STORE, rs1=1, rs2=2)
+        store.psrcs = (3, 4)        # address ready, data not yet
+        iq.insert(store, ready)
+        assert iq.ready == [store]
+
+    def test_squashed_waiter_is_skipped(self):
+        iq = IssueQueue(8)
+        ready = [True] * 8
+        ready[5] = False
+        inst = dyninst(1, Opcode.ADD, rd=1, rs1=2, rs2=3)
+        inst.psrcs = (5, 1)
+        iq.insert(inst, ready)
+        inst.squashed = True
+        iq.release(inst)
+        iq.wake(5)
+        assert iq.ready == []
 
 
 class TestLSQ:
@@ -217,8 +270,8 @@ class TestLSQ:
         lsq = self._lsq()
         for seq in range(4):
             lsq.allocate_load(self._load(seq))
-        assert not lsq.can_allocate_load()
-        assert lsq.can_allocate_store()
+        assert not lsq.load_space
+        assert lsq.store_space == 4
 
     def test_release_recycles_slot(self):
         lsq = self._lsq()

@@ -222,3 +222,22 @@ class TestPipelineInvariants:
         from repro.pipeline.invariants import check_processor_invariants
         with pytest.raises(InvariantViolation):
             check_processor_invariants(cpu)
+
+    def test_lost_wakeup_is_detected(self):
+        """The ready set must be what a scan of the slots would find: a
+        ready resident missing from it trips the lint."""
+        import pytest
+        from repro.pipeline.invariants import (InvariantViolation,
+                                               check_processor_invariants)
+        cpu = Processor(spectre_v1_like_program(), machine=tiny_config(),
+                        security=SecurityConfig.origin(),
+                        check_invariants=True)
+        for _ in range(200):
+            cpu.step()
+            if cpu.iq.ready:
+                break
+        assert cpu.iq.ready
+        check_processor_invariants(cpu)
+        del cpu.iq.ready[0]
+        with pytest.raises(InvariantViolation, match="ready set"):
+            check_processor_invariants(cpu)

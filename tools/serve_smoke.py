@@ -129,8 +129,23 @@ def concurrent_phase():
 
 def main():
     started = time.monotonic()
-    journal = os.path.join(tempfile.mkdtemp(prefix="repro-serve-"),
-                           "jobs.jsonl")
+    # The journal directory outlives the daemon, then goes with it.
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as directory:
+        serve_and_check(os.path.join(directory, "jobs.jsonl"))
+    elapsed = time.monotonic() - started
+    print(f"serve smoke: {elapsed:.1f}s, "
+          f"{len(FAILURES)} failure(s)")
+    check(elapsed < 120, "finished under two minutes")
+    if FAILURES:
+        for failure in FAILURES:
+            print(f"FAILED: {failure}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def serve_and_check(journal):
+    """Run the daemon on ``journal`` through every phase, then drain
+    it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(
         os.path.dirname(__file__), "..", "src")
@@ -234,16 +249,6 @@ def main():
         if output:
             print("--- daemon output ---")
             print(output.rstrip())
-
-    elapsed = time.monotonic() - started
-    print(f"serve smoke: {elapsed:.1f}s, "
-          f"{len(FAILURES)} failure(s)")
-    check(elapsed < 120, "finished under two minutes")
-    if FAILURES:
-        for failure in FAILURES:
-            print(f"FAILED: {failure}", file=sys.stderr)
-        return 1
-    return 0
 
 
 if __name__ == "__main__":
