@@ -29,7 +29,7 @@ from .defense import (
     register_defense,
 )
 from .security_matrix import SecurityDependenceMatrix
-from .tpbuf import TPBuf, TPBufEntry
+from .tpbuf import TPBuf
 from .icache_filter import ICacheHitFilter
 from .area_model import (
     AreaReport,
@@ -53,7 +53,6 @@ __all__ = [
     "register_defense",
     "SecurityDependenceMatrix",
     "TPBuf",
-    "TPBufEntry",
     "MissVerdict",
     "ICacheHitFilter",
     "AreaReport",

@@ -99,7 +99,7 @@ class Defense:
     Hardware declarations, the only wiring a class writes:
 
     - ``uses_matrix`` — install security-dependence rows at dispatch.
-    - ``uses_tpbuf`` — build the TPBuf and mirror suspect/PPN state.
+    - ``uses_tpbuf`` — build the TPBuf, which reads the LSQ residents.
 
     Derived wiring, set once per class by :meth:`__init_subclass__`
     from the hooks it overrides; the pipeline skips the hooks of a
@@ -189,8 +189,7 @@ class Defense:
         filter-blocked load waits: a pure function of pipeline state,
         like :meth:`gate_issue`.  The default is the security
         dependence row (Section V.B)."""
-        assert inst.iq_pos is not None
-        return cpu.iq.matrix.has_dependence(inst.iq_pos)
+        return cpu.iq.matrix.has_dependence(inst)
 
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
         """May this memory instruction issue now?  A "no" must be a
@@ -341,8 +340,7 @@ class BaselineDefense(Defense):
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
         """Not while suspect: the default :meth:`is_suspect`, inlined
         because the issue loop asks it per memory instruction."""
-        assert inst.iq_pos is not None
-        return not cpu.iq.matrix.has_dependence(inst.iq_pos)
+        return not cpu.iq.matrix.has_dependence(inst)
 
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
@@ -404,9 +402,7 @@ class CacheHitTPBufDefense(CacheHitDefense):
         proceeds as a normal miss; a matching one is blocked."""
         tpbuf = cpu.tpbuf
         assert tpbuf is not None  # built for every uses_tpbuf defense
-        index = inst.tpbuf_index if inst.tpbuf_index is not None else 0
-        ppn = inst.ppn if inst.ppn is not None else 0
-        if tpbuf.is_safe(index, ppn):
+        if tpbuf.is_safe(inst, cpu.lsq):
             self.stats.incr("filtered_by_tpbuf")
             return MissVerdict.PROCEED
         return super().judge_suspect_miss(cpu, inst)
@@ -512,9 +508,7 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
     :meth:`transform_program` (program metadata, not a rewrite), is
     content-addressed and memoized across trials, and is *empty* for
     programs with no bypassable pairs — where the defense is
-    cycle-identical to plain ``delay_on_miss``.  Raw
-    ``InstructionMemory`` runs have no program to analyze and likewise
-    degrade to the branch-keyed predicate.
+    cycle-identical to plain ``delay_on_miss``.
 
     Deadlock-free: a load only waits on unresolved-address stores
     older than itself, and a store's address operands are produced by
@@ -530,11 +524,9 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
     covers_sources = ("branch", "indirect", "return", "store")
     coverage_needs_memdep = True
 
-    #: load PC → PCs of stores it may bypass; class-level default so
-    #: InstructionMemory-driven runs (no transform_program call) see
-    #: an empty table.  Read-only at class level, shadowed per
-    #: instance by :meth:`transform_program`.
-    _store_sets: Dict[int, frozenset] = {}
+    #: load PC → PCs of stores it may bypass, set by
+    #: :meth:`transform_program`.
+    _store_sets: Dict[int, frozenset]
 
     def transform_program(self, program: "Program") -> "Program":
         from ..analysis.memdep import static_store_sets

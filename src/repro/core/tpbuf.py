@@ -1,18 +1,23 @@
 """The Trusted Page Buffer (TPBuf) - Section V.D, Figure 4.
 
-TPBuf entries map 1:1 onto LSQ entries and track, per in-flight memory
-instruction:
+The paper's TPBuf has one entry per LSQ entry and tracks, per in-flight
+memory instruction:
 
-- ``A`` - entry allocated (paired LSQ slot live),
+- ``A`` - entry allocated (paired LSQ entry live),
 - ``V`` - physical page number recorded (address translated),
 - ``W`` - writeback: the fetched data is available to consumers,
 - ``S`` - the instruction carried the *suspect speculation* flag,
 - ``ppn`` - the physical page number (the tag),
-- ``mask`` - bit vector of entries older in program order, generated
-  from the A bits at allocation time.
+- ``mask`` - the entries older in program order.
 
-For an incoming suspect request that misses L1D, the filter decision is
-(equation 1)::
+Every one of these is already a fact of the in-flight instruction the
+LSQ holds, set at the moment the hardware would set the bit: ``A`` is
+LSQ residence, ``V`` a known ``ppn`` (set at address translation),
+``S`` its ``suspect`` flag (sampled at issue), ``W`` a completed load or
+a store whose data was captured (a CLFLUSH never writes back), and the
+mask is the LSQ residents older than the incoming request.  The TPBuf
+therefore keeps no copy: it evaluates the filter decision of equation
+1 directly over the LSQ::
 
     safe = !( | (V & W & S & Match) )     restricted to older entries,
 
@@ -22,131 +27,51 @@ on a different page makes the incoming miss unsafe - the S-Pattern).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING
 
-from ..errors import ConfigError
 from ..stats import StatGroup
 
-
-@dataclass
-class TPBufEntry:
-    """One TPBuf slot (mirrors one LSQ slot)."""
-
-    allocated: bool = False   # A
-    valid: bool = False       # V (ppn recorded)
-    writeback: bool = False   # W (data available)
-    suspect: bool = False     # S
-    ppn: int = 0
-    mask: int = 0             # older-entry bit vector
-
-    def reset(self) -> None:
-        self.allocated = False
-        self.valid = False
-        self.writeback = False
-        self.suspect = False
-        self.ppn = 0
-        self.mask = 0
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..pipeline.dyninst import DynInst
+    from ..pipeline.lsq import LoadStoreQueue
 
 
 class TPBuf:
-    """The Trusted Page Buffer."""
+    """The Trusted Page Buffer: equation 1 over the LSQ's residents.
 
-    def __init__(self, entries: int) -> None:
-        if entries <= 0:
-            raise ConfigError("TPBuf needs at least one entry")
-        self.entries = entries
-        self._slots: List[TPBufEntry] = [TPBufEntry() for _ in range(entries)]
+    ``stats`` counts ``queries`` with their ``safe`` and ``unsafe``
+    verdicts; the processor adds ``allocations``, one per LSQ
+    allocation, to the report.
+    """
+
+    def __init__(self) -> None:
         self.stats = StatGroup("tpbuf")
 
-    # ---- lifecycle (driven by LSQ allocate/commit/squash) -----------------
-
-    def allocate(self, index: int) -> None:
-        """Allocate slot ``index``; Mask snapshots current A bits."""
-        slot = self._slots[index]
-        if slot.allocated:
-            raise ConfigError(f"TPBuf slot {index} double-allocated")
-        older_mask = 0
-        for position, other in enumerate(self._slots):
-            if other.allocated:
-                older_mask |= 1 << position
-        slot.allocated = True
-        slot.valid = False
-        slot.writeback = False
-        slot.suspect = False
-        slot.ppn = 0
-        slot.mask = older_mask
-        self.stats.incr("allocations")
-
-    def deallocate(self, index: int) -> None:
-        """Free slot ``index`` (commit or squash) and drop it from every
-        younger entry's Mask."""
-        slot = self._slots[index]
-        slot.reset()
-        clear = ~(1 << index)
-        for other in self._slots:
-            other.mask &= clear
-
-    # ---- status updates ------------------------------------------------------
-
-    def set_ppn(self, index: int, ppn: int) -> None:
-        """Record the translated physical page number (sets V)."""
-        slot = self._slots[index]
-        slot.ppn = ppn
-        slot.valid = True
-
-    def set_suspect(self, index: int, suspect: bool) -> None:
-        """Mirror the suspect-speculation flag at issue time (sets S)."""
-        self._slots[index].suspect = suspect
-
-    def set_writeback(self, index: int) -> None:
-        """Data for this access is now available to consumers (sets W)."""
-        self._slots[index].writeback = True
-
-    def clear_writeback(self, index: int) -> None:
-        self._slots[index].writeback = False
-
-    # ---- the filter decision ----------------------------------------------------
-
-    def is_safe(self, index: int, incoming_ppn: int) -> bool:
-        """Apply equation 1 to an incoming suspect L1D miss held in slot
-        ``index`` with physical page ``incoming_ppn``.
+    def is_safe(self, load: "DynInst", lsq: "LoadStoreQueue") -> bool:
+        """Apply equation 1 to the incoming suspect L1D miss ``load``,
+        whose page is translated, over the residents of ``lsq`` older
+        than it.
 
         Returns True when the access does *not* match the S-Pattern and
         may therefore speculatively refill the cache.
         """
         self.stats.incr("queries")
-        mask = self._slots[index].mask
-        position = 0
-        while mask:
-            if mask & 1:
-                entry = self._slots[position]
-                if (
-                    entry.allocated
-                    and entry.valid
-                    and entry.writeback
-                    and entry.suspect
-                    and entry.ppn != incoming_ppn
-                ):
-                    self.stats.incr("unsafe")
-                    return False
-            mask >>= 1
-            position += 1
+        seq = load.seq
+        ppn = load.ppn
+        assert ppn is not None
+        for older in lsq.loads():
+            if older.seq >= seq:
+                break
+            if (older.suspect and older.completed
+                    and older.ppn is not None and older.ppn != ppn):
+                self.stats.incr("unsafe")
+                return False
+        for older in lsq.stores():
+            if older.seq >= seq:
+                break
+            if (older.suspect and older.store_data_ready
+                    and older.ppn is not None and older.ppn != ppn):
+                self.stats.incr("unsafe")
+                return False
         self.stats.incr("safe")
         return True
-
-    # ---- introspection -------------------------------------------------------------
-
-    def slot(self, index: int) -> TPBufEntry:
-        return self._slots[index]
-
-    def allocated_count(self) -> int:
-        return sum(1 for slot in self._slots if slot.allocated)
-
-    def mismatch_rate(self) -> float:
-        """Fraction of queries judged safe (the paper's *S-Pattern
-        mismatch rate*, Table V)."""
-        queries = self.stats.get("queries")
-        if queries == 0:
-            return 0.0
-        return self.stats.get("safe") / queries

@@ -118,7 +118,7 @@ def compare_with_oracle(
     """Every difference between the architectural state ``cpu`` retired
     to and the oracle's.
 
-    ``oracle`` must be the in-order run of ``cpu.imem.programs[0]``, the
+    ``oracle`` must be the in-order run of ``cpu.program``, the
     program the core ran after
     :meth:`~repro.core.defense.Defense.transform_program`: ``slh``'s
     fences move code addresses and add retired instructions.  RDCYCLE
@@ -128,7 +128,7 @@ def compare_with_oracle(
     if not report.halted:
         return [Mismatch("no_halt", mode, report.termination, 1, 0)]
     timing = {instruction.dest
-              for instruction in cpu.imem.programs[0].instructions
+              for instruction in cpu.program.instructions
               if instruction.op is Opcode.RDCYCLE}
     mismatches: List[Mismatch] = []
     for reg, want in enumerate(oracle.registers):
@@ -159,7 +159,9 @@ def differential_check(
 ) -> DiffOutcome:
     """Run ``program`` through the OoO core under each protection mode
     and diff the architectural states against the oracle's run of the
-    same program (of its rewrite, under a software defense)."""
+    same program (of its rewrite, under a software defense).  Each core
+    runs the structural invariant lint every cycle
+    (:mod:`repro.pipeline.invariants`); a violation raises."""
     machine = machine if machine is not None else tiny_config()
     oracle = run_oracle(program, max_instructions=oracle_budget)
     if not oracle.halted:
@@ -167,9 +169,10 @@ def differential_check(
     mismatches: List[Mismatch] = []
     for mode in modes:
         cpu = Processor(program, machine=machine,
-                        security=SecurityConfig(mode))
+                        security=SecurityConfig(mode),
+                        check_invariants=True)
         report = cpu.run(max_cycles=max_cycles)
-        ran = cpu.imem.programs[0]
+        ran = cpu.program
         reference = oracle if ran is program else run_oracle(
             ran, max_instructions=oracle_budget)
         mismatches.extend(compare_with_oracle(cpu, report, reference,

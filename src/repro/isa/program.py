@@ -213,22 +213,10 @@ def insert_fences(program: Program, pcs: Iterable[int]) -> FenceRewrite:
 
 
 class InstructionMemory:
-    """Fetch-side view of a program (or several disjoint programs)."""
+    """Fetch-side view of one program."""
 
-    def __init__(self, *programs: Program) -> None:
-        self._map: Dict[int, Instruction] = {}
-        self._programs: List[Program] = []
-        for program in programs:
-            self.add(program)
-
-    def add(self, program: Program) -> None:
-        for address, instruction in program.iter_addressed():
-            if address in self._map:
-                raise SimulationError(
-                    f"instruction address overlap at {address:#x}"
-                )
-            self._map[address] = instruction
-        self._programs.append(program)
+    def __init__(self, program: Program) -> None:
+        self._map: Dict[int, Instruction] = dict(program.iter_addressed())
 
     def fetch(self, address: int) -> Instruction:
         """Instruction at ``address``; unmapped addresses decode as NOP."""
@@ -236,14 +224,3 @@ class InstructionMemory:
 
     def is_mapped(self, address: int) -> bool:
         return address in self._map
-
-    @property
-    def programs(self) -> List[Program]:
-        return list(self._programs)
-
-    def initial_memory(self) -> Dict[int, int]:
-        """Union of all programs' initial data images."""
-        image: Dict[int, int] = {}
-        for program in self._programs:
-            image.update(program.initial_memory)
-        return image

@@ -1,4 +1,10 @@
-"""Dynamic (in-flight) instruction state."""
+"""Dynamic (in-flight) instruction state.
+
+The ROB, the issue queue and the load/store queue each keep their
+``DynInst`` residents in age order, so an instruction carries no queue
+position; the TPBuf reads its bits off the instruction (see
+:mod:`repro.core.tpbuf`).
+"""
 from __future__ import annotations
 
 from enum import IntEnum
@@ -13,6 +19,8 @@ class InstState(IntEnum):
     DISPATCHED = 0   # in ROB (and IQ/LSQ), waiting for operands
     ISSUED = 1       # selected for execution
     COMPLETED = 2    # result produced, waiting to commit
+    BLOCKED = 3      # load whose suspect miss a filter discarded: waits
+                     # in the IQ until no longer suspect (Section V.C)
 
 
 class DynInst:
@@ -20,21 +28,21 @@ class DynInst:
 
     A ``DynInst`` is created at dispatch and lives until commit or
     squash.  It carries renaming state, execution state, the defense's
-    per-instruction flags (suspect / blocked), and the timestamps the
+    per-instruction flags (suspect, ever blocked), and the timestamps the
     statistics are derived from.
     """
 
     __slots__ = (
         "seq", "pc", "instr",
         "pdst", "old_pdst", "psrcs",
-        "iq_pos", "waiting", "lsq_slot", "tpbuf_index",
+        "waiting",
         "state", "squashed",
         "value", "vaddr", "paddr", "ppn",
         "addr_ready", "store_data_ready", "forward_seq",
         "speculated_past_store",
         "pred_target", "taken", "actual_target",
         "mispredicted", "resolved",
-        "suspect", "ever_suspect", "blocked", "ever_blocked", "block_events",
+        "suspect", "ever_suspect", "ever_blocked", "block_events",
         "invisible_fill",
         "pending_lru_line",
         "cycle_dispatched", "cycle_issued", "cycle_completed",
@@ -49,12 +57,8 @@ class DynInst:
         self.pdst: Optional[int] = None
         self.old_pdst: Optional[int] = None
         self.psrcs: Tuple[int, ...] = ()
-        # Structure slots.
-        self.iq_pos: Optional[int] = None
         #: Issue operands still awaiting writeback (issue-queue wakeup).
         self.waiting = 0
-        self.lsq_slot: Optional[int] = None
-        self.tpbuf_index: Optional[int] = None
         # Lifecycle.
         self.state = InstState.DISPATCHED
         self.squashed = False
@@ -76,7 +80,6 @@ class DynInst:
         # Defense flags.
         self.suspect = False
         self.ever_suspect = False
-        self.blocked = False
         self.ever_blocked = False
         self.block_events = 0
         #: InvisiSpec-style defenses: line address of a speculative
@@ -97,8 +100,6 @@ class DynInst:
         flags = []
         if self.suspect:
             flags.append("suspect")
-        if self.blocked:
-            flags.append("blocked")
         if self.squashed:
             flags.append("squashed")
         tail = f" [{' '.join(flags)}]" if flags else ""

@@ -12,23 +12,26 @@ Checked invariants:
 - **ROB**: occupancy within capacity and equal to its free-entry
   count, sequence numbers strictly increasing head-to-tail, no
   squashed residents.
-- **IQ**: free list consistent with slot contents, every resident's
-  ``iq_pos`` backlink correct, occupancy bookkeeping exact.
-- **Ready set**: exactly the DISPATCHED residents whose issue operands
-  are ready by the rename ready bits - what a scan of every slot
-  would select from - in age order (squashed entries aside, which
-  leave lazily).
-- **LSQ**: occupancy bookkeeping exact, backlinks correct, and every
-  resident also lives in the ROB.
+- **IQ**: no squashed residents.
+- **Ready set**: exactly the DISPATCHED and BLOCKED residents whose
+  issue operands are ready by the rename ready bits - what a scan of
+  every resident would select from - in age order (squashed entries
+  aside, which leave lazily).
+- **LSQ**: no squashed residents, and every resident also lives in
+  the ROB.
 - **Rename**: free list and active mappings disjoint.
 - **Defense wiring**: the processor honours the defense's flags.  Only
   a defense that tags suspects (it declares the matrix or overrides
-  ``is_suspect``) marks an instruction suspect; a blocked instruction
-  is always an un-issued memory resident.
+  ``is_suspect``) marks an instruction suspect, and only a memory
+  instruction.
 
-The security matrix needs no check of its own: its rows follow from
-producer age order and cannot hold an issued producer past the cycle
-edge (see :mod:`repro.core.security_matrix`).
+The issue and load/store queues keep their residents in age order
+with no slots, free lists or backlinks, so there is no bookkeeping to
+diverge; a blocked load is a state (``InstState.BLOCKED``), which only
+the cache stage of an issued load sets.  The security matrix needs no
+check of its own: its rows follow from producer age order and cannot
+hold an issued producer past the cycle edge (see
+:mod:`repro.core.security_matrix`).
 """
 from __future__ import annotations
 
@@ -68,39 +71,23 @@ def check_rob(cpu: "Processor") -> None:
 
 
 def check_issue_queue(cpu: "Processor") -> None:
-    iq = cpu.iq
-    free = set(iq._free)
-    if len(free) != len(iq._free):
-        _fail(cpu.cycle, "duplicate slots in IQ free list")
-    occupied = 0
-    for pos, inst in enumerate(iq._slots):
-        if inst is None:
-            continue
-        occupied += 1
-        if pos in free:
-            _fail(cpu.cycle, f"IQ slot {pos} is both free and occupied")
-        if inst.iq_pos != pos:
-            _fail(cpu.cycle, f"IQ backlink broken: slot {pos} holds "
-                             f"{inst!r} with iq_pos={inst.iq_pos}")
+    for inst in cpu.iq:
         if inst.squashed:
             _fail(cpu.cycle, f"squashed {inst!r} still resident in IQ")
-    if iq.occupancy() != occupied:
-        _fail(cpu.cycle, f"IQ occupancy() = {iq.occupancy()} but "
-                         f"{occupied} slots are populated")
 
 
 def check_ready_set(cpu: "Processor") -> None:
     """The wakeup-maintained ready set must be what a scan of every
-    slot would find: the DISPATCHED residents whose issue operands are
-    all ready."""
+    resident would find: the DISPATCHED and BLOCKED residents whose
+    issue operands are all ready."""
     ready_bits = cpu.rename.ready
     expected = [
-        inst for inst in cpu.iq
-        if inst.state is InstState.DISPATCHED
+        inst for inst in cpu.iq  # oldest first
+        if (inst.state is InstState.DISPATCHED
+            or inst.state is InstState.BLOCKED)
         and all(ready_bits[psrc]
                 for psrc in inst.psrcs[:inst.instr.issue_operands])
     ]
-    expected.sort(key=lambda inst: inst.seq)
     actual = [inst for inst in cpu.iq.ready if not inst.squashed]
     if actual != expected:
         _fail(cpu.cycle, f"ready set {[inst.seq for inst in actual]} but "
@@ -119,37 +106,18 @@ def check_defense_wiring(cpu: "Processor") -> None:
                   f"but {inst!r} is marked suspect")
         if inst.suspect and not inst.instr.is_memory:
             _fail(cpu.cycle, f"non-memory {inst!r} marked suspect")
-        if inst.blocked:
-            if not inst.instr.is_memory:
-                _fail(cpu.cycle, f"non-memory {inst!r} is blocked")
-            if inst.state is not InstState.DISPATCHED:
-                _fail(cpu.cycle,
-                      f"blocked {inst!r} is not waiting in DISPATCHED")
 
 
 def check_lsq(cpu: "Processor") -> None:
     lsq = cpu.lsq
     rob_residents = {id(inst) for inst in cpu.rob}
-    for kind, slots in (("LDQ", lsq._loads), ("STQ", lsq._stores)):
-        for pos, inst in enumerate(slots):
-            if inst is None:
-                continue
-            if inst.lsq_slot != pos:
-                _fail(cpu.cycle, f"{kind} backlink broken at slot {pos}: "
-                                 f"{inst!r}")
+    for kind, residents in (("LDQ", lsq.loads()), ("STQ", lsq.stores())):
+        for inst in residents:
             if inst.squashed:
                 _fail(cpu.cycle, f"squashed {inst!r} resident in {kind}")
             if id(inst) not in rob_residents:
                 _fail(cpu.cycle, f"{kind} resident {inst!r} missing "
                                  f"from the ROB")
-    if lsq.load_occupancy() != sum(
-        1 for inst in lsq._loads if inst is not None
-    ):
-        _fail(cpu.cycle, "LDQ occupancy bookkeeping diverged")
-    if lsq.store_occupancy() != sum(
-        1 for inst in lsq._stores if inst is not None
-    ):
-        _fail(cpu.cycle, "STQ occupancy bookkeeping diverged")
 
 
 def check_rename(cpu: "Processor") -> None:

@@ -1,10 +1,9 @@
 """Load/store queue with store-to-load forwarding, memory-dependence
 speculation and ordering-violation detection.
 
-The LSQ is the structure the TPBuf shadows 1:1 (Section V.D): slot
-``i`` of the load queue maps to TPBuf entry ``i`` and slot ``j`` of the
-store queue to entry ``ldq_entries + j``.  Allocation, commit and
-squash of TPBuf entries are driven from here.
+Loads and stores each keep their residents oldest first, with no slot
+numbers.  The TPBuf (Section V.D) is one entry per LSQ entry; it reads
+its bits off these residents (see :mod:`repro.core.tpbuf`).
 
 Memory-dependence speculation is what Spectre V4 exploits: a load whose
 older stores have unknown addresses may issue anyway; when a store
@@ -24,9 +23,8 @@ buffer of the InvisiSpec-style entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from ..core.tpbuf import TPBuf
 from ..errors import SimulationError
 from ..isa.instructions import WORD_BYTES
 from .dyninst import DynInst
@@ -46,84 +44,65 @@ class LoadDecision:
 
 
 class LoadStoreQueue:
-    """Split load/store queues with fixed slots (for TPBuf mirroring)."""
+    """Split load/store queues, each oldest first."""
 
-    def __init__(self, ldq_entries: int, stq_entries: int,
-                 tpbuf: Optional[TPBuf] = None) -> None:
-        self.ldq_entries = ldq_entries
-        self.stq_entries = stq_entries
-        self._loads: List[Optional[DynInst]] = [None] * ldq_entries
-        self._stores: List[Optional[DynInst]] = [None] * stq_entries
-        self._free_loads: List[int] = list(range(ldq_entries - 1, -1, -1))
-        self._free_stores: List[int] = list(range(stq_entries - 1, -1, -1))
-        #: Free load and store queue slots, kept current for dispatch's
-        #: capacity check.
+    def __init__(self, ldq_entries: int, stq_entries: int) -> None:
+        #: Residents by sequence number, oldest first (allocation is in
+        #: program order, so insertion order is age order).
+        self._loads: Dict[int, DynInst] = {}
+        self._stores: Dict[int, DynInst] = {}
+        #: Free load and store queue entries, kept current for
+        #: dispatch's capacity check.
         self.load_space = ldq_entries
         self.store_space = stq_entries
-        self.tpbuf = tpbuf
+        #: Entries allocated so far, loads and stores (the TPBuf's
+        #: ``allocations``: it pairs one entry with each).
+        self.allocations = 0
 
     # ---- capacity ----------------------------------------------------------
 
     def load_occupancy(self) -> int:
-        return self.ldq_entries - self.load_space
+        return len(self._loads)
 
     def store_occupancy(self) -> int:
-        return self.stq_entries - self.store_space
+        return len(self._stores)
 
     # ---- allocation (dispatch, program order) ---------------------------------
 
-    def allocate_load(self, inst: DynInst) -> int:
-        if not self._free_loads:
+    def allocate_load(self, inst: DynInst) -> None:
+        if not self.load_space:
             raise SimulationError("LDQ overflow")
-        slot = self._free_loads.pop()
         self.load_space -= 1
-        self._loads[slot] = inst
-        inst.lsq_slot = slot
-        inst.tpbuf_index = slot
-        if self.tpbuf is not None:
-            self.tpbuf.allocate(slot)
-        return slot
+        self._loads[inst.seq] = inst
+        self.allocations += 1
 
-    def allocate_store(self, inst: DynInst) -> int:
-        if not self._free_stores:
+    def allocate_store(self, inst: DynInst) -> None:
+        if not self.store_space:
             raise SimulationError("STQ overflow")
-        slot = self._free_stores.pop()
         self.store_space -= 1
-        self._stores[slot] = inst
-        inst.lsq_slot = slot
-        inst.tpbuf_index = self.ldq_entries + slot
-        if self.tpbuf is not None:
-            self.tpbuf.allocate(inst.tpbuf_index)
-        return slot
+        self._stores[inst.seq] = inst
+        self.allocations += 1
 
     # ---- release (commit or squash) --------------------------------------------
 
     def release(self, inst: DynInst) -> None:
-        slot = inst.lsq_slot
-        if slot is None:
-            return
+        """Free the entry held by ``inst``; nothing if it holds none."""
         if inst.instr.is_load:
-            assert self._loads[slot] is inst
-            self._loads[slot] = None
-            self._free_loads.append(slot)
-            self.load_space += 1
-        else:
-            assert self._stores[slot] is inst
-            self._stores[slot] = None
-            self._free_stores.append(slot)
+            if self._loads.pop(inst.seq, None) is not None:
+                self.load_space += 1
+        elif self._stores.pop(inst.seq, None) is not None:
             self.store_space += 1
-        if self.tpbuf is not None and inst.tpbuf_index is not None:
-            self.tpbuf.deallocate(inst.tpbuf_index)
-        inst.lsq_slot = None
-        inst.tpbuf_index = None
 
     # ---- iteration -----------------------------------------------------------------
 
     def loads(self) -> Iterable[DynInst]:
-        return (inst for inst in self._loads if inst is not None)
+        """Load queue residents, oldest first."""
+        return self._loads.values()
 
     def stores(self) -> Iterable[DynInst]:
-        return (inst for inst in self._stores if inst is not None)
+        """Store queue residents (stores and line flushes), oldest
+        first."""
+        return self._stores.values()
 
     # ---- forwarding / speculation decisions ---------------------------------------------
 
@@ -136,23 +115,20 @@ class LoadStoreQueue:
         between - the memory-dependence speculation hazard.
         """
         assert load.vaddr is not None
+        seq = load.seq
         word = load.vaddr & _WORD_ALIGN
         source: Optional[DynInst] = None
         youngest_unknown: Optional[DynInst] = None
-        for store in self.stores():
-            if store.seq >= load.seq:
-                continue
+        for store in self._stores.values():  # oldest first
+            if store.seq >= seq:
+                break
             if not store.instr.is_store:
                 continue  # CLFLUSH occupies the STQ but forwards nothing
             if not store.addr_ready:
-                if (youngest_unknown is None
-                        or store.seq > youngest_unknown.seq):
-                    youngest_unknown = store
+                youngest_unknown = store
                 continue
             assert store.vaddr is not None
-            if (store.vaddr & _WORD_ALIGN) != word:
-                continue
-            if source is None or store.seq > source.seq:
+            if (store.vaddr & _WORD_ALIGN) == word:
                 source = store
         hazard = youngest_unknown is not None and (
             source is None or youngest_unknown.seq > source.seq
@@ -164,16 +140,17 @@ class LoadStoreQueue:
         address?  While true, a load at ``seq`` issuing anyway is
         memory-dependence speculation — the store-bypass window the
         store-set-aware defense keys its suspect predicate off."""
-        for store in self.stores():
-            if (store.seq < seq and store.instr.is_store
-                    and not store.addr_ready):
+        for store in self._stores.values():  # oldest first
+            if store.seq >= seq:
+                return False
+            if store.instr.is_store and not store.addr_ready:
                 return True
         return False
 
     def violating_loads(self, store: DynInst) -> List[DynInst]:
         """Loads that executed past ``store`` and read the same word
         from the wrong source - the ordering violations to squash when
-        ``store`` resolves its address.
+        ``store`` resolves its address, oldest first.
 
         A load violates iff it is younger, already has its address,
         speculated past an unknown store, reads the same word, and its
@@ -182,7 +159,7 @@ class LoadStoreQueue:
         assert store.vaddr is not None
         word = store.vaddr & _WORD_ALIGN
         violations: List[DynInst] = []
-        for load in self.loads():
+        for load in self._loads.values():  # oldest first
             if load.seq <= store.seq:
                 continue
             if load.vaddr is None or not load.speculated_past_store:
@@ -192,5 +169,4 @@ class LoadStoreQueue:
             if load.forward_seq is not None and load.forward_seq > store.seq:
                 continue
             violations.append(load)
-        violations.sort(key=lambda inst: inst.seq)
         return violations

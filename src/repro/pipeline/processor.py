@@ -1,8 +1,7 @@
 """The out-of-order processor model.
 
 One :class:`Processor` simulates a single hardware thread running one
-:class:`~repro.isa.program.Program` (or a pre-built instruction memory
-containing several) on the machine described by
+:class:`~repro.isa.program.Program` on the machine described by
 :class:`~repro.params.MachineParams`, under the Conditional Speculation
 policy described by :class:`~repro.core.policy.SecurityConfig`.
 
@@ -12,7 +11,7 @@ pending squash, commit, replay waiting memory operations, issue,
 dispatch, fetch, then apply the security matrix's staged column clears,
 tick the store buffer and let the watchdog observe.  Issue selects from
 the issue queue's ready set, which register writeback fills (wakeup),
-instead of scanning every slot.
+instead of scanning every resident.
 
 A cycle in which none of those stages does anything is *quiet*: it
 changes no state and only bumps waiting counters (block events,
@@ -42,13 +41,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional
 
 from ..core.defense import MissVerdict, create_defense
 from ..core.icache_filter import ICacheHitFilter
 from ..core.policy import SecurityConfig
 from ..core.tpbuf import TPBuf
-from ..errors import DefenseConfigError, SimulationError
 from ..frontend.branch_predictor import BranchPredictor
 from ..isa.instructions import (
     INSTRUCTION_BYTES,
@@ -109,11 +107,10 @@ class Processor:
 
     def __init__(
         self,
-        program: Union[Program, InstructionMemory],
+        program: Program,
         machine: Optional[MachineParams] = None,
         security: Optional[SecurityConfig] = None,
         page_table: Optional[PageTable] = None,
-        initial_registers: Optional[Dict[int, int]] = None,
         tracer: Optional["PipelineTracer"] = None,
         check_invariants: bool = False,
         watchdog_cycles: int = DEFAULT_WATCHDOG_CYCLES,
@@ -128,21 +125,10 @@ class Processor:
         # unknown name with a DefenseConfigError.
         self.defense = create_defense(self.security.mode)
 
-        if isinstance(program, Program):
-            program = self.defense.transform_program(program)
-            self.imem = InstructionMemory(program)
-            self._entry = program.entry_point
-        else:
-            if self.defense.kind == "software":
-                raise DefenseConfigError(
-                    f"software defense '{self.defense.name}' rewrites "
-                    "programs and cannot run on a pre-built "
-                    "InstructionMemory"
-                )
-            self.imem = program
-            if not self.imem.programs:
-                raise SimulationError("instruction memory is empty")
-            self._entry = self.imem.programs[0].entry_point
+        #: The program the core runs: the input after the defense's
+        #: transform (a software defense's rewrite).
+        self.program = self.defense.transform_program(program)
+        self.imem = InstructionMemory(self.program)
 
         # Memory system.
         self.page_table = page_table or PageTable(
@@ -154,7 +140,7 @@ class Processor:
         # The initial data image, translated a page at a time in
         # first-touch order: the page table hands out the same PPNs in
         # the same order as a per-word walk.
-        image = self.imem.initial_memory()
+        image = self.program.initial_memory
         shift = self.page_table.page_shift
         offset_mask = self.page_table.page_bytes - 1
         page_base = {
@@ -171,26 +157,19 @@ class Processor:
         self.predictor = BranchPredictor(core.bp_history_bits,
                                          core.btb_entries)
         self.rename = RenameState(core.num_arch_regs, core.num_phys_regs)
-        if initial_registers:
-            for arch, value in initial_registers.items():
-                if arch != 0:
-                    self.rename.write(self.rename.lookup(arch), value)
         self.rob = ReorderBuffer(core.rob_entries)
         self.iq = IssueQueue(core.iq_entries,
                              matrix=self.defense.uses_matrix,
                              branch_only=self.security.branch_only_matrix)
-        self.tpbuf: Optional[TPBuf] = None
-        if self.defense.uses_tpbuf:
-            self.tpbuf = TPBuf(core.ldq_entries + core.stq_entries)
-        self.lsq = LoadStoreQueue(core.ldq_entries, core.stq_entries,
-                                  tpbuf=self.tpbuf)
+        self.lsq = LoadStoreQueue(core.ldq_entries, core.stq_entries)
+        self.tpbuf = TPBuf() if self.defense.uses_tpbuf else None
         self.icache_filter = ICacheHitFilter(self.security.icache_filter)
         self.store_buffer = StoreBuffer(core.store_buffer_entries,
                                         self.hierarchy)
         self.events = EventQueue()
 
         # Fetch state.
-        self.fetch_pc = self._entry
+        self.fetch_pc = self.program.entry_point
         self._fetch_buffer: Deque[_FetchedInst] = deque()
         self._fetch_buffer_cap = core.fetch_width * (core.frontend_depth + 2)
         self._fetch_stall_until = 0
@@ -516,6 +495,8 @@ class Processor:
         barrier = self._barrier_seqs[0] if self._barrier_seqs else None
         defense = self.defense
         gated = self._gates_issue
+        # Hoisted: an enum member lookup costs ten attribute reads.
+        filter_blocked = InstState.BLOCKED
         squashed = False
         for inst in ready:  # oldest first
             if inst.squashed:
@@ -529,12 +510,12 @@ class Processor:
                 or self.cycle < self._commit_stall_until
             ):
                 continue
-            if inst.blocked:
+            if inst.state is filter_blocked:
                 # Filter-blocked load: re-issue once the defense no
                 # longer finds it suspect (Section V.C).
                 if defense.is_suspect(self, inst):
                     continue
-                inst.blocked = False
+                inst.state = InstState.DISPATCHED
             elif gated and instr.is_memory \
                     and not defense.gate_issue(self, inst):
                 # The defense holds it at issue (baseline's dependence
@@ -584,8 +565,6 @@ class Processor:
             if inst.suspect:
                 inst.ever_suspect = True
                 self.report.suspect_issues += 1
-            if self.tpbuf is not None and inst.tpbuf_index is not None:
-                self.tpbuf.set_suspect(inst.tpbuf_index, inst.suspect)
 
         self.iq.mark_issued(inst)
 
@@ -718,8 +697,6 @@ class Processor:
         inst.paddr = translation.paddr
         inst.ppn = translation.ppn
         inst.addr_ready = True
-        if self.tpbuf is not None and inst.tpbuf_index is not None:
-            self.tpbuf.set_ppn(inst.tpbuf_index, translation.ppn)
         delay = _AGU_LATENCY + translation.latency
         self._schedule(delay, lambda: self._load_cache_stage(inst))
 
@@ -769,10 +746,9 @@ class Processor:
             elif verdict is MissVerdict.BLOCK:
                 # Discard the miss request; wait in the IQ for the
                 # security dependence to clear, then re-issue.
-                inst.blocked = True
+                inst.state = InstState.BLOCKED
                 inst.ever_blocked = True
                 inst.block_events += 1
-                inst.state = InstState.DISPATCHED
                 self.iq.requeue(inst)
                 self.report.block_events += 1
                 self.stats.incr("filter_blocked_misses")
@@ -815,10 +791,7 @@ class Processor:
         inst.cycle_completed = self.cycle
         if self._taints_writeback:
             self.defense.on_writeback(self, inst)
-        if self.tpbuf is not None and inst.tpbuf_index is not None:
-            self.tpbuf.set_writeback(inst.tpbuf_index)
-        if inst.iq_pos is not None:
-            self.iq.release(inst)
+        self.iq.release(inst)
 
     # ------------------------------------------------------------------
     # Stores and CLFLUSH (address pipeline)
@@ -831,8 +804,6 @@ class Processor:
         translation = self.dtlb.translate(inst.vaddr)
         inst.paddr = translation.paddr
         inst.ppn = translation.ppn
-        if self.tpbuf is not None and inst.tpbuf_index is not None:
-            self.tpbuf.set_ppn(inst.tpbuf_index, translation.ppn)
         delay = _AGU_LATENCY + translation.latency
         self._schedule(delay, lambda: self._store_address_resolved(inst))
 
@@ -863,8 +834,6 @@ class Processor:
         inst.store_data_ready = True
         inst.state = InstState.COMPLETED
         inst.cycle_completed = self.cycle
-        if self.tpbuf is not None and inst.tpbuf_index is not None:
-            self.tpbuf.set_writeback(inst.tpbuf_index)
 
     # ------------------------------------------------------------------
     # Replay of waiting memory operations
@@ -947,9 +916,9 @@ class Processor:
                 self._unresolved_branches -= 1
             if instr.is_serializing:
                 self._remove_barrier(inst.seq)
-            if inst.iq_pos is not None:
+            if instr.needs_iq:
                 self.iq.release(inst)
-            if inst.lsq_slot is not None:
+            if instr.is_memory:
                 self.lsq.release(inst)
             if inst.pdst is not None:
                 dest = instr.dest
@@ -1003,9 +972,7 @@ class Processor:
                 self.report.committed_mem_blocked += 1
             if head.old_pdst is not None:
                 self.rename.release(head.old_pdst)
-            if head.iq_pos is not None:
-                self.iq.release(head)
-            if head.lsq_slot is not None:
+            if instr.is_memory:
                 self.lsq.release(head)
             if instr.is_serializing:
                 self._remove_barrier(head.seq)
@@ -1045,6 +1012,8 @@ class Processor:
         if self.tpbuf is not None:
             report.tpbuf_queries = self.tpbuf.stats.get("queries")
             report.tpbuf_safe = self.tpbuf.stats.get("safe")
+            if self.lsq.allocations:
+                self.tpbuf.stats.set("allocations", self.lsq.allocations)
         groups = [
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,

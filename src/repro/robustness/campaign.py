@@ -146,7 +146,7 @@ def run_fault_case(
 
     # The oracle runs the program the core ran (a software defense
     # rewrites it).
-    oracle = run_oracle(cpu.imem.programs[0],
+    oracle = run_oracle(cpu.program,
                         max_instructions=case.max_instructions)
     if not oracle.halted:
         mismatches.append("case bug: oracle did not halt")

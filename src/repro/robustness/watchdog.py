@@ -7,8 +7,9 @@ snapshots and, when the commit stream stops for
 :attr:`ForwardProgressWatchdog.limit` cycles, raises
 :class:`~repro.errors.DeadlockError` carrying a
 :class:`DeadlockDiagnostics`: the oldest ROB entry, an inferred stall
-reason, its security-matrix row, and the recent occupancy history —
-everything a campaign triage needs without re-running under a tracer.
+reason, the producers in its security-matrix row, and the recent
+occupancy history — everything a campaign triage needs without
+re-running under a tracer.
 """
 from __future__ import annotations
 
@@ -64,8 +65,9 @@ class DeadlockDiagnostics:
     head_state: str = ""
     head_seq: int = -1
     head_pc: int = -1
-    #: Security-dependence row of the head, if it still holds an IQ slot.
-    head_matrix_row: int = 0
+    #: Sequence numbers of the producers in the head's security
+    #: dependence row, oldest first (empty without the matrix).
+    head_matrix_row: List[int] = field(default_factory=list)
     #: Heuristic classification of what wedged.
     stall_reason: str = ""
     #: Recent occupancy history, oldest first.
@@ -83,7 +85,7 @@ class DeadlockDiagnostics:
             f"unresolved_branches={self.unresolved_branches}",
             f"  oldest: {self.head_desc or '<ROB empty>'} "
             f"state={self.head_state or 'n/a'} "
-            f"matrix_row={self.head_matrix_row:#x}",
+            f"matrix_row={self.head_matrix_row}",
             f"  reason: {self.stall_reason}",
         ]
         if self.snapshots:
@@ -107,9 +109,13 @@ def _stall_reason(cpu: "Processor") -> str:
             return (f"commit port stalled until cycle "
                     f"{cpu._commit_stall_until}")
         return "head completed but never retired (commit logic wedged)"
-    if head.blocked:
-        return ("filter-blocked load waiting for its security "
-                "dependence row to clear")
+    if head.state is InstState.BLOCKED:
+        reason = ("filter-blocked load: the defense still finds it "
+                  "suspect")
+        if cpu.iq.matrix.enabled:
+            reason += (f" (security dependence row: producers "
+                       f"{cpu.iq.matrix.row(head)})")
+        return reason
     if head.state is InstState.DISPATCHED:
         unready = [psrc for psrc in head.psrcs
                    if not cpu.rename.is_ready(psrc)]
@@ -156,9 +162,6 @@ class ForwardProgressWatchdog:
     def diagnose(self, cpu: "Processor") -> DeadlockDiagnostics:
         """Build the full dump (also usable outside the raise path)."""
         head = cpu.rob.head()
-        matrix_row = 0
-        if head is not None and head.iq_pos is not None:
-            matrix_row = cpu.iq.matrix.row(head.iq_pos)
         return DeadlockDiagnostics(
             cycle=cpu.cycle,
             last_commit_cycle=cpu._last_commit_cycle,
@@ -175,7 +178,8 @@ class ForwardProgressWatchdog:
             head_state=head.state.name if head is not None else "",
             head_seq=head.seq if head is not None else -1,
             head_pc=head.pc if head is not None else -1,
-            head_matrix_row=matrix_row,
+            head_matrix_row=(cpu.iq.matrix.row(head)
+                             if head is not None else []),
             stall_reason=_stall_reason(cpu),
             snapshots=list(self.snapshots),
         )

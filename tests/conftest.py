@@ -29,13 +29,12 @@ def builder():
 
 
 def run_to_halt(program, machine=None, security=None, max_cycles=200_000,
-                initial_registers=None, page_table=None):
+                page_table=None):
     """Run a program to completion and return (processor, report)."""
     cpu = Processor(
         program,
         machine=machine or tiny_config(),
         security=security or SecurityConfig.origin(),
-        initial_registers=initial_registers,
         page_table=page_table,
     )
     report = cpu.run(max_cycles=max_cycles)

@@ -137,26 +137,6 @@ class TestInstructionMemory:
         assert imem.fetch(0x9999000).op is Opcode.NOP
         assert not imem.is_mapped(0x9999000)
 
-    def test_overlap_rejected(self):
-        a = ProgramBuilder(0x1000).halt().build()
-        b = ProgramBuilder(0x1000).halt().build()
-        with pytest.raises(SimulationError):
-            InstructionMemory(a, b)
-
-    def test_multiple_disjoint_programs(self):
-        a = ProgramBuilder(0x1000).halt().build()
-        b = ProgramBuilder(0x2000).nop().build()
-        imem = InstructionMemory(a, b)
-        assert imem.fetch(0x2000).op is Opcode.NOP
-        assert len(imem.programs) == 2
-
-    def test_initial_memory_union(self):
-        a = ProgramBuilder(0x1000)
-        a.data_word(0x4000, 1)
-        b = ProgramBuilder(0x2000)
-        b.data_word(0x4008, 2)
-        imem = InstructionMemory(a.halt().build(), b.halt().build())
-        assert imem.initial_memory() == {0x4000: 1, 0x4008: 2}
 
 
 class TestFromProgram:

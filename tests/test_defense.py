@@ -9,8 +9,11 @@ from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
 from repro.core.defense import MissVerdict, create_defense
 from repro.core.tpbuf import TPBuf
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa import ProgramBuilder
 from repro.memory.replacement import SpeculativeLRUPolicy
+from repro.pipeline.dyninst import DynInst, InstState
+from repro.pipeline.lsq import LoadStoreQueue
 
 
 def suspect_scenario_program():
@@ -143,9 +146,9 @@ class TestTPBufFilter:
         assert tpbuf.block_events <= cachehit.block_events
 
 
-def _load(tpbuf_index=0, ppn=0x100):
+def _load(seq=2, ppn=0x100):
     """The fields of a suspect load the cache-stage verdict reads."""
-    return SimpleNamespace(tpbuf_index=tpbuf_index, ppn=ppn)
+    return SimpleNamespace(seq=seq, ppn=ppn)
 
 
 class TestFilterDecisionLogic:
@@ -174,17 +177,17 @@ class TestFilterDecisionLogic:
         assert defense.stats.get("invisible_misses") == 1
 
     def test_tpbuf_mode_consults_buffer(self):
-        tpbuf = TPBuf(4)
-        tpbuf.allocate(0)
-        tpbuf.set_ppn(0, 0x100)
-        tpbuf.set_suspect(0, True)
-        tpbuf.set_writeback(0)
-        tpbuf.allocate(1)
-        cpu = SimpleNamespace(tpbuf=tpbuf)
+        # An older suspect load on page 0x100 has written back.
+        older = DynInst(1, 0x1000, Instruction(Opcode.LOAD, rd=1, rs1=2))
+        older.ppn, older.suspect = 0x100, True
+        older.state = InstState.COMPLETED
+        lsq = LoadStoreQueue(4, 4)
+        lsq.allocate_load(older)
+        cpu = SimpleNamespace(tpbuf=TPBuf(), lsq=lsq)
         defense = create_defense("cache_hit_tpbuf")
-        assert defense.judge_suspect_load(cpu, _load(1, 0x100), False) \
+        assert defense.judge_suspect_load(cpu, _load(2, 0x100), False) \
             is MissVerdict.PROCEED
-        assert defense.judge_suspect_load(cpu, _load(1, 0x200), False) \
+        assert defense.judge_suspect_load(cpu, _load(2, 0x200), False) \
             is MissVerdict.BLOCK
         assert defense.stats.get("filtered_by_tpbuf") == 1
         assert defense.stats.get("blocked_misses") == 1

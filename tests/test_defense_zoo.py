@@ -162,13 +162,6 @@ class TestPickling:
 
 
 class TestConstructionValidation:
-    def test_software_defense_needs_a_program(self):
-        from repro.isa.program import InstructionMemory
-        imem = InstructionMemory(zoo_program())
-        with pytest.raises(DefenseConfigError, match="software"):
-            Processor(imem, machine=tiny_config(),
-                      security=SecurityConfig("slh"))
-
     def test_unknown_defense_rejected_at_construction(self):
         with pytest.raises(DefenseConfigError, match="retpoline"):
             SecurityConfig("retpoline")

@@ -292,8 +292,10 @@ def _machine_state(cpu):
             len(cpu.store_buffer), cpu.store_buffer.next_deadline(),
             cpu.iq.occupancy(),
             [inst.seq for inst in cpu.iq.ready if not inst.squashed],
-            [(inst.seq, cpu.iq.matrix.row(inst.iq_pos)) for inst in cpu.iq],
-            [(inst.seq, inst.state, inst.blocked) for inst in cpu.rob],
+            [(inst.seq, cpu.iq.matrix.row(inst)) for inst in cpu.iq],
+            [inst.seq for inst in cpu.lsq.loads()],
+            [inst.seq for inst in cpu.lsq.stores()],
+            [(inst.seq, inst.state) for inst in cpu.rob],
             [load.seq for load in cpu._load_replay if not load.squashed],
             [store.seq for store in cpu._stores_waiting_data
              if not store.squashed],

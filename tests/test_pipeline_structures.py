@@ -8,7 +8,7 @@ from repro.errors import SimulationError
 from repro.isa.instructions import Instruction, Opcode
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import tiny_config
-from repro.pipeline.dyninst import DynInst
+from repro.pipeline.dyninst import DynInst, InstState
 from repro.pipeline.events import EventQueue
 from repro.pipeline.issue_queue import IssueQueue
 from repro.pipeline.lsq import LoadStoreQueue
@@ -116,11 +116,16 @@ class TestROB:
 
 class TestIssueQueue:
     def test_insert_assigns_slot(self):
+        """An inserted instruction is a resident; the queue holds its
+        residents oldest first, with no slot numbers."""
         iq = IssueQueue(4)
-        inst = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
-        pos = iq.insert(inst, ALL_READY)
-        assert inst.iq_pos == pos
-        assert iq.occupancy() == 1
+        older = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
+        younger = dyninst(2, Opcode.ADD, rd=1, rs1=2, rs2=3)
+        assert iq.insert(older, ALL_READY) is None
+        iq.insert(younger, ALL_READY)
+        assert list(iq) == [older, younger]
+        assert iq.occupancy() == 2
+        assert iq.space == 2
 
     def test_producer_mask_tracks_unissued_mem_and_branches(self):
         iq = IssueQueue(8)
@@ -130,10 +135,7 @@ class TestIssueQueue:
         consumer = dyninst(4, Opcode.LOAD, rd=1, rs1=2)
         for inst in (load, branch, alu, consumer):
             iq.insert(inst, ALL_READY)
-        row = iq.matrix.row(consumer.iq_pos)
-        assert row & (1 << load.iq_pos)
-        assert row & (1 << branch.iq_pos)
-        assert not row & (1 << alu.iq_pos)
+        assert iq.matrix.row(consumer) == [load.seq, branch.seq]
 
     def test_branch_only_mask(self):
         iq = IssueQueue(8, branch_only=True)
@@ -142,9 +144,7 @@ class TestIssueQueue:
         consumer = dyninst(3, Opcode.LOAD, rd=1, rs1=2)
         for inst in (load, branch, consumer):
             iq.insert(inst, ALL_READY)
-        row = iq.matrix.row(consumer.iq_pos)
-        assert not row & (1 << load.iq_pos)
-        assert row & (1 << branch.iq_pos)
+        assert iq.matrix.row(consumer) == [branch.seq]
 
     def test_issued_producer_leaves_mask(self):
         """A memory instruction dispatched after a producer issued -
@@ -155,8 +155,8 @@ class TestIssueQueue:
         iq.mark_issued(branch)
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, ALL_READY)
-        assert iq.matrix.row(load.iq_pos) == 0
-        assert not iq.matrix.has_dependence(load.iq_pos)
+        assert iq.matrix.row(load) == []
+        assert not iq.matrix.has_dependence(load)
 
     def test_memory_consumer_gets_row(self):
         iq = IssueQueue(8)
@@ -164,8 +164,8 @@ class TestIssueQueue:
         iq.insert(branch, ALL_READY)
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, ALL_READY)
-        assert iq.matrix.has_dependence(load.iq_pos)
-        assert iq.matrix.row(load.iq_pos) == 1 << branch.iq_pos
+        assert iq.matrix.has_dependence(load)
+        assert iq.matrix.row(load) == [branch.seq]
 
     def test_non_memory_consumer_gets_empty_row(self):
         iq = IssueQueue(8)
@@ -173,8 +173,8 @@ class TestIssueQueue:
         iq.insert(branch, ALL_READY)
         alu = dyninst(2, Opcode.ADD, rd=1, rs1=2, rs2=3)
         iq.insert(alu, ALL_READY)
-        assert not iq.matrix.has_dependence(alu.iq_pos)
-        assert iq.matrix.row(alu.iq_pos) == 0
+        assert not iq.matrix.has_dependence(alu)
+        assert iq.matrix.row(alu) == []
 
     def test_dependence_clears_next_cycle_after_producer_issue(self):
         iq = IssueQueue(8)
@@ -183,26 +183,29 @@ class TestIssueQueue:
         load = dyninst(2, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, ALL_READY)
         iq.mark_issued(branch)
-        assert iq.matrix.has_dependence(load.iq_pos)   # same cycle: suspect
+        assert iq.matrix.has_dependence(load)   # same cycle: suspect
         iq.end_cycle()
-        assert not iq.matrix.has_dependence(load.iq_pos)
+        assert not iq.matrix.has_dependence(load)
 
     def test_load_keeps_slot_at_issue(self):
         iq = IssueQueue(8)
         load = dyninst(1, Opcode.LOAD, rd=1, rs1=2)
         iq.insert(load, ALL_READY)
         iq.mark_issued(load)
-        assert load.iq_pos is not None
+        assert list(iq) == [load]
         iq.release(load)
         iq.end_cycle()
         assert iq.occupancy() == 0
+        iq.release(load)         # holds no entry: nothing happens
+        assert iq.space == 8
 
     def test_slot_not_reusable_until_end_cycle(self):
         iq = IssueQueue(1)
         branch = dyninst(1, Opcode.BNE, rs1=1, rs2=2)
         iq.insert(branch, ALL_READY)
         iq.mark_issued(branch)   # releases (non-load) ...
-        assert not iq.space      # ... but the slot recycles at end_cycle
+        assert not iq.space      # ... but the entry recycles at end_cycle
+        assert iq.occupancy() == 0
         iq.end_cycle()
         assert iq.space == 1
 
@@ -247,8 +250,8 @@ class TestIssueQueue:
 
 
 class TestLSQ:
-    def _lsq(self, tpbuf=None):
-        return LoadStoreQueue(4, 4, tpbuf=tpbuf)
+    def _lsq(self):
+        return LoadStoreQueue(4, 4)
 
     def _load(self, seq, vaddr=None):
         inst = dyninst(seq, Opcode.LOAD, rd=1, rs1=2)
@@ -279,6 +282,9 @@ class TestLSQ:
         lsq.allocate_load(load)
         lsq.release(load)
         assert lsq.load_occupancy() == 0
+        assert lsq.load_space == 4
+        lsq.release(load)        # holds no entry: nothing happens
+        assert lsq.load_space == 4
 
     def test_forward_from_youngest_matching_store(self):
         lsq = self._lsq()
@@ -345,17 +351,52 @@ class TestLSQ:
         lsq.allocate_load(load)
         assert lsq.violating_loads(old_store) == []
 
+    def test_younger_stores_are_not_searched(self):
+        """The searches stop at the first store that is not older."""
+        lsq = self._lsq()
+        load = self._load(1, vaddr=0x100)
+        unknown = self._store(2)
+        match = self._store(3, vaddr=0x100, data_ready=True)
+        lsq.allocate_load(load)
+        lsq.allocate_store(unknown)
+        lsq.allocate_store(match)
+        decision = lsq.check_load(load)
+        assert decision.source is None
+        assert not decision.speculation_hazard
+        assert not lsq.unresolved_store_older_than(load.seq)
+        assert lsq.unresolved_store_older_than(match.seq)
+
+    def test_violating_loads_in_age_order(self):
+        lsq = self._lsq()
+        store = self._store(1, vaddr=0x100)
+        lsq.allocate_store(store)
+        loads = [self._load(seq, vaddr=0x100) for seq in (2, 3, 4)]
+        for load in loads:
+            load.speculated_past_store = True
+            lsq.allocate_load(load)
+        assert lsq.violating_loads(store) == loads
+
     def test_tpbuf_mirrors_lsq_lifecycle(self):
-        tpbuf = TPBuf(8)
-        lsq = self._lsq(tpbuf=tpbuf)
+        """The TPBuf pairs one entry with each LSQ allocation, and its
+        Mask follows the LSQ residents: a released one stops counting."""
+        lsq = self._lsq()
         load = self._load(1)
+        load.ppn, load.suspect = 0x100, True
+        load.state = InstState.COMPLETED
         store = self._store(2)
         lsq.allocate_load(load)
         lsq.allocate_store(store)
-        assert tpbuf.allocated_count() == 2
-        assert store.tpbuf_index == 4 + store.lsq_slot
+        assert lsq.allocations == 2
+        assert list(lsq.loads()) == [load]
+        assert list(lsq.stores()) == [store]
+        incoming = self._load(3)
+        incoming.ppn = 0x200
+        lsq.allocate_load(incoming)
+        tpbuf = TPBuf()
+        assert not tpbuf.is_safe(incoming, lsq)
         lsq.release(load)
-        assert tpbuf.allocated_count() == 1
+        assert tpbuf.is_safe(incoming, lsq)
+        assert lsq.allocations == 3
 
 
 class TestStoreBufferAndEvents:

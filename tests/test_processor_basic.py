@@ -228,7 +228,7 @@ class TestInitialImage:
     @staticmethod
     def assert_matches_per_word_walk(cpu, page_table):
         image = {}
-        for vaddr, value in cpu.imem.initial_memory().items():
+        for vaddr, value in cpu.program.initial_memory.items():
             image[page_table.physical_address(vaddr) & ~7] = value
         assert list(cpu.memory_image.items()) == list(image.items())
         assert list(cpu.page_table._mapping.items()) == \

@@ -1,8 +1,7 @@
 """Edge cases and resource-pressure paths of the processor."""
 from conftest import run_to_halt
-from repro import Processor, SecurityConfig, tiny_config
+from repro import SecurityConfig, tiny_config
 from repro.isa import ProgramBuilder
-from repro.isa.program import InstructionMemory
 from repro.params import with_core
 
 
@@ -102,31 +101,3 @@ class TestTLBEffects:
         cpu, _ = run_to_halt(b.build(), machine=tiny_config(),
                              page_table=table)
         assert cpu.arch_reg(4) == 42
-
-
-class TestMultiProgramImage:
-    def test_two_programs_one_image(self):
-        a = ProgramBuilder(0x1000)
-        a.li(1, 5).jmp(0x2000)
-        b = ProgramBuilder(0x2000)
-        b.addi(1, 1, 10).halt()
-        imem = InstructionMemory(a.build(), b.build())
-        cpu = Processor(imem, machine=tiny_config())
-        report = cpu.run(max_cycles=100_000)
-        assert report.halted
-        assert cpu.arch_reg(1) == 15
-
-
-class TestInitialRegisters:
-    def test_initial_registers_respected(self):
-        b = ProgramBuilder()
-        b.add(3, 1, 2).halt()
-        cpu, _ = run_to_halt(b.build(),
-                             initial_registers={1: 40, 2: 2})
-        assert cpu.arch_reg(3) == 42
-
-    def test_r0_initial_ignored(self):
-        b = ProgramBuilder()
-        b.add(3, 0, 0).halt()
-        cpu, _ = run_to_halt(b.build(), initial_registers={0: 99})
-        assert cpu.arch_reg(3) == 0

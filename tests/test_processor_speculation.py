@@ -204,22 +204,24 @@ class TestPipelineInvariants:
                           machine=paper_config())
 
     def test_violation_is_detected(self):
-        """Sanity-check the lint itself: corrupt an IQ backlink mid-run
-        and the checker must trip."""
+        """Sanity-check the lint itself: leave a squashed instruction
+        resident in the IQ mid-run and the checker must trip."""
         import pytest
-        from repro.pipeline.invariants import InvariantViolation
+        from repro.pipeline.invariants import (InvariantViolation,
+                                               check_issue_queue,
+                                               check_processor_invariants)
         cpu = Processor(spectre_v1_like_program(), machine=tiny_config(),
                         security=SecurityConfig.origin(),
                         check_invariants=True)
         for _ in range(200):
             cpu.step()
-            resident = next((i for i in cpu.iq._slots if i is not None),
-                            None)
+            resident = next(iter(cpu.iq), None)
             if resident is not None:
                 break
         assert resident is not None
-        resident.iq_pos = (resident.iq_pos + 1) % cpu.iq.entries
-        from repro.pipeline.invariants import check_processor_invariants
+        resident.squashed = True
+        with pytest.raises(InvariantViolation, match="resident in IQ"):
+            check_issue_queue(cpu)
         with pytest.raises(InvariantViolation):
             check_processor_invariants(cpu)
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.security_matrix import SecurityDependenceMatrix
-from repro.errors import ConfigError
 from repro.isa.instructions import Instruction, Opcode
 from repro.pipeline.dyninst import DynInst, InstState
 from repro.pipeline.issue_queue import IssueQueue
@@ -15,43 +14,37 @@ LOAD = Instruction(Opcode.LOAD, rd=1, rs1=2)
 ALU = Instruction(Opcode.ADD, rd=1, rs1=2, rs2=3)
 
 
-def _install(matrix, *kinds):
-    """Install one instruction per (pos, instruction) pair, in program
-    order (sequence numbers 1, 2, ...)."""
-    for seq, (pos, instr) in enumerate(kinds, start=1):
-        matrix.install(pos, seq, instr)
-
-
-def _bits(*positions):
-    return sum(1 << pos for pos in positions)
+def _install(matrix, *instrs):
+    """Install one instruction per entry, in program order (sequence
+    numbers 1, 2, ...); returns them."""
+    insts = [DynInst(seq, 0x1000 + 4 * seq, instr)
+             for seq, instr in enumerate(instrs, start=1)]
+    for inst in insts:
+        matrix.install(inst)
+    return insts
 
 
 class TestRowInstallation:
     def test_row_or_reflects_producers(self):
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (2, LOAD), (3, LOAD))
-        assert matrix.has_dependence(3)
-        assert matrix.row(3) == _bits(1, 2)
-        assert bin(matrix.row(3)).count("1") == 2
+        matrix = SecurityDependenceMatrix()
+        _, _, load = _install(matrix, BRANCH, LOAD, LOAD)
+        assert matrix.has_dependence(load)
+        assert matrix.row(load) == [1, 2]
 
     def test_empty_row_has_no_dependence(self):
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (3, LOAD))
-        assert not matrix.has_dependence(3)
-        assert matrix.row(3) == 0
+        matrix = SecurityDependenceMatrix()
+        load, = _install(matrix, LOAD)
+        assert not matrix.has_dependence(load)
+        assert matrix.row(load) == []
 
     def test_self_bit_is_masked(self):
         """A memory instruction is a producer, but never in its own
         row."""
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (3, LOAD), (5, LOAD))
-        assert matrix.row(3) == 0
-        assert not matrix.has_dependence(3)
-        assert matrix.row(5) == _bits(3)
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ConfigError):
-            SecurityDependenceMatrix(0)
+        matrix = SecurityDependenceMatrix()
+        first, second = _install(matrix, LOAD, LOAD)
+        assert matrix.row(first) == []
+        assert not matrix.has_dependence(first)
+        assert matrix.row(second) == [1]
 
 
 class TestClearance:
@@ -59,69 +52,93 @@ class TestClearance:
         """The Update Vector Register semantics: a producer's column
         stays visible until apply_clears - the same-cycle consumer is
         still tagged suspect."""
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (3, LOAD))     # 3 depends on 1
-        matrix.schedule_clear(1)
-        assert matrix.has_dependence(3)     # same cycle: still set
-        assert matrix.row(3) == _bits(1)
+        matrix = SecurityDependenceMatrix()
+        branch, load = _install(matrix, BRANCH, LOAD)
+        matrix.schedule_clear(branch)
+        assert matrix.has_dependence(load)     # same cycle: still set
+        assert matrix.row(load) == [1]
         matrix.apply_clears()
-        assert not matrix.has_dependence(3)
-        assert matrix.row(3) == 0
+        assert not matrix.has_dependence(load)
+        assert matrix.row(load) == []
 
     def test_clear_affects_whole_column(self):
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (3, LOAD), (5, LOAD))
-        matrix.schedule_clear(1)
+        matrix = SecurityDependenceMatrix()
+        branch, first, second = _install(matrix, BRANCH, LOAD, LOAD)
+        matrix.schedule_clear(branch)
         matrix.apply_clears()
-        assert not matrix.has_dependence(3)
-        assert matrix.row(5) == _bits(3)    # slot 3 is still a producer
+        assert not matrix.has_dependence(first)
+        assert matrix.row(second) == [2]   # the first load still produces
 
     def test_clear_leaves_other_columns(self):
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (2, BRANCH), (3, LOAD))
-        matrix.schedule_clear(1)
+        matrix = SecurityDependenceMatrix()
+        branch, _, load = _install(matrix, BRANCH, BRANCH, LOAD)
+        matrix.schedule_clear(branch)
         matrix.apply_clears()
-        assert matrix.has_dependence(3)     # still depends on slot 2
-        assert matrix.row(3) == _bits(2)
+        assert matrix.has_dependence(load)     # still depends on seq 2
+        assert matrix.row(load) == [2]
 
     def test_clear_entry_removes_row_and_column(self):
-        """A slot leaving the queue (a squash) clears its column at the
-        cycle edge, and its row does not outlive it: the next
-        instruction in that slot starts from its own row."""
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (0, BRANCH), (1, LOAD), (3, LOAD))
-        assert matrix.row(1) == _bits(0)
-        assert matrix.row(3) == _bits(0, 1)
-        matrix.schedule_clear(1)
+        """An instruction leaving the queue (a squash) clears its column
+        at the cycle edge, and an instruction installed later starts
+        from its own row."""
+        matrix = SecurityDependenceMatrix()
+        _, squashed, load = _install(matrix, BRANCH, LOAD, LOAD)
+        assert matrix.row(squashed) == [1]
+        assert matrix.row(load) == [1, 2]
+        matrix.schedule_clear(squashed)
         matrix.apply_clears()
-        assert matrix.row(3) == _bits(0)
-        matrix.install(1, 4, ALU)
-        assert matrix.row(1) == 0
-        assert not matrix.has_dependence(1)
+        assert matrix.row(load) == [1]
+        alu = DynInst(4, 0x1010, ALU)
+        matrix.install(alu)
+        assert matrix.row(alu) == []
+        assert not matrix.has_dependence(alu)
 
     def test_clear_entry_cancels_pending_update(self):
         """Staging one column twice in a cycle (issue, then release)
         clears it once."""
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (3, LOAD))
-        matrix.schedule_clear(1)
-        matrix.schedule_clear(1)
+        matrix = SecurityDependenceMatrix()
+        branch, load = _install(matrix, BRANCH, LOAD)
+        matrix.schedule_clear(branch)
+        matrix.schedule_clear(branch)
         assert matrix.apply_clears()
-        assert not matrix.has_dependence(3)
+        assert not matrix.has_dependence(load)
         assert matrix.stats.get("columns_cleared") == 1
         assert not matrix.apply_clears()    # nothing left staged
+
+    def test_a_producer_is_staged_once(self):
+        """A load producer is staged at issue and again when it leaves
+        the queue.  The second stage keeps the first one's cut in the
+        same cycle, and touches no other producer after the edge."""
+        matrix = SecurityDependenceMatrix()
+        producer, before = _install(matrix, LOAD, LOAD)
+        matrix.schedule_clear(producer)             # issue
+        after = DynInst(3, 0x100c, LOAD)
+        matrix.install(after)
+        matrix.schedule_clear(producer)             # release, same cycle
+        assert matrix.row(before) == [1]
+        assert matrix.row(after) == [2]
+        matrix.apply_clears()
+        branch = DynInst(4, 0x1010, BRANCH)
+        matrix.install(branch)
+        late = DynInst(5, 0x1014, LOAD)
+        matrix.install(late)
+        matrix.schedule_clear(producer)             # release after the edge
+        matrix.apply_clears()
+        assert matrix.row(late) == [2, 3, 4]
+        assert matrix.stats.get("columns_cleared") == 2
 
     def test_reset(self):
         """Once every producer's column is cleared the matrix is back
         to its empty state: a new memory instruction gets an empty
         row."""
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (0, BRANCH), (2, LOAD))
-        matrix.schedule_clear(0)
-        matrix.schedule_clear(2)
+        matrix = SecurityDependenceMatrix()
+        branch, load = _install(matrix, BRANCH, LOAD)
+        matrix.schedule_clear(branch)
+        matrix.schedule_clear(load)
         matrix.apply_clears()
-        matrix.install(4, 3, LOAD)
-        assert matrix.row(4) == 0
+        late = DynInst(3, 0x100c, LOAD)
+        matrix.install(late)
+        assert matrix.row(late) == []
         assert matrix.stats.as_dict() == {
             "rows_installed_zero": 2,       # the branch and the last load
             "rows_installed_nonzero": 1,    # the first load
@@ -131,10 +148,10 @@ class TestClearance:
 
 class TestColumnMask:
     def test_column_mask(self):
-        matrix = SecurityDependenceMatrix(8)
-        _install(matrix, (1, BRANCH), (3, LOAD), (6, LOAD))
-        column = {pos for pos in (1, 3, 6) if matrix.row(pos) & _bits(1)}
-        assert column == {3, 6}
+        matrix = SecurityDependenceMatrix()
+        insts = _install(matrix, BRANCH, LOAD, LOAD)
+        column = {inst.seq for inst in insts if 1 in matrix.row(inst)}
+        assert column == {2, 3}
 
 
 _KINDS = st.sampled_from(sorted(_OPS))
@@ -142,38 +159,36 @@ _KINDS = st.sampled_from(sorted(_OPS))
 
 class TestMatrixProperties:
     @settings(max_examples=50, deadline=None)
-    @given(st.permutations(range(16)), st.lists(_KINDS, min_size=1,
-                                                max_size=16))
-    def test_clearing_every_column_empties_all_rows(self, positions,
-                                                    kinds):
-        matrix = SecurityDependenceMatrix(16)
-        for seq, kind in enumerate(kinds, start=1):
-            matrix.install(positions[seq - 1], seq, Instruction(_OPS[kind]))
-        for pos in range(16):
-            matrix.schedule_clear(pos)
+    @given(st.lists(_KINDS, min_size=1, max_size=16))
+    def test_clearing_every_column_empties_all_rows(self, kinds):
+        matrix = SecurityDependenceMatrix()
+        insts = _install(matrix, *(Instruction(_OPS[kind])
+                                   for kind in kinds))
+        for inst in insts:
+            matrix.schedule_clear(inst)
         matrix.apply_clears()
-        for pos in positions[:len(kinds)]:
-            assert not matrix.has_dependence(pos)
-            assert matrix.row(pos) == 0
+        for inst in insts:
+            assert not matrix.has_dependence(inst)
+            assert matrix.row(inst) == []
 
     @settings(max_examples=50, deadline=None)
-    @given(st.permutations(range(16)), st.lists(_KINDS, min_size=1,
-                                                max_size=16))
-    def test_dependence_matches_column_membership(self, positions, kinds):
+    @given(st.lists(_KINDS, min_size=1, max_size=16))
+    def test_dependence_matches_column_membership(self, kinds):
         """With nothing issued, row X holds exactly the older memory
-        and branch instructions, and only when X is a memory one."""
-        matrix = SecurityDependenceMatrix(16)
-        instrs = [Instruction(_OPS[kind]) for kind in kinds]
-        for seq, instr in enumerate(instrs, start=1):
-            matrix.install(positions[seq - 1], seq, instr)
-        for x, instr in enumerate(instrs):
-            expected = 0
-            if instr.is_memory:
-                for y in range(x):
-                    if instrs[y].is_memory or instrs[y].is_branch:
-                        expected |= 1 << positions[y]
-            assert matrix.row(positions[x]) == expected
-            assert matrix.has_dependence(positions[x]) == bool(expected)
+        and branch instructions, oldest first, and only when X is a
+        memory one."""
+        matrix = SecurityDependenceMatrix()
+        insts = _install(matrix, *(Instruction(_OPS[kind])
+                                   for kind in kinds))
+        for inst in insts:
+            expected = []
+            if inst.instr.is_memory:
+                expected = [other.seq for other in insts
+                            if other.seq < inst.seq
+                            and (other.instr.is_memory
+                                 or other.instr.is_branch)]
+            assert matrix.row(inst) == expected
+            assert matrix.has_dependence(inst) == bool(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +217,31 @@ class _FormulaReference:
     def __init__(self, enabled, branch_only):
         self.enabled = enabled
         self.branch_only = branch_only
-        self.rows = {}          # position -> bit vector
-        self.live = {}          # position -> valid, unissued producer
+        self.rows = {}          # seq -> set of producer seqs
+        self.live = {}          # seq -> valid, unissued producer
         self.staged = set()
         self.nonzero = 0
 
-    def dispatch(self, pos, instr):
-        row = 0
+    def dispatch(self, seq, instr):
+        row = set()
         if self.enabled and instr.is_memory:
-            for other, live in self.live.items():
-                if live:
-                    row |= 1 << other
+            row = {other for other, live in self.live.items() if live}
             self.nonzero += bool(row)
-        self.rows[pos] = row
-        self.live[pos] = self.enabled and (instr.is_branch or (
+        self.rows[seq] = row
+        self.live[seq] = self.enabled and (instr.is_branch or (
             instr.is_memory and not self.branch_only))
 
-    def stage(self, pos):
-        self.live[pos] = False
-        self.staged.add(pos)
+    def stage(self, seq):
+        self.live[seq] = False
+        self.staged.add(seq)
 
     def edge(self, freed):
-        for pos in self.staged:
-            for row_pos in self.rows:
-                self.rows[row_pos] &= ~(1 << pos)
+        for row in self.rows.values():
+            row -= self.staged
         self.staged.clear()
-        for pos in freed:
-            del self.rows[pos]
-            del self.live[pos]
+        for seq in freed:
+            del self.rows[seq]
+            del self.live[seq]
 
 
 def _drive(steps, enabled, branch_only):
@@ -241,7 +253,7 @@ def _drive(steps, enabled, branch_only):
     reference = _FormulaReference(enabled, branch_only)
     ready_bits = [True] * 4
     residents = []              # IQ residents, oldest first
-    released = []               # positions freed at the next edge
+    released = []               # entries freed at the next edge
     seq = 0
     for step in steps:
         kind = step[0]
@@ -253,8 +265,8 @@ def _drive(steps, enabled, branch_only):
             # several residents often wait on one.
             inst.psrcs = tuple(len(ready_bits) - 1 - choice % 3
                                for choice in step[2][:len(instr.sources)])
-            pos = iq.insert(inst, ready_bits)
-            reference.dispatch(pos, instr)
+            iq.insert(inst, ready_bits)
+            reference.dispatch(seq, instr)
             residents.append(inst)
             if instr.renames_dest:
                 inst.pdst = len(ready_bits)
@@ -263,38 +275,34 @@ def _drive(steps, enabled, branch_only):
             ready = [inst for inst in iq.ready if not inst.squashed]
             if ready:
                 inst = ready[step[1] % len(ready)]
-                pos = inst.iq_pos
                 inst.state = InstState.ISSUED
                 iq.mark_issued(inst)
-                reference.stage(pos)
+                reference.stage(inst.seq)
                 if not inst.instr.is_load:
                     residents.remove(inst)
-                    released.append(pos)
+                    released.append(inst.seq)
         elif kind in ("complete", "block"):
             loads = [inst for inst in residents
                      if inst.state is InstState.ISSUED]
             if loads:
                 inst = loads[step[1] % len(loads)]
                 if kind == "complete":
-                    pos = inst.iq_pos
                     inst.state = InstState.COMPLETED
                     iq.release(inst)
-                    reference.stage(pos)
+                    reference.stage(inst.seq)
                     residents.remove(inst)
-                    released.append(pos)
+                    released.append(inst.seq)
                 else:       # a filter-blocked load waits again
-                    inst.state = InstState.DISPATCHED
-                    inst.blocked = True
+                    inst.state = InstState.BLOCKED
                     iq.requeue(inst)
         elif kind == "squash" and residents:
             keep = residents[step[1] % len(residents)].seq
             for inst in [i for i in residents if i.seq > keep]:
-                pos = inst.iq_pos
                 inst.squashed = True
                 iq.release(inst)
-                reference.stage(pos)
+                reference.stage(inst.seq)
                 residents.remove(inst)
-                released.append(pos)
+                released.append(inst.seq)
         elif kind == "writeback":
             unready = [preg for preg, ready in enumerate(ready_bits)
                        if not ready]
@@ -312,12 +320,13 @@ def _drive(steps, enabled, branch_only):
 
 
 def _check(iq, reference, residents, ready_bits):
+    assert list(iq) == residents
     for inst in residents:
-        pos = inst.iq_pos
-        assert iq.matrix.row(pos) == reference.rows[pos], inst
-        assert iq.matrix.has_dependence(pos) == bool(reference.rows[pos])
+        row = sorted(reference.rows[inst.seq])
+        assert iq.matrix.row(inst) == row, inst
+        assert iq.matrix.has_dependence(inst) == bool(row)
     scan = [inst for inst in residents
-            if inst.state is InstState.DISPATCHED
+            if inst.state in (InstState.DISPATCHED, InstState.BLOCKED)
             and all(ready_bits[preg] for preg
                     in inst.psrcs[:inst.instr.issue_operands])]
     assert [inst for inst in iq.ready if not inst.squashed] == scan
@@ -326,8 +335,9 @@ def _check(iq, reference, residents, ready_bits):
 class TestAgeOrderedRows:
     """After every step of a random dispatch / issue / load completion
     / filter block / squash / writeback / cycle-edge sequence, every
-    resident's row and its reduction-OR equal the paper's formula, and
-    the ready set equals a scan of the residents."""
+    resident's row and its reduction-OR equal the paper's formula, the
+    queue holds its residents oldest first, and the ready set equals a
+    scan of the residents."""
 
     @pytest.mark.parametrize("enabled, branch_only", [
         (True, False), (True, True), (False, False)],
@@ -342,5 +352,10 @@ class TestAgeOrderedRows:
                     ("writeback", 0), ("dispatch", "branch", [2, 2]),
                     ("issue", 0), ("dispatch", "load", [2, 2]),
                     ("edge",), ("issue", 0), ("edge",)])
+    # A load producer issues and completes in one cycle, with a memory
+    # consumer dispatched in between: it is staged once.
+    @example(steps=[("dispatch", "load", [0, 0]), ("issue", 0),
+                    ("dispatch", "load", [0, 0]), ("complete", 0),
+                    ("edge",)])
     def test_rows_equal_the_formula(self, enabled, branch_only, steps):
         _drive(steps, enabled, branch_only)

@@ -1,60 +1,87 @@
-"""Tests for the Trusted Page Buffer (Section V.D semantics)."""
+"""Tests for the Trusted Page Buffer (Section V.D semantics).
+
+The TPBuf keeps no entries of its own: equation 1 reads V, W, S and
+the page off the load/store queue's residents older than the incoming
+request."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.tpbuf import TPBuf
-from repro.errors import ConfigError
+from repro.errors import SimulationError
+from repro.isa.instructions import Instruction, Opcode
+from repro.pipeline.dyninst import DynInst, InstState
+from repro.pipeline.lsq import LoadStoreQueue
+
+_OPS = {"load": Instruction(Opcode.LOAD, rd=1, rs1=2),
+        "store": Instruction(Opcode.STORE, rs1=1, rs2=2),
+        "flush": Instruction(Opcode.CLFLUSH, rs1=1)}
 
 
-def allocate_entry(tpbuf, index, ppn=None, suspect=False, writeback=False):
-    tpbuf.allocate(index)
-    if ppn is not None:
-        tpbuf.set_ppn(index, ppn)
-    tpbuf.set_suspect(index, suspect)
+def resident(lsq, seq, kind="load", ppn=None, suspect=False,
+             writeback=False):
+    """Allocate an LSQ resident with the given TPBuf facts: ``ppn`` (V
+    and the tag), ``suspect`` (S) and ``writeback`` (W: a completed
+    load or a store whose data was captured; a completed CLFLUSH never
+    writes back)."""
+    inst = DynInst(seq, 0x1000 + 4 * seq, _OPS[kind])
+    inst.ppn = ppn
+    inst.suspect = suspect
     if writeback:
-        tpbuf.set_writeback(index)
+        inst.state = InstState.COMPLETED
+        inst.store_data_ready = kind == "store"
+    if kind == "load":
+        lsq.allocate_load(inst)
+    else:
+        lsq.allocate_store(inst)
+    return inst
+
+
+def incoming(lsq, seq, ppn):
+    """The incoming suspect load: translated, not yet written back."""
+    return resident(lsq, seq, ppn=ppn, suspect=True)
+
+
+def _lsq():
+    return LoadStoreQueue(8, 8)
 
 
 class TestLifecycle:
     def test_mask_snapshots_older_entries(self):
-        tpbuf = TPBuf(8)
-        tpbuf.allocate(0)
-        tpbuf.allocate(3)
-        tpbuf.allocate(5)
-        assert tpbuf.slot(0).mask == 0
-        assert tpbuf.slot(3).mask == 0b000001
-        assert tpbuf.slot(5).mask == 0b001001
+        """The Mask is the residents allocated before the incoming
+        request: older loads and stores count, a younger one does
+        not."""
+        for kind, flagged, unsafe in (("load", 1, True),
+                                      ("store", 2, True),
+                                      ("load", 4, False)):
+            lsq = _lsq()
+            for seq in (1, 2, 3, 4):    # allocation is in program order
+                if seq == 3:
+                    load = incoming(lsq, 3, ppn=0x200)
+                    continue
+                resident(lsq, seq, kind=kind if seq == flagged else "load",
+                         ppn=0x100, suspect=seq == flagged, writeback=True)
+            assert TPBuf().is_safe(load, lsq) is not unsafe, (kind, flagged)
 
     def test_deallocate_clears_from_younger_masks(self):
-        tpbuf = TPBuf(8)
-        tpbuf.allocate(0)
-        tpbuf.allocate(1)
-        tpbuf.deallocate(0)
-        assert tpbuf.slot(1).mask == 0
-
-    def test_double_allocation_rejected(self):
-        tpbuf = TPBuf(4)
-        tpbuf.allocate(2)
-        with pytest.raises(ConfigError):
-            tpbuf.allocate(2)
-
-    def test_slot_reuse_after_deallocate(self):
-        tpbuf = TPBuf(4)
-        allocate_entry(tpbuf, 1, ppn=7, suspect=True, writeback=True)
-        tpbuf.deallocate(1)
-        tpbuf.allocate(1)
-        slot = tpbuf.slot(1)
-        assert not slot.suspect and not slot.writeback and not slot.valid
+        """A resident that leaves the LSQ (commit or squash) leaves
+        every younger request's Mask."""
+        lsq = _lsq()
+        older = resident(lsq, 1, ppn=0x100, suspect=True, writeback=True)
+        load = incoming(lsq, 2, ppn=0x200)
+        tpbuf = TPBuf()
+        assert not tpbuf.is_safe(load, lsq)
+        lsq.release(older)
+        assert tpbuf.is_safe(load, lsq)
 
     def test_zero_entries_rejected(self):
-        with pytest.raises(ConfigError):
-            TPBuf(0)
-
-    def test_allocated_count(self):
-        tpbuf = TPBuf(4)
-        tpbuf.allocate(0)
-        tpbuf.allocate(2)
-        assert tpbuf.allocated_count() == 2
+        """The TPBuf's entries are the LSQ's: with none, no memory
+        instruction is allocated one."""
+        lsq = LoadStoreQueue(0, 0)
+        with pytest.raises(SimulationError, match="LDQ overflow"):
+            resident(lsq, 1)
+        with pytest.raises(SimulationError, match="STQ overflow"):
+            resident(lsq, 2, kind="store")
+        assert lsq.allocations == 0
 
 
 class TestSPatternDetection:
@@ -62,96 +89,105 @@ class TestSPatternDetection:
     V & W & S and a different PPN."""
 
     def test_different_page_older_suspect_writeback_is_unsafe(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=True)
-        tpbuf.allocate(1)
-        assert not tpbuf.is_safe(1, incoming_ppn=0x200)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=True, writeback=True)
+        assert not TPBuf().is_safe(incoming(lsq, 2, ppn=0x200), lsq)
 
     def test_same_page_is_safe(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=True)
-        tpbuf.allocate(1)
-        assert tpbuf.is_safe(1, incoming_ppn=0x100)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=True, writeback=True)
+        assert TPBuf().is_safe(incoming(lsq, 2, ppn=0x100), lsq)
 
     def test_not_suspect_entry_is_ignored(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=False, writeback=True)
-        tpbuf.allocate(1)
-        assert tpbuf.is_safe(1, incoming_ppn=0x200)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=False, writeback=True)
+        assert TPBuf().is_safe(incoming(lsq, 2, ppn=0x200), lsq)
 
     def test_no_writeback_entry_is_ignored(self):
         """A suspect access whose data is not yet available cannot have
         fed the incoming access's address - not an S-Pattern."""
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=False)
-        tpbuf.allocate(1)
-        assert tpbuf.is_safe(1, incoming_ppn=0x200)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=True, writeback=False)
+        resident(lsq, 2, kind="store", ppn=0x100, suspect=True,
+                 writeback=False)
+        assert TPBuf().is_safe(incoming(lsq, 3, ppn=0x200), lsq)
 
     def test_no_valid_ppn_entry_is_ignored(self):
-        tpbuf = TPBuf(8)
-        tpbuf.allocate(0)
-        tpbuf.set_suspect(0, True)
-        tpbuf.set_writeback(0)
-        tpbuf.allocate(1)
-        assert tpbuf.is_safe(1, incoming_ppn=0x200)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=None, suspect=True, writeback=True)
+        assert TPBuf().is_safe(incoming(lsq, 2, ppn=0x200), lsq)
 
     def test_younger_entries_do_not_flag(self):
         """Only entries older in program order (the Mask) matter."""
-        tpbuf = TPBuf(8)
-        tpbuf.allocate(1)   # incoming allocated first
-        allocate_entry(tpbuf, 0, ppn=0x999, suspect=True, writeback=True)
-        assert tpbuf.is_safe(1, incoming_ppn=0x200)
+        lsq = _lsq()
+        load = incoming(lsq, 1, ppn=0x200)
+        resident(lsq, 2, ppn=0x999, suspect=True, writeback=True)
+        resident(lsq, 3, kind="store", ppn=0x999, suspect=True,
+                 writeback=True)
+        assert TPBuf().is_safe(load, lsq)
 
     def test_empty_buffer_is_safe(self):
-        tpbuf = TPBuf(8)
-        tpbuf.allocate(0)
-        assert tpbuf.is_safe(0, incoming_ppn=0x100)
+        lsq = _lsq()
+        assert TPBuf().is_safe(incoming(lsq, 1, ppn=0x100), lsq)
 
     def test_any_one_matching_entry_suffices(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=True)
-        allocate_entry(tpbuf, 1, ppn=0x200, suspect=False, writeback=True)
-        tpbuf.allocate(2)
-        assert not tpbuf.is_safe(2, incoming_ppn=0x300)
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=True, writeback=True)
+        resident(lsq, 2, ppn=0x200, suspect=False, writeback=True)
+        assert not TPBuf().is_safe(incoming(lsq, 3, ppn=0x300), lsq)
 
     def test_mismatch_rate(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=True)
-        tpbuf.allocate(1)
-        tpbuf.is_safe(1, incoming_ppn=0x100)   # safe
-        tpbuf.is_safe(1, incoming_ppn=0x200)   # unsafe
-        assert tpbuf.mismatch_rate() == 0.5
+        """The S-Pattern mismatch rate (Table V) is the fraction of
+        queries judged safe."""
+        lsq = _lsq()
+        resident(lsq, 1, ppn=0x100, suspect=True, writeback=True)
+        tpbuf = TPBuf()
+        tpbuf.is_safe(incoming(lsq, 2, ppn=0x100), lsq)   # safe
+        tpbuf.is_safe(incoming(lsq, 3, ppn=0x200), lsq)   # unsafe
+        stats = tpbuf.stats
+        assert stats.get("safe") / stats.get("queries") == 0.5
+        assert stats.as_dict() == {"queries": 2, "safe": 1, "unsafe": 1}
 
-    def test_clear_writeback(self):
-        tpbuf = TPBuf(8)
-        allocate_entry(tpbuf, 0, ppn=0x100, suspect=True, writeback=True)
-        tpbuf.clear_writeback(0)
-        tpbuf.allocate(1)
-        assert tpbuf.is_safe(1, incoming_ppn=0x200)
+    def test_flush_never_writes_back(self):
+        """A completed CLFLUSH occupies the STQ but fetches no data, so
+        it never sets W."""
+        lsq = _lsq()
+        resident(lsq, 1, kind="flush", ppn=0x100, suspect=True,
+                 writeback=True)
+        assert TPBuf().is_safe(incoming(lsq, 2, ppn=0x200), lsq)
+
+
+_RESIDENTS = st.lists(
+    st.tuples(st.sampled_from(sorted(_OPS)),
+              st.one_of(st.none(), st.integers(0x100, 0x104)),
+              st.booleans(), st.booleans()),
+    min_size=0, max_size=8,
+)
 
 
 class TestTPBufProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        entries=st.lists(
-            st.tuples(st.integers(0x100, 0x104), st.booleans(),
-                      st.booleans()),
-            min_size=0, max_size=6,
-        ),
-        incoming_ppn=st.integers(0x100, 0x104),
-    )
-    def test_is_safe_matches_reference_predicate(self, entries,
+    @settings(max_examples=100, deadline=None)
+    @given(entries=_RESIDENTS, position=st.integers(0, 8),
+           incoming_ppn=st.integers(0x100, 0x104))
+    def test_is_safe_matches_reference_predicate(self, entries, position,
                                                  incoming_ppn):
-        """Model-based check of equation 1 over arbitrary older-entry
-        populations."""
-        tpbuf = TPBuf(8)
-        for index, (ppn, suspect, writeback) in enumerate(entries):
-            allocate_entry(tpbuf, index, ppn=ppn, suspect=suspect,
-                           writeback=writeback)
-        incoming = len(entries)
-        tpbuf.allocate(incoming)
+        """Model-based check of equation 1 over random LSQ residents of
+        random kind, V (a page or none), S, W, page and age: the
+        incoming load is allocated at ``position`` in program order."""
+        lsq = _lsq()
+        position = min(position, len(entries))
+        seqs = [index + 1 + (index >= position)
+                for index in range(len(entries))]
+        load = None
+        for seq in range(1, len(entries) + 2):
+            if seq == position + 1:
+                load = incoming(lsq, seq, incoming_ppn)
+            else:
+                kind, ppn, suspect, writeback = entries[seqs.index(seq)]
+                resident(lsq, seq, kind, ppn, suspect, writeback)
         expected_unsafe = any(
-            suspect and writeback and ppn != incoming_ppn
-            for ppn, suspect, writeback in entries
+            seq < load.seq and ppn is not None and suspect and writeback
+            and kind != "flush" and ppn != incoming_ppn
+            for seq, (kind, ppn, suspect, writeback) in zip(seqs, entries)
         )
-        assert tpbuf.is_safe(incoming, incoming_ppn) == (not expected_unsafe)
+        assert TPBuf().is_safe(load, lsq) == (not expected_unsafe)

@@ -5,7 +5,9 @@ import pytest
 from repro import Processor, SecurityConfig, tiny_config
 from repro.errors import DeadlockError
 from repro.isa import ProgramBuilder
+from repro.isa.instructions import Instruction, Opcode
 from repro.params import RunOptions
+from repro.pipeline.dyninst import DynInst, InstState
 from repro.robustness import FaultInjector, FaultPlan
 from repro.robustness.watchdog import ForwardProgressWatchdog
 
@@ -75,6 +77,41 @@ class TestDeadlockDetection:
         for _ in range(10):
             dog.snapshot(cpu)
         assert len(dog.snapshots) == 4
+
+
+class TestBlockedHead:
+    """A filter-blocked head load is blamed on the defense's suspect
+    predicate; the matrix's producers are named only where there is a
+    matrix."""
+
+    @staticmethod
+    def _blocked_head(mode):
+        cpu = Processor(_load_program(), machine=tiny_config(),
+                        security=SecurityConfig(mode))
+        branch = DynInst(1, 0x1000, Instruction(Opcode.BNE, rs1=1, rs2=2))
+        load = DynInst(2, 0x1004, Instruction(Opcode.LOAD, rd=1, rs1=2))
+        cpu.iq.insert(branch, cpu.rename.ready)
+        cpu.iq.insert(load, cpu.rename.ready)
+        load.state = InstState.BLOCKED
+        cpu.rob.append(load)
+        return cpu
+
+    def test_matrix_defense_lists_the_row_producers(self):
+        dog = ForwardProgressWatchdog(limit=100)
+        diag = dog.diagnose(self._blocked_head("cache_hit"))
+        assert diag.head_state == "BLOCKED"
+        assert diag.head_matrix_row == [1]
+        assert diag.stall_reason == (
+            "filter-blocked load: the defense still finds it suspect "
+            "(security dependence row: producers [1])")
+        assert "matrix_row=[1]" in diag.render()
+
+    def test_delay_on_miss_has_no_row(self):
+        dog = ForwardProgressWatchdog(limit=100)
+        diag = dog.diagnose(self._blocked_head("delay_on_miss"))
+        assert diag.head_matrix_row == []
+        assert diag.stall_reason == (
+            "filter-blocked load: the defense still finds it suspect")
 
 
 class TestCycleBudget:

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Capture / check the cycle-exactness golden file.
 
-The hot-path optimizations in :mod:`repro.perf` (and any future
-pipeline refactor) must be *cycle-exact*: the same program on the same
-machine under the same defense must report exactly the same
+Every hot-path optimization and pipeline refactor must be
+*cycle-exact*: the same program on the same machine under the same
+defense must report exactly the same
 :attr:`~repro.pipeline.report.SimReport.cycles` and the same attack
 leakage verdicts as the unoptimized simulator.  This tool pins that
 contract in ``tests/data/cycles_golden.json`` for every registered
