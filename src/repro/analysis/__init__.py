@@ -54,7 +54,6 @@ from .memdep import (
     LoadStoreSet,
     MemDepSummary,
     compute_memdep_summary,
-    memdep_summary_key,
     static_store_sets,
 )
 from .prescreen import (
@@ -67,7 +66,6 @@ from .report import (
     AnalysisReport,
     Finding,
     GadgetKind,
-    report_from_dict,
 )
 from .solver import ConstraintSolver, SolverStats
 from .symx import (
@@ -110,7 +108,6 @@ __all__ = [
     "Finding",
     "AnalysisReport",
     "SCHEMA_VERSION",
-    "report_from_dict",
     "ConstraintSolver",
     "SolverStats",
     "CertifyResult",
@@ -136,7 +133,6 @@ __all__ = [
     "LoadStoreSet",
     "MemDepSummary",
     "compute_memdep_summary",
-    "memdep_summary_key",
     "static_store_sets",
     "PrescreenCell",
     "PrescreenMatrix",

@@ -32,14 +32,13 @@ a ``JMPI``) conservatively fans out to every block.  ``FENCE`` and
 serializing ``RDCYCLE`` terminate the walk — the store queue drains
 before younger loads issue.
 
-The result is a content-addressed :class:`MemDepSummary` (per load:
-may-bypass stores, must-alias stores, disjointness proofs), keyed like
-:func:`repro.analysis.summaries.program_summary_key` under a
-``memdep/`` namespace and cached in the same
-:class:`~repro.analysis.summaries.SummaryCache`.  Consumers:
+The result is a :class:`MemDepSummary` value (per load: may-bypass
+stores, must-alias stores, disjointness proofs).  Consumers:
 
 - the ``delay_on_miss_ss`` defense (:mod:`repro.core.defense`) widens
-  its suspect predicate with :func:`static_store_sets`;
+  its suspect predicate with :func:`static_store_sets`, whose tables
+  are memoized in a :class:`~repro.analysis.summaries.SummaryCache`
+  keyed by :func:`~repro.analysis.summaries.program_summary_key`;
 - fence synthesis (:mod:`repro.analysis.fencesynth`) drops V4 findings
   whose store→load pairs are all provably disjoint;
 - the static defense-coverage pre-screen
@@ -48,10 +47,6 @@ may-bypass stores, must-alias stores, disjointness proofs), keyed like
 """
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, List, Mapping, Optional, Set,
                     Tuple)
@@ -61,14 +56,11 @@ from ..isa.program import Program
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg
 from .dataflow import DataflowResult
 from .report import Finding
-from .summaries import SummaryCache, compute_program_summaries, region_key
+from .summaries import (SummaryCache, compute_program_summaries,
+                        program_summary_key)
 from .taint import DEFAULT_WINDOW
 from .valueset import (ValueSet, ValueSetState, address_set,
                        compute_value_sets, disjoint_word_ranges)
-
-#: Bump when the summary payload or the analysis semantics change:
-#: cached entries from other formats are ignored, never misread.
-MEMDEP_FORMAT = 1
 
 #: Maximum abstract call-stack depth threaded through the walk.  A
 #: ``CALL`` beyond this depth still follows the callee, but its return
@@ -95,28 +87,6 @@ class DisjointProof:
     load_range: Tuple[int, int]
     reason: str
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "store_pc": self.store_pc,
-            "load_pc": self.load_pc,
-            "store_range": list(self.store_range),
-            "load_range": list(self.load_range),
-            "reason": self.reason,
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "DisjointProof":
-        store_range = payload["store_range"]
-        load_range = payload["load_range"]
-        assert isinstance(store_range, list) and isinstance(load_range, list)
-        return DisjointProof(
-            store_pc=int(payload["store_pc"]),  # type: ignore[arg-type]
-            load_pc=int(payload["load_pc"]),  # type: ignore[arg-type]
-            store_range=(int(store_range[0]), int(store_range[1])),
-            load_range=(int(load_range[0]), int(load_range[1])),
-            reason=str(payload["reason"]),
-        )
-
 
 @dataclass(frozen=True)
 class LoadStoreSet:
@@ -131,43 +101,11 @@ class LoadStoreSet:
     #: Reachable stores refuted by address-range disjointness.
     disjoint: Tuple[DisjointProof, ...] = ()
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "load_pc": self.load_pc,
-            "may_bypass": list(self.may_bypass),
-            "must_alias": list(self.must_alias),
-            "disjoint": [proof.to_dict() for proof in self.disjoint],
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "LoadStoreSet":
-        proofs = payload.get("disjoint", [])
-        assert isinstance(proofs, list)
-        may_bypass = payload.get("may_bypass", [])
-        must_alias = payload.get("must_alias", [])
-        assert isinstance(may_bypass, list) and isinstance(must_alias, list)
-        return LoadStoreSet(
-            load_pc=int(payload["load_pc"]),  # type: ignore[arg-type]
-            may_bypass=tuple(int(pc) for pc in may_bypass),
-            must_alias=tuple(int(pc) for pc in must_alias),
-            disjoint=tuple(DisjointProof.from_dict(p) for p in proofs),
-        )
-
 
 @dataclass(frozen=True)
 class MemDepSummary:
-    """Whole-program static store sets, content-addressed.
+    """Whole-program static store sets."""
 
-    ``program_key`` is the :func:`memdep_summary_key` of the analyzed
-    program — two textually identical programs produce byte-identical
-    summaries (covered by a determinism test), so the summary can be
-    cached, shipped, and diffed safely.
-    """
-
-    program_key: str
-    window: int
-    #: Every store PC the walk started from, sorted.
-    store_pcs: Tuple[int, ...] = ()
     #: One entry per load reached by at least one store walk, sorted
     #: by load PC.
     loads: Tuple[LoadStoreSet, ...] = ()
@@ -192,78 +130,6 @@ class MemDepSummary:
     @property
     def pair_count(self) -> int:
         return sum(len(entry.may_bypass) for entry in self.loads)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "format": MEMDEP_FORMAT,
-            "program_key": self.program_key,
-            "window": self.window,
-            "store_pcs": list(self.store_pcs),
-            "loads": [entry.to_dict() for entry in self.loads],
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "MemDepSummary":
-        if payload.get("format") != MEMDEP_FORMAT:
-            raise ValueError(
-                f"memdep summary format {payload.get('format')!r} "
-                f"!= {MEMDEP_FORMAT}")
-        loads = payload.get("loads", [])
-        store_pcs = payload.get("store_pcs", [])
-        assert isinstance(loads, list) and isinstance(store_pcs, list)
-        return MemDepSummary(
-            program_key=str(payload["program_key"]),
-            window=int(payload["window"]),  # type: ignore[arg-type]
-            store_pcs=tuple(int(pc) for pc in store_pcs),
-            loads=tuple(LoadStoreSet.from_dict(e) for e in loads),
-        )
-
-    def content_hash(self) -> str:
-        """Stable digest of the full payload (determinism anchor)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def render(self) -> str:
-        lines = [
-            f"memdep summary {self.program_key[:12]} "
-            f"(window={self.window}, stores={len(self.store_pcs)}, "
-            f"loads={len(self.loads)}, may-bypass pairs="
-            f"{self.pair_count})"
-        ]
-        for entry in self.loads:
-            parts = []
-            if entry.may_bypass:
-                parts.append("may-bypass " + ", ".join(
-                    f"{pc:#x}" for pc in entry.may_bypass))
-            if entry.must_alias:
-                parts.append("must-alias " + ", ".join(
-                    f"{pc:#x}" for pc in entry.must_alias))
-            if entry.disjoint:
-                parts.append(f"{len(entry.disjoint)} disjoint")
-            lines.append(f"  load {entry.load_pc:#x}: "
-                         + ("; ".join(parts) or "no reachable stores"))
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Content addressing
-# ---------------------------------------------------------------------------
-
-
-def memdep_summary_key(program: Program, window: int) -> str:
-    """Cache key for a program's memdep summary.
-
-    Derived from the same canonical instruction listing as
-    :func:`~repro.analysis.summaries.program_summary_key`, under a
-    distinct ``memdep/`` namespace so the two summary families never
-    collide inside a shared :class:`SummaryCache`.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"memdep/{MEMDEP_FORMAT}/w{window}\n".encode())
-    digest.update(region_key(list(program.iter_addressed()),
-                             window).encode())
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -405,27 +271,17 @@ def compute_memdep_summary(
     program: Program,
     *,
     window: int = DEFAULT_WINDOW,
-    cache: Optional[SummaryCache] = None,
     cfg: Optional[ControlFlowGraph] = None,
 ) -> MemDepSummary:
-    """Compute (or load from ``cache``) the program's static store sets.
+    """Compute the program's static store sets.
 
     The value-set fixpoint is clamped with the loop-summary induction
     caps of :func:`compute_program_summaries` — the same acceleration
     the refinement tier uses — so loop-carried store addresses stay
     bounded where plain widening would smear them to TOP.
     """
-    key = memdep_summary_key(program, window)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            try:
-                return MemDepSummary.from_dict(hit)
-            except (KeyError, ValueError, AssertionError):
-                pass  # stale/foreign payload: recompute below
     cfg = cfg if cfg is not None else build_cfg(program)
-    summaries = compute_program_summaries(program, window=window,
-                                          cache=cache, cfg=cfg)
+    summaries = compute_program_summaries(program, window=window, cfg=cfg)
     values: DataflowResult[ValueSetState] = compute_value_sets(
         program, cfg, summaries.induction_caps())
     positions = _position_index(cfg)
@@ -456,10 +312,7 @@ def compute_memdep_summary(
                 proofs.setdefault(load_pc, []).append(proof)
 
     load_pcs = sorted(set(may_bypass) | set(must_alias) | set(proofs))
-    summary = MemDepSummary(
-        program_key=key,
-        window=window,
-        store_pcs=tuple(pc for pc, _ in stores),
+    return MemDepSummary(
         loads=tuple(
             LoadStoreSet(
                 load_pc=pc,
@@ -472,22 +325,16 @@ def compute_memdep_summary(
             for pc in load_pcs
         ),
     )
-    if cache is not None:
-        cache.put(key, summary.to_dict())
-    return summary
 
 
 # ---------------------------------------------------------------------------
 # Consumer helpers
 # ---------------------------------------------------------------------------
 
-#: Process-wide memo: memdep key → may-bypass table.  The defense
-#: recomputes nothing across attack trials / sweep rows over the same
-#: program; bounded so long-lived daemons cannot grow it unboundedly.
-_STORE_SET_MEMO: "OrderedDict[str, Dict[int, FrozenSet[int]]]" = \
-    OrderedDict()
-_STORE_SET_MEMO_CAP = 64
-_STORE_SET_LOCK = threading.Lock()
+#: Process-wide memo of may-bypass tables: attack trials and sweep rows
+#: over the same code build their defense from one analysis.
+_STORE_SETS: "SummaryCache[Dict[int, FrozenSet[int]]]" = \
+    SummaryCache(capacity=64)
 
 
 def static_store_sets(
@@ -496,19 +343,12 @@ def static_store_sets(
     window: int = DEFAULT_WINDOW,
 ) -> Dict[int, FrozenSet[int]]:
     """Memoized may-bypass table (load PC → store PCs) for defenses."""
-    key = memdep_summary_key(program, window)
-    with _STORE_SET_LOCK:
-        hit = _STORE_SET_MEMO.get(key)
-        if hit is not None:
-            _STORE_SET_MEMO.move_to_end(key)
-            return hit
-    table = compute_memdep_summary(program,
-                                   window=window).may_bypass_table()
-    with _STORE_SET_LOCK:
-        _STORE_SET_MEMO[key] = table
-        _STORE_SET_MEMO.move_to_end(key)
-        while len(_STORE_SET_MEMO) > _STORE_SET_MEMO_CAP:
-            _STORE_SET_MEMO.popitem(last=False)
+    key = program_summary_key(program, window)
+    table = _STORE_SETS.get(key)
+    if table is None:
+        table = compute_memdep_summary(program,
+                                       window=window).may_bypass_table()
+        _STORE_SETS.put(key, table)
     return table
 
 
@@ -562,12 +402,10 @@ def v4_finding_may_bypass(summary: MemDepSummary,
 __all__ = [
     "DisjointProof",
     "LoadStoreSet",
-    "MEMDEP_FORMAT",
     "MAX_CONTEXT_DEPTH",
     "MemDepSummary",
     "compute_memdep_summary",
     "finding_memdep_block",
-    "memdep_summary_key",
     "static_store_sets",
     "v4_finding_may_bypass",
 ]

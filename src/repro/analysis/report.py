@@ -166,43 +166,3 @@ class AnalysisReport:
             "findings": findings,
             "suspect_pcs": list(self.suspect_pcs),
         }
-
-
-def report_from_dict(data: Mapping[str, object]) -> AnalysisReport:
-    """Rebuild an :class:`AnalysisReport` from a ``--json`` document.
-
-    Accepts every schema version to date: v1 (no ``schema_version``
-    key) through v5 (whose optional per-finding ``certificate`` and
-    ``memdep`` blocks and sibling ``refinement``/``fence_synthesis``
-    blocks are simply ignored here — the core findings are
-    version-stable).
-    """
-    version = int(data.get("schema_version", 1))  # type: ignore[arg-type]
-    if version > SCHEMA_VERSION:
-        raise ValueError(
-            f"analyze document schema_version {version} is newer than "
-            f"supported ({SCHEMA_VERSION})"
-        )
-    findings = []
-    raw_findings = data.get("findings", [])
-    assert isinstance(raw_findings, list)
-    for raw in raw_findings:
-        findings.append(Finding(
-            kind=GadgetKind(raw["kind"]),
-            source_pc=int(raw["source_pc"]),
-            sink_pc=int(raw["sink_pc"]),
-            tainting_loads=tuple(int(pc)
-                                 for pc in raw.get("tainting_loads", ())),
-            source_disasm=str(raw.get("source", "")),
-            sink_disasm=str(raw.get("sink", "")),
-        ))
-    suspect_raw = data.get("suspect_pcs", [])
-    assert isinstance(suspect_raw, list)
-    return AnalysisReport(
-        name=str(data.get("name", "program")),
-        window=int(data.get("window", 0)),  # type: ignore[arg-type]
-        instructions=int(data.get("instructions", 0)),  # type: ignore[arg-type]
-        blocks=int(data.get("blocks", 0)),  # type: ignore[arg-type]
-        findings=findings,
-        suspect_pcs=tuple(int(pc) for pc in suspect_raw),
-    )

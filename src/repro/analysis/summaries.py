@@ -1,28 +1,28 @@
 """Loop and region summaries: the structural layer under accelerated
 value-set refinement and loop-summarizing symbolic certification.
 
-Three things live here:
+Two things live here:
 
 ``ProgramSummaries``
-    A cheap, purely structural digest of a program: per-basic-block
-    transformers (written registers, memory effects, a content hash of
-    the block), natural loops with their written-register footprints,
-    recognized *bounded monotone induction variables* with
-    window-aware value caps, and the set of control-flow join points.
-    Both :func:`repro.analysis.valueset.refine_report` (acceleration)
-    and :func:`repro.analysis.symx.certify_program` (loop
-    summarization + path merging) consume the same object, so the two
-    tiers agree by construction on what a loop is and how far its
-    counters can travel.
+    A cheap, purely structural digest of a program: natural loops with
+    their written-register and memory footprints, recognized *bounded
+    monotone induction variables* with window-aware value caps, and
+    the set of control-flow join points.  Both
+    :func:`repro.analysis.valueset.refine_report` (acceleration) and
+    :func:`repro.analysis.symx.certify_program` (loop summarization +
+    path merging) consume the same object, so the two tiers agree by
+    construction on what a loop is and how far its counters can
+    travel.
 
 ``SummaryCache``
-    An in-memory, content-addressed LRU store for those summaries.
-    Keys are sha256 hashes over the *canonical disassembly* of the
-    region (position-independent: branch targets are rendered relative
-    to the region base), so a resubmitted program — under another
-    name, other secrets or other budgets — hits the same entry.  The
-    ``repro serve`` daemon keeps one for its lifetime (the region tier
-    of its result cache).
+    An in-memory LRU of computed analysis values, keyed by
+    :func:`program_summary_key`: a hash of the window, the entry point
+    and the program's instructions, so a resubmitted program (under
+    another name, other secrets or other budgets) hits the same entry.
+    The ``repro serve`` daemon keeps one of ``ProgramSummaries`` for
+    its lifetime (the region tier of its result cache), and
+    :func:`repro.analysis.memdep.static_store_sets` keeps one of store
+    sets.
 
 Induction recognition and the acceleration cap
 ----------------------------------------------
@@ -67,17 +67,13 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import (Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Generic, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, TypeVar)
 
 from ..isa.instructions import Instruction, Opcode
 from ..isa.program import Program
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg
 from .valueset import U64_MAX, ValueSet
-
-#: Bump when the summary content or the hash derivation changes; the
-#: version participates in every cache key.
-SUMMARY_FORMAT = 1
 
 #: Keep caps comfortably inside the signed-positive half of the word so
 #: the ``BLT``/``BGE`` (signed) reasoning above stays two's-complement
@@ -85,42 +81,18 @@ SUMMARY_FORMAT = 1
 _CAP_CEILING = 1 << 62
 
 
-# ---------------------------------------------------------------------------
-# Region hashing
-# ---------------------------------------------------------------------------
-
-def _canonical_line(addr: int, instr: Instruction, base: int) -> str:
-    """One position-independent canonical line per instruction: the
-    fields that survive a ``disassemble(assemble(...))`` round trip,
-    with addresses rendered relative to the region base."""
-    target = ""
-    if instr.target is not None:
-        target = f"@{instr.target - base:+x}"
-    return (f"{addr - base:x}:{instr.op.name}"
-            f":{instr.rd or 0}:{instr.rs1 or 0}:{instr.rs2 or 0}"
-            f":{instr.imm:x}{target}")
-
-
-def region_key(instrs: Sequence[Tuple[int, Instruction]],
-               window: int) -> str:
-    """Content hash of a code region (a block, a loop body, or the
-    whole program).  ``window`` participates because induction caps —
-    part of the summary — are window-dependent."""
-    if not instrs:
-        base = 0
-    else:
-        base = min(addr for addr, _ in instrs)
-    digest = hashlib.sha256()
-    digest.update(f"summaries/{SUMMARY_FORMAT}/w{window}\n".encode())
-    for addr, instr in sorted(instrs, key=lambda pair: pair[0]):
-        digest.update(_canonical_line(addr, instr, base).encode())
+def program_summary_key(program: Program, window: int) -> str:
+    """Cache key for what the static ladder derives from ``program``'s
+    code at ``window``: a hash of the window, the entry point and every
+    instruction's address and encoding (its ``note`` comment
+    excluded)."""
+    digest = hashlib.sha256(
+        f"w{window}:{program.entry_point}\n".encode())
+    for addr, instr in program.iter_addressed():
+        digest.update(repr((addr, instr.op.name, instr.rd, instr.rs1,
+                            instr.rs2, instr.imm, instr.target)).encode())
         digest.update(b"\n")
     return digest.hexdigest()
-
-
-def program_summary_key(program: Program, window: int) -> str:
-    """Cache key for a whole program's summaries."""
-    return region_key(list(program.iter_addressed()), window)
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +115,6 @@ class InductionRange:
         return ValueSet(self.lo, self.hi,
                         0 if self.lo == self.hi else stride)
 
-    def to_dict(self) -> Dict[str, int]:
-        return {"reg": self.reg, "init": self.init, "step": self.step,
-                "lo": self.lo, "hi": self.hi, "step_pc": self.step_pc}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, int]) -> "InductionRange":
-        return cls(reg=int(data["reg"]), init=int(data["init"]),
-                   step=int(data["step"]), lo=int(data["lo"]),
-                   hi=int(data["hi"]), step_pc=int(data["step_pc"]))
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    """Per-basic-block transformer facts (the block-granular cache
-    tier): which registers the block can write, whether it stores to
-    memory, and the content hash of its instructions."""
-
-    start: int
-    written_regs: Tuple[int, ...]
-    writes_memory: bool
-    region: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"start": self.start,
-                "written_regs": list(self.written_regs),
-                "writes_memory": self.writes_memory,
-                "region": self.region}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "BlockSummary":
-        return cls(start=int(data["start"]),  # type: ignore[arg-type]
-                   written_regs=tuple(int(r) for r in data["written_regs"]),  # type: ignore[union-attr]
-                   writes_memory=bool(data["writes_memory"]),
-                   region=str(data["region"]))
-
 
 @dataclass(frozen=True)
 class LoopSummary:
@@ -188,7 +125,6 @@ class LoopSummary:
     back_edge_pcs: Tuple[int, ...]  #: addresses of the back-edge branches
     written_regs: Tuple[int, ...]  #: registers any body block may write
     writes_memory: bool
-    region: str  #: content hash of the body instructions
     inductions: Tuple[InductionRange, ...]
 
     def bound_for(self, reg: int) -> Optional[InductionRange]:
@@ -197,27 +133,6 @@ class LoopSummary:
                 return induction
         return None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"header": self.header, "blocks": list(self.blocks),
-                "back_edge_pcs": list(self.back_edge_pcs),
-                "written_regs": list(self.written_regs),
-                "writes_memory": self.writes_memory,
-                "region": self.region,
-                "inductions": [i.to_dict() for i in self.inductions]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "LoopSummary":
-        return cls(
-            header=int(data["header"]),  # type: ignore[arg-type]
-            blocks=tuple(int(b) for b in data["blocks"]),  # type: ignore[union-attr]
-            back_edge_pcs=tuple(int(p) for p in data["back_edge_pcs"]),  # type: ignore[union-attr]
-            written_regs=tuple(int(r) for r in data["written_regs"]),  # type: ignore[union-attr]
-            writes_memory=bool(data["writes_memory"]),
-            region=str(data["region"]),
-            inductions=tuple(InductionRange.from_dict(i)
-                             for i in data["inductions"]),  # type: ignore[union-attr]
-        )
-
 
 @dataclass(frozen=True)
 class ProgramSummaries:
@@ -225,9 +140,6 @@ class ProgramSummaries:
     from code alone (no secrets, no data) and therefore shareable
     across runs and across serve submissions."""
 
-    window: int
-    program_key: str
-    blocks: Tuple[BlockSummary, ...]
     loops: Tuple[LoopSummary, ...]
     join_points: Tuple[int, ...]  #: block starts with >= 2 direct preds
     has_indirect: bool
@@ -261,34 +173,6 @@ class ProgramSummaries:
         headers = {loop.header for loop in self.loops}
         return frozenset(addr for addr in self.join_points
                          if addr not in headers)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"format": SUMMARY_FORMAT,
-                "window": self.window,
-                "program_key": self.program_key,
-                "blocks": [b.to_dict() for b in self.blocks],
-                "loops": [l.to_dict() for l in self.loops],
-                "join_points": list(self.join_points),
-                "has_indirect": self.has_indirect,
-                "reducible": self.reducible}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ProgramSummaries":
-        if int(data.get("format", -1)) != SUMMARY_FORMAT:  # type: ignore[arg-type]
-            raise ValueError(
-                f"summary format {data.get('format')!r} != "
-                f"{SUMMARY_FORMAT}")
-        return cls(
-            window=int(data["window"]),  # type: ignore[arg-type]
-            program_key=str(data["program_key"]),
-            blocks=tuple(BlockSummary.from_dict(b)
-                         for b in data["blocks"]),  # type: ignore[union-attr]
-            loops=tuple(LoopSummary.from_dict(l)
-                        for l in data["loops"]),  # type: ignore[union-attr]
-            join_points=tuple(int(j) for j in data["join_points"]),  # type: ignore[union-attr]
-            has_indirect=bool(data["has_indirect"]),
-            reducible=bool(data["reducible"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +265,18 @@ def _is_reducible(cfg: ControlFlowGraph, reachable: Set[int],
     return visited == len(reachable)
 
 
-def _block_summary(block: BasicBlock, window: int) -> BlockSummary:
+def _footprint(blocks: Iterable[BasicBlock]) -> Tuple[Tuple[int, ...], bool]:
+    """The registers ``blocks`` can write, sorted (r0 is hardwired
+    zero: writes to it vanish), and whether any of them stores."""
     written: Set[int] = set()
     stores = False
-    for _addr, instr in block.instructions:
-        if instr.dest:  # r0 is hardwired zero; writes to it vanish
-            written.add(instr.dest)
-        if instr.is_store:
-            stores = True
-    return BlockSummary(start=block.start,
-                        written_regs=tuple(sorted(written)),
-                        writes_memory=stores,
-                        region=region_key(block.instructions, window))
+    for block in blocks:
+        for _addr, instr in block.instructions:
+            if instr.dest:
+                written.add(instr.dest)
+            if instr.is_store:
+                stores = True
+    return tuple(sorted(written)), stores
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +391,6 @@ def summarize_program(program: Program, *, window: int,
     back = _back_edges(cfg, reachable, doms)
     reducible = _is_reducible(cfg, reachable, back)
 
-    block_summaries = tuple(_block_summary(block, window)
-                            for block in cfg.blocks
-                            if block.index in reachable)
-    by_index = dict(zip(sorted(reachable), block_summaries))
-
     # Natural loops, merged per header.
     loop_bodies: Dict[int, Set[int]] = {}
     loop_sources: Dict[int, List[int]] = {}
@@ -531,12 +410,7 @@ def summarize_program(program: Program, *, window: int,
         body = loop_bodies[header]
         nested = [other for other_header, other in loop_bodies.items()
                   if other_header != header and other < body]
-        written: Set[int] = set()
-        stores = False
-        for index in body:
-            summary = by_index[index]
-            written.update(summary.written_regs)
-            stores = stores or summary.writes_memory
+        written, stores = _footprint(cfg.blocks[index] for index in body)
         inductions: List[InductionRange] = []
         if summarizable:
             inductions = _find_inductions(
@@ -544,8 +418,6 @@ def summarize_program(program: Program, *, window: int,
                 loop_sources[header], window, known)
             for induction in inductions:
                 known[induction.reg] = induction
-        body_instrs = [pair for index in sorted(body)
-                       for pair in cfg.blocks[index].instructions]
         back_pcs = []
         for source in loop_sources[header]:
             block = cfg.blocks[source]
@@ -556,9 +428,8 @@ def summarize_program(program: Program, *, window: int,
             blocks=tuple(sorted(cfg.blocks[index].start
                                 for index in body)),
             back_edge_pcs=tuple(sorted(back_pcs)),
-            written_regs=tuple(sorted(written)),
+            written_regs=written,
             writes_memory=stores,
-            region=region_key(body_instrs, window),
             inductions=tuple(inductions),
         ))
     loops.sort(key=lambda loop: loop.header)
@@ -569,9 +440,6 @@ def summarize_program(program: Program, *, window: int,
                 if p in reachable]) >= 2))
 
     return ProgramSummaries(
-        window=window,
-        program_key=program_summary_key(program, window),
-        blocks=block_summaries,
         loops=tuple(loops),
         join_points=join_points,
         has_indirect=has_indirect,
@@ -581,7 +449,7 @@ def summarize_program(program: Program, *, window: int,
 
 def compute_program_summaries(
     program: Program, *, window: int,
-    cache: Optional["SummaryCache"] = None,
+    cache: Optional["SummaryCache[ProgramSummaries]"] = None,
     cfg: Optional[ControlFlowGraph] = None,
 ) -> ProgramSummaries:
     """Summaries for ``program``, through ``cache`` when given."""
@@ -590,9 +458,9 @@ def compute_program_summaries(
     key = program_summary_key(program, window)
     entry = cache.get(key)
     if entry is not None:
-        return replace(ProgramSummaries.from_dict(entry), cache_hit=True)
+        return replace(entry, cache_hit=True)
     summaries = summarize_program(program, window=window, cfg=cfg)
-    cache.put(key, summaries.to_dict())
+    cache.put(key, summaries)
     return summaries
 
 
@@ -618,8 +486,12 @@ class SummaryCacheStats:
                 "hit_rate": round(self.hit_rate, 4)}
 
 
-class SummaryCache:
-    """Content-addressed LRU cache of region summaries, in memory.
+_V = TypeVar("_V")
+
+
+class SummaryCache(Generic[_V]):
+    """LRU cache of computed analysis values, in memory, keyed by
+    :func:`program_summary_key`.
 
     Thread-safe (the serve engine calls it from worker threads).
     """
@@ -630,13 +502,13 @@ class SummaryCache:
         self.capacity = capacity
         self.stats = SummaryCacheStats()
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._entries: "OrderedDict[str, _V]" = OrderedDict()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str) -> Optional[Dict[str, object]]:
+    def get(self, key: str) -> Optional[_V]:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -646,9 +518,9 @@ class SummaryCache:
             self.stats.hits += 1
             return entry
 
-    def put(self, key: str, summary: Dict[str, object]) -> None:
+    def put(self, key: str, value: _V) -> None:
         with self._lock:
-            self._entries[key] = summary
+            self._entries[key] = value
             self._entries.move_to_end(key)
             self.stats.stores += 1
             while len(self._entries) > self.capacity:
@@ -657,8 +529,6 @@ class SummaryCache:
 
 
 __all__ = [
-    "SUMMARY_FORMAT",
-    "BlockSummary",
     "InductionRange",
     "LoopSummary",
     "ProgramSummaries",
@@ -666,6 +536,5 @@ __all__ = [
     "SummaryCacheStats",
     "compute_program_summaries",
     "program_summary_key",
-    "region_key",
     "summarize_program",
 ]

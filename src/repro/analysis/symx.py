@@ -176,7 +176,6 @@ _BRANCH_OP = {
     Opcode.BLT: "slt",
     Opcode.BGE: "sge",
 }
-_IMM_ALU = (Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI, Opcode.SHRI)
 
 
 class Verdict(Enum):
@@ -962,7 +961,7 @@ class _Explorer:
                 self._write_reg(path, instr.rd, self._reg(path, instr.rs1))
             elif op in _ALU_OP:
                 a = self._reg(path, instr.rs1)
-                b = (Const(instr.imm) if op in _IMM_ALU
+                b = (Const(instr.imm) if instr.alu_imm
                      else self._reg(path, instr.rs2))
                 self._write_reg(path, instr.rd, mk(_ALU_OP[op], a, b))
             elif op is Opcode.LOAD:
@@ -1132,7 +1131,7 @@ def concrete_speculative_trace(
                 if instr.rd:
                     regs[instr.rd] = regs[instr.rs1]
             elif op in _ALU_OP:
-                b = (mask64(instr.imm) if op in _IMM_ALU
+                b = (mask64(instr.imm) if instr.alu_imm
                      else regs[instr.rs2])
                 if instr.rd:
                     regs[instr.rd] = evaluate_alu(op, regs[instr.rs1], b)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..isa.instructions import Instruction, Opcode
+from ..isa.instructions import ALU_REG_OPS, Instruction, Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
 from .dataflow import ForwardDataflow, Lattice
@@ -39,15 +39,6 @@ from .report import AnalysisReport, Finding, GadgetKind
 #: paper machine's ROB (Table III): nothing can stay speculative with
 #: more than a ROB of younger instructions behind it.
 DEFAULT_WINDOW = 192
-
-_ALU_REG_REG = {
-    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.AND,
-    Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
-}
-_ALU_REG_IMM = {
-    Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI, Opcode.SHRI,
-    Opcode.MOV,
-}
 
 
 def _source_kind(instr: Instruction) -> Optional[GadgetKind]:
@@ -149,11 +140,11 @@ class SpeculativeTaintLattice(Lattice[TaintState]):
             if instruction.rd != 0:
                 state = state.with_taint(instruction.rd, tags)
             return state
-        if op in _ALU_REG_REG:
+        if op in ALU_REG_OPS:
             tags = (state.taint_of(instruction.rs1)
                     | state.taint_of(instruction.rs2))
             return state.with_taint(instruction.rd, tags)
-        if op in _ALU_REG_IMM:
+        if instruction.alu_imm or op is Opcode.MOV:
             return state.with_taint(instruction.rd,
                                     state.taint_of(instruction.rs1))
         if op is Opcode.LI:

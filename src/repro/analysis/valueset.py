@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
-from ..isa.instructions import WORD_BYTES, Instruction, Opcode
+from ..isa.instructions import ALU_REG_OPS, WORD_BYTES, Instruction, Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
 from .dataflow import DataflowResult, ForwardDataflow, Lattice
@@ -311,8 +311,7 @@ class ValueSetLattice(Lattice[ValueSetState]):
             return state.with_value(rd, constant(instruction.imm))
         if op is Opcode.MOV:
             return state.with_value(rd, state.value_of(instruction.rs1))
-        if op in (Opcode.ADDI, Opcode.ANDI, Opcode.XORI,
-                  Opcode.SHLI, Opcode.SHRI):
+        if instruction.alu_imm:
             src = state.value_of(instruction.rs1)
             imm = instruction.imm
             if op is Opcode.ADDI:
@@ -325,9 +324,7 @@ class ValueSetLattice(Lattice[ValueSetState]):
             else:
                 result = _ALU_SHIFTS[op](src, imm)
             return state.with_value(rd, result)
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV,
-                  Opcode.AND, Opcode.OR, Opcode.XOR,
-                  Opcode.SHL, Opcode.SHR):
+        if op in ALU_REG_OPS:
             a = state.value_of(instruction.rs1)
             b = state.value_of(instruction.rs2)
             if op is Opcode.ADD:

@@ -506,7 +506,7 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
     memory-dependence analysis (:mod:`repro.analysis.memdep`) proved
     may actually bypass a store.  The may-bypass table arrives through
     :meth:`transform_program` (program metadata, not a rewrite), is
-    content-addressed and memoized across trials, and is *empty* for
+    memoized across trials over the same code, and is *empty* for
     programs with no bypassable pairs — where the defense is
     cycle-identical to plain ``delay_on_miss``.
 

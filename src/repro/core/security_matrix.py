@@ -26,7 +26,7 @@ the oldest of them.  A producer staged in the current cycle remembers
 the youngest instruction dispatched before it issued, so that a
 consumer dispatched after it in the same cycle does not see it, while
 the consumers dispatched before it keep it until the cycle edge.
-:meth:`row` lists a row's producers for diagnostics and tests.
+:meth:`row` lists a row's producers; only tests read it.
 """
 from __future__ import annotations
 
@@ -101,8 +101,8 @@ class SecurityDependenceMatrix:
 
     def row(self, inst: "DynInst") -> List[int]:
         """The sequence numbers of the producers in the row of
-        ``inst``, oldest first (diagnostics and tests; the pipeline
-        reads only :meth:`has_dependence`)."""
+        ``inst``, oldest first.  Only tests read it: the pipeline reads
+        :meth:`has_dependence`."""
         if not inst.instr.is_memory:
             return []
         seq = inst.seq

@@ -11,13 +11,12 @@ class ConfigError(SimulationError):
 
 
 class DefenseConfigError(ConfigError):
-    """An invalid defense name or defense/config/machine combination.
+    """An invalid defense name.
 
-    Every bad combination — unknown registry name, a defense whose
-    structural requirements the config or machine cannot meet, a
-    software defense asked to run on a pre-built instruction memory —
-    surfaces as this one structured error at
-    :class:`~repro.pipeline.processor.Processor` construction.
+    An unknown registry name surfaces as this one structured error when
+    the :class:`~repro.core.policy.SecurityConfig` naming it is built,
+    before any :class:`~repro.pipeline.processor.Processor` exists; a
+    defense class registered without a name raises it at import.
     """
 
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Optional
 from ..attacks import build_spectre_v4, run_attack
 from ..core.policy import SecurityConfig
 from ..isa.builder import ProgramBuilder
-from ..isa.instructions import Opcode
+from ..isa.instructions import COND_BRANCH_OPS
 from ..params import MachineParams, paper_config
 from ..pipeline.processor import Processor
 from ..stats import safe_div
@@ -172,7 +172,7 @@ class _FenceAfterBranchBuilder(ProgramBuilder):
     taken branches skip the fence)."""
 
     def _branch(self, op, rs1, rs2, target):
-        if op in (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE):
+        if op in COND_BRANCH_OPS:
             self.fence()
         return super()._branch(op, rs1, rs2, target)
 

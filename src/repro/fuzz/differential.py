@@ -11,7 +11,9 @@ fuzz cases are persisted and replayed, so a round-trip bug would
 corrupt every regression case downstream.
 
 Outcomes are structured, never asserted: the campaign layer decides
-what to do with a mismatch (minimize, persist, fail).
+what to do with a mismatch (minimize, persist, fail).  A core that
+raises a :class:`~repro.errors.SimulationError` while it runs (an
+invariant violation, a deadlock) is a mismatch of kind ``error`` too.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.defense import defense_names
 from ..core.policy import SecurityConfig
+from ..errors import ExecutionError, SimulationError
 from ..isa.assembler import assemble, disassemble
 from ..isa.instructions import Opcode
 from ..isa.oracle import OracleResult, run_oracle
@@ -37,12 +40,16 @@ class Mismatch:
     """One architectural disagreement between core and oracle."""
 
     kind: str          # "register" | "memory" | "committed" | "no_halt"
+                       # | "error"
     mode: str          # protection mode the core ran under
-    where: str         # "r5" / hex address / termination / ""
+    where: str         # "r5" / hex address / termination / "" /
+                       # "InvariantViolation: <first line>"
     expected: int
     actual: int
 
     def render(self) -> str:
+        if self.kind == "error":
+            return f"[{self.mode}] error {self.where}"
         return (f"[{self.mode}] {self.kind} {self.where}: "
                 f"oracle {self.expected:#x} != core {self.actual:#x}")
 
@@ -51,8 +58,9 @@ class Mismatch:
 class DiffOutcome:
     """Result of one program's differential check."""
 
-    #: Oracle executed to HALT within budget (a generated program that
-    #: does not is *invalid input*, not a finding).
+    #: Oracle executed to HALT within budget (a program that does not,
+    #: or whose control leaves the program, is *invalid input*, not a
+    #: finding; the minimizer makes such candidates).
     valid: bool
     mismatches: Tuple[Mismatch, ...] = ()
     #: Round-trip failure description ("" when the property held).
@@ -161,9 +169,15 @@ def differential_check(
     and diff the architectural states against the oracle's run of the
     same program (of its rewrite, under a software defense).  Each core
     runs the structural invariant lint every cycle
-    (:mod:`repro.pipeline.invariants`); a violation raises."""
+    (:mod:`repro.pipeline.invariants`); a violation, or any other
+    :class:`~repro.errors.SimulationError` the run raises, is that
+    mode's ``error`` mismatch.  Building the core still raises: a bad
+    mode or machine is a usage error, not a finding."""
     machine = machine if machine is not None else tiny_config()
-    oracle = run_oracle(program, max_instructions=oracle_budget)
+    try:
+        oracle = run_oracle(program, max_instructions=oracle_budget)
+    except ExecutionError:  # control left the program: invalid input
+        return DiffOutcome(valid=False, modes=tuple(modes))
     if not oracle.halted:
         return DiffOutcome(valid=False, modes=tuple(modes))
     mismatches: List[Mismatch] = []
@@ -171,7 +185,13 @@ def differential_check(
         cpu = Processor(program, machine=machine,
                         security=SecurityConfig(mode),
                         check_invariants=True)
-        report = cpu.run(max_cycles=max_cycles)
+        try:
+            report = cpu.run(max_cycles=max_cycles)
+        except SimulationError as exc:
+            first_line = str(exc).partition("\n")[0]
+            mismatches.append(Mismatch(
+                "error", mode, f"{type(exc).__name__}: {first_line}", 0, 0))
+            continue
         ran = cpu.program
         reference = oracle if ran is program else run_oracle(
             ran, max_instructions=oracle_budget)

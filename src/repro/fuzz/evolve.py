@@ -27,7 +27,8 @@ import dataclasses
 
 from ..analysis.symx import Verdict, certify_program
 from ..core.policy import SecurityConfig
-from ..isa.instructions import WORD_BYTES, Instruction, Opcode, mask64
+from ..isa.instructions import (ALU_IMM_OPS, WORD_BYTES, Instruction, Opcode,
+                                mask64)
 from ..isa.program import Program
 from ..params import MachineParams, tiny_config
 from .agreement import SECRET_VALUE_A, SECRET_VALUE_B, two_secret_probe
@@ -37,9 +38,8 @@ from .minimize import MinimizeResult, minimize_program
 #: (differs from the primary pair in low and high bits alike).
 VERIFY_VALUES = (0x1C5, 0x63A)
 
-_IMM_OPS = {Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI,
-            Opcode.SHRI, Opcode.LI, Opcode.LOAD, Opcode.STORE,
-            Opcode.CLFLUSH}
+_IMM_OPS = ALU_IMM_OPS | {Opcode.LI, Opcode.LOAD, Opcode.STORE,
+                         Opcode.CLFLUSH}
 _IMM_DELTAS = (-64, -8, -1, 1, 8, 64)
 _REG_POOL = tuple(range(1, 19))
 

@@ -28,15 +28,17 @@ from typing import List
 
 from ..errors import AssemblyError
 from .builder import ProgramBuilder
-from .instructions import WORD_BYTES, Instruction, Opcode
+from .instructions import (ALU_IMM_OPS, ALU_REG_OPS, COND_BRANCH_OPS,
+                           WORD_BYTES, Instruction, Opcode)
 from .program import Program
 
 _LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):$")
 _REG_RE = re.compile(r"^r([0-9]|[12][0-9]|3[01])$")
 
-_ALU3 = {"add", "sub", "mul", "div", "and", "or", "xor", "shl", "shr"}
-_ALUI = {"addi", "andi", "xori", "shli", "shri"}
-_BRANCH = {"beq", "bne", "blt", "bge"}
+# An opcode's mnemonic is its lower-cased name.
+_ALU3 = {op.name.lower() for op in ALU_REG_OPS}
+_ALUI = {op.name.lower() for op in ALU_IMM_OPS}
+_BRANCH = {op.name.lower() for op in COND_BRANCH_OPS}
 
 
 def _parse_reg(token: str, line_no: int) -> int:
@@ -182,17 +184,6 @@ def assemble(source: str, base_address: int = 0x1000) -> Program:
 # Disassembly (the inverse of :func:`assemble`)
 # ---------------------------------------------------------------------------
 
-_MNEMONIC = {
-    Opcode.ADD: "add", Opcode.SUB: "sub", Opcode.MUL: "mul",
-    Opcode.DIV: "div", Opcode.AND: "and", Opcode.OR: "or",
-    Opcode.XOR: "xor", Opcode.SHL: "shl", Opcode.SHR: "shr",
-    Opcode.ADDI: "addi", Opcode.ANDI: "andi", Opcode.XORI: "xori",
-    Opcode.SHLI: "shli", Opcode.SHRI: "shri",
-    Opcode.BEQ: "beq", Opcode.BNE: "bne",
-    Opcode.BLT: "blt", Opcode.BGE: "bge",
-}
-
-
 def _format_target(address: int, names_at: dict) -> str:
     """A branch/jump/call operand: the label at ``address`` when one
     exists, otherwise the bare decimal address (the parser reads any
@@ -263,11 +254,11 @@ def disassemble(program: Program) -> str:
 def _format_instruction(instr: Instruction, names_at: dict) -> str:
     op = instr.op
     comment = f"    ; {instr.note}" if instr.note else ""
-    if op in _ALU3_OPS:
-        text = (f"{_MNEMONIC[op]} r{instr.rd}, "
+    if op in ALU_REG_OPS:
+        text = (f"{op.name.lower()} r{instr.rd}, "
                 f"r{instr.rs1}, r{instr.rs2}")
-    elif op in _ALUI_OPS:
-        text = (f"{_MNEMONIC[op]} r{instr.rd}, "
+    elif instr.alu_imm:
+        text = (f"{op.name.lower()} r{instr.rd}, "
                 f"r{instr.rs1}, {instr.imm}")
     elif op is Opcode.LI:
         text = f"li r{instr.rd}, {instr.imm}"
@@ -279,8 +270,8 @@ def _format_instruction(instr: Instruction, names_at: dict) -> str:
         text = f"store r{instr.rs2}, r{instr.rs1}, {instr.imm}"
     elif op is Opcode.CLFLUSH:
         text = f"clflush r{instr.rs1}, {instr.imm}"
-    elif op in _BRANCH_OPS:
-        text = (f"{_MNEMONIC[op]} r{instr.rs1}, r{instr.rs2}, "
+    elif instr.is_conditional_branch:
+        text = (f"{op.name.lower()} r{instr.rs1}, r{instr.rs2}, "
                 f"{_format_target(instr.target, names_at)}")
     elif op is Opcode.JMP:
         text = f"jmp {_format_target(instr.target, names_at)}"
@@ -303,10 +294,3 @@ def _format_instruction(instr: Instruction, names_at: dict) -> str:
     else:  # pragma: no cover - the ISA above is exhaustive
         raise AssemblyError(f"cannot disassemble opcode {op}")
     return text + comment
-
-
-_ALU3_OPS = {Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.AND,
-             Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR}
-_ALUI_OPS = {Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI,
-             Opcode.SHRI}
-_BRANCH_OPS = {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE}

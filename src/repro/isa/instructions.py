@@ -79,15 +79,19 @@ class Opcode(Enum):
     HALT = auto()
 
 
-_REG_REG_ALU = {
+#: Register-register ALU opcodes: ``rd = rs1 OP rs2``.
+ALU_REG_OPS = frozenset({
     Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV,
     Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
-}
-_REG_IMM_ALU = {
+})
+#: Register-immediate ALU opcodes: ``rd = rs1 OP imm``.  ``MOV``
+#: (``rd = rs1``) is in neither set.
+ALU_IMM_OPS = frozenset({
     Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI, Opcode.SHRI,
-    Opcode.MOV,
-}
-_COND_BRANCHES = {Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE}
+})
+#: Conditional branches: compare ``rs1`` with ``rs2``, jump to ``target``.
+COND_BRANCH_OPS = frozenset({Opcode.BEQ, Opcode.BNE, Opcode.BLT,
+                             Opcode.BGE})
 
 _OPCLASS = {
     Opcode.LOAD: OpClass.LOAD,
@@ -102,9 +106,9 @@ _OPCLASS = {
     Opcode.CALL: OpClass.BRANCH,
     Opcode.RET: OpClass.BRANCH,
 }
-for _op in _COND_BRANCHES:
+for _op in COND_BRANCH_OPS:
     _OPCLASS[_op] = OpClass.BRANCH
-for _op in _REG_REG_ALU | _REG_IMM_ALU | {Opcode.LI}:
+for _op in ALU_REG_OPS | ALU_IMM_OPS | {Opcode.LI, Opcode.MOV}:
     _OPCLASS[_op] = OpClass.ALU
 
 # Per-opcode classification, precomputed once.  Every flag below is a
@@ -113,16 +117,17 @@ for _op in _REG_REG_ALU | _REG_IMM_ALU | {Opcode.LI}:
 # properties on the simulator hot path (is_serializing/is_store alone
 # are consulted millions of times per run).
 _HAS_DEST = {
-    op: (op in _REG_REG_ALU or op in _REG_IMM_ALU
-         or op in (Opcode.LI, Opcode.LOAD, Opcode.RDCYCLE, Opcode.CALL))
+    op: (op in ALU_REG_OPS or op in ALU_IMM_OPS
+         or op in (Opcode.LI, Opcode.MOV, Opcode.LOAD, Opcode.RDCYCLE,
+                   Opcode.CALL))
     for op in Opcode
 }
 # Source-register pattern: 0 = none, 1 = (rs1,), 2 = (rs1, rs2).
 _SRC_PATTERN = {op: 0 for op in Opcode}
-for _op in (_REG_IMM_ALU | {Opcode.LOAD, Opcode.CLFLUSH,
-                            Opcode.JMPI, Opcode.RET}):
+for _op in (ALU_IMM_OPS | {Opcode.MOV, Opcode.LOAD, Opcode.CLFLUSH,
+                           Opcode.JMPI, Opcode.RET}):
     _SRC_PATTERN[_op] = 1
-for _op in (_REG_REG_ALU | _COND_BRANCHES | {Opcode.STORE}):
+for _op in (ALU_REG_OPS | COND_BRANCH_OPS | {Opcode.STORE}):
     _SRC_PATTERN[_op] = 2
 
 
@@ -171,6 +176,8 @@ class Instruction:
     # - ``dest`` — destination architectural register or None (R0
     #   writes are discarded by the core)
     # - ``sources`` — architectural source registers, in operand order
+    # - ``alu_imm`` — a register-immediate ALU op (:data:`ALU_IMM_OPS`):
+    #   its second operand is ``imm``
     #
     # and the facts dispatch needs, decoded once per static instruction
     # instead of once per dynamic instance:
@@ -197,12 +204,13 @@ class Instruction:
             op is Opcode.LOAD or op is Opcode.STORE
             or op is Opcode.CLFLUSH)
         put(self, "is_branch", _OPCLASS[op] is OpClass.BRANCH)
-        put(self, "is_conditional_branch", op in _COND_BRANCHES)
+        put(self, "is_conditional_branch", op in COND_BRANCH_OPS)
         put(self, "is_indirect", op is Opcode.JMPI or op is Opcode.RET)
         put(self, "is_call", op is Opcode.CALL)
         put(self, "is_return", op is Opcode.RET)
         put(self, "is_serializing",
             op is Opcode.FENCE or op is Opcode.RDCYCLE)
+        put(self, "alu_imm", op in ALU_IMM_OPS)
         dest = self.rd if _HAS_DEST[op] else None
         put(self, "dest", dest)
         pattern = _SRC_PATTERN[op]
@@ -230,8 +238,8 @@ class Instruction:
             parts.append(f"r{self.rd},")
         if self.sources:
             parts.append(", ".join(f"r{r}" for r in self.sources))
-        if self.op in _REG_IMM_ALU or self.op in (
-            Opcode.LI, Opcode.LOAD, Opcode.STORE, Opcode.CLFLUSH
+        if self.alu_imm or self.op in (
+            Opcode.MOV, Opcode.LI, Opcode.LOAD, Opcode.STORE, Opcode.CLFLUSH
         ):
             parts.append(f"#{self.imm}")
         if self.is_branch and not self.is_indirect:

@@ -13,7 +13,7 @@ exclude ``RDCYCLE`` (or mask its destination).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ExecutionError
 from .instructions import (
@@ -27,6 +27,8 @@ from .instructions import (
 from .program import InstructionMemory, Program
 
 _WORD_ALIGN = ~(WORD_BYTES - 1)
+#: The ISA's architectural registers, r0..r31.
+_NUM_REGS = 32
 
 
 @dataclass
@@ -52,17 +54,13 @@ class OracleResult:
 def run_oracle(
     program: Program,
     max_instructions: int = 1_000_000,
-    num_arch_regs: int = 32,
-    initial_registers: Optional[Dict[int, int]] = None,
     trace: bool = False,
 ) -> OracleResult:
-    """Execute ``program`` to completion (HALT) or ``max_instructions``."""
+    """Execute ``program`` from all-zero registers to completion (HALT)
+    or ``max_instructions``."""
     imem = InstructionMemory(program)
     memory: Dict[int, int] = dict(program.initial_memory)
-    registers = [0] * num_arch_regs
-    for index, value in (initial_registers or {}).items():
-        registers[index] = mask64(value)
-    registers[0] = 0
+    registers = [0] * _NUM_REGS
 
     pc = program.entry_point
     retired = 0
@@ -118,8 +116,7 @@ def run_oracle(
                 next_pc = instruction.target
         elif op is Opcode.MOV:
             write_reg(instruction.rd, registers[instruction.rs1])
-        elif op in (Opcode.ADDI, Opcode.ANDI, Opcode.XORI,
-                    Opcode.SHLI, Opcode.SHRI):
+        elif instruction.alu_imm:
             write_reg(
                 instruction.rd,
                 evaluate_alu(op, registers[instruction.rs1],

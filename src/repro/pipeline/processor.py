@@ -596,8 +596,7 @@ class Processor:
         if op is Opcode.LI:
             return mask64(instr.imm)
         operand_a = self.rename.read(inst.psrcs[0])
-        if op in (Opcode.ADDI, Opcode.ANDI, Opcode.XORI, Opcode.SHLI,
-                  Opcode.SHRI):
+        if instr.alu_imm:
             return evaluate_alu(op, operand_a, mask64(instr.imm))
         if op is Opcode.MOV:
             return operand_a

@@ -7,9 +7,8 @@ snapshots and, when the commit stream stops for
 :attr:`ForwardProgressWatchdog.limit` cycles, raises
 :class:`~repro.errors.DeadlockError` carrying a
 :class:`DeadlockDiagnostics`: the oldest ROB entry, an inferred stall
-reason, the producers in its security-matrix row, and the recent
-occupancy history — everything a campaign triage needs without
-re-running under a tracer.
+reason, and the recent occupancy history — everything a campaign
+triage needs without re-running under a tracer.
 """
 from __future__ import annotations
 
@@ -65,9 +64,6 @@ class DeadlockDiagnostics:
     head_state: str = ""
     head_seq: int = -1
     head_pc: int = -1
-    #: Sequence numbers of the producers in the head's security
-    #: dependence row, oldest first (empty without the matrix).
-    head_matrix_row: List[int] = field(default_factory=list)
     #: Heuristic classification of what wedged.
     stall_reason: str = ""
     #: Recent occupancy history, oldest first.
@@ -84,8 +80,7 @@ class DeadlockDiagnostics:
             f"events={self.events_pending} "
             f"unresolved_branches={self.unresolved_branches}",
             f"  oldest: {self.head_desc or '<ROB empty>'} "
-            f"state={self.head_state or 'n/a'} "
-            f"matrix_row={self.head_matrix_row}",
+            f"state={self.head_state or 'n/a'}",
             f"  reason: {self.stall_reason}",
         ]
         if self.snapshots:
@@ -110,12 +105,7 @@ def _stall_reason(cpu: "Processor") -> str:
                     f"{cpu._commit_stall_until}")
         return "head completed but never retired (commit logic wedged)"
     if head.state is InstState.BLOCKED:
-        reason = ("filter-blocked load: the defense still finds it "
-                  "suspect")
-        if cpu.iq.matrix.enabled:
-            reason += (f" (security dependence row: producers "
-                       f"{cpu.iq.matrix.row(head)})")
-        return reason
+        return "filter-blocked load: the defense still finds it suspect"
     if head.state is InstState.DISPATCHED:
         unready = [psrc for psrc in head.psrcs
                    if not cpu.rename.is_ready(psrc)]
@@ -178,8 +168,6 @@ class ForwardProgressWatchdog:
             head_state=head.state.name if head is not None else "",
             head_seq=head.seq if head is not None else -1,
             head_pc=head.pc if head is not None else -1,
-            head_matrix_row=(cpu.iq.matrix.row(head)
-                             if head is not None else []),
             stall_reason=_stall_reason(cpu),
             snapshots=list(self.snapshots),
         )

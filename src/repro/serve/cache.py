@@ -14,7 +14,7 @@ always safe to serve.  Three layers:
   a fresh claim for the caller to fulfil.
 - Region tier (:attr:`ResultCache.regions`) — a
   :class:`~repro.analysis.summaries.SummaryCache` of per-program
-  CFG/loop summaries keyed on canonical content hashes.  Where the
+  CFG/loop summaries keyed on a hash of the program's code.  Where the
   result cache needs the *whole submission* to match, the region tier
   hits whenever the submitted code matches — across names, secret
   sets, and budgets — so a near-miss submission still skips the

@@ -76,7 +76,7 @@ class AnalysisEngine:
         #: Region-granular summary tier (shared with the server's
         #: result cache): repeated submissions of the same code skip
         #: the CFG/loop analysis entirely — the summaries are keyed on
-        #: canonical content hashes, so even differently-named
+        #: a hash of the program's code, so even differently-named
         #: submissions of identical programs hit.
         self.summary_cache = summary_cache if summary_cache is not None \
             else SummaryCache()

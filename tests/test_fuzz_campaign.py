@@ -16,15 +16,20 @@ from repro.analysis.corpus import (
 from repro.cli import main
 from repro.experiments.precision_study import run_precision_study
 from repro.fuzz import (
+    ALL_MODES,
     REGRESSION_DIR,
     FuzzCase,
     case_fires,
+    case_seed,
+    differential_check,
     load_cases,
     make_case,
     run_certify_campaign,
     run_diff_campaign,
 )
 from repro.fuzz.generator import generate_program
+from repro.isa import ProgramBuilder
+from repro.pipeline import invariants, processor
 
 GADGET_SOURCE = """fwd_1:
     load r9, r8, 0
@@ -55,6 +60,40 @@ def test_diff_campaign_clean_and_resumable(tmp_path):
     second = run_diff_campaign("test-camp", 12, checkpoint=checkpoint)
     assert second.resumed == 12
     assert second.clean
+
+
+def test_core_error_is_a_mismatch_not_a_crash(monkeypatch, tmp_path):
+    """A core that raises while it runs is that mode's ``error``
+    mismatch: the campaign counts, minimizes and pins it, and the
+    pinned case replays, instead of the campaign ending on a
+    traceback."""
+    def lint_fails_from_cycle_50(cpu):
+        if cpu.cycle >= 50:
+            raise invariants.InvariantViolation(
+                f"cycle {cpu.cycle}: forced")
+
+    monkeypatch.setattr(processor, "check_processor_invariants",
+                        lint_fails_from_cycle_50)
+    program = generate_program(case_seed("found-check", 0)).program
+    outcome = differential_check(program)
+    assert outcome.valid and not outcome.clean
+    errors = [m for m in outcome.mismatches if m.kind == "error"]
+    assert [m.mode for m in errors] == list(ALL_MODES)
+    assert all(m.where.startswith("InvariantViolation: cycle ")
+               and m.where.endswith(": forced") for m in errors)
+
+    result = run_diff_campaign("found-check", 2, regressions=tmp_path)
+    assert result.disagreements == 2
+    assert len(result.pinned) == 2
+    assert all(case_fires(case) for case in load_cases(tmp_path))
+
+
+def test_program_that_leaves_its_code_is_invalid_input():
+    """The minimizer's candidates can lose their HALT or a jump; an
+    oracle run that leaves the program is invalid input, not a crash."""
+    b = ProgramBuilder()
+    b.li(1, 1).jmp(0x900000)
+    assert not differential_check(b.build()).valid
 
 
 def test_certify_campaign_records_verdicts(tmp_path):

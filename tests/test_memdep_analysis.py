@@ -1,24 +1,20 @@
 """The static memory-dependence analysis (repro.analysis.memdep):
 store→load classification, interprocedural reachability, loop-summary
-caps, content addressing, caching, and the fence-synthesis consumer."""
-import pytest
-
+caps, determinism, the store-set memo, and the fence-synthesis
+consumer."""
 from repro.analysis import (
     analyze_program,
     compute_memdep_summary,
-    memdep_summary_key,
     static_store_sets,
     synthesize_fences,
 )
 from repro.analysis.corpus import build_corpus_variant
 from repro.analysis.memdep import (
-    MEMDEP_FORMAT,
-    MemDepSummary,
     finding_memdep_block,
     v4_finding_may_bypass,
 )
 from repro.analysis.report import GadgetKind
-from repro.analysis.summaries import SummaryCache
+from repro.analysis.summaries import program_summary_key
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import Opcode
 
@@ -213,54 +209,23 @@ class TestDeterminism:
         program = _loop_program()
         first = compute_memdep_summary(program)
         second = compute_memdep_summary(program)
-        assert first.content_hash() == second.content_hash()
         assert first == second
+        assert first is not second
 
     def test_identical_programs_share_key_and_hash(self):
         one, two = _loop_program(), _loop_program()
-        assert memdep_summary_key(one, 192) == memdep_summary_key(two, 192)
-        assert (compute_memdep_summary(one).content_hash()
-                == compute_memdep_summary(two).content_hash())
+        assert program_summary_key(one, 192) == program_summary_key(two, 192)
+        assert compute_memdep_summary(one) == compute_memdep_summary(two)
 
     def test_key_depends_on_window_and_program(self):
         program = _loop_program()
-        assert memdep_summary_key(program, 192) \
-            != memdep_summary_key(program, 64)
-        assert memdep_summary_key(program, 192) \
-            != memdep_summary_key(_aliasing_program(), 192)
-
-    def test_round_trips_through_dict(self):
-        summary = compute_memdep_summary(_loop_program())
-        clone = MemDepSummary.from_dict(summary.to_dict())
-        assert clone == summary
-        assert clone.content_hash() == summary.content_hash()
-
-    def test_foreign_format_rejected(self):
-        payload = compute_memdep_summary(_aliasing_program()).to_dict()
-        payload["format"] = MEMDEP_FORMAT + 1
-        with pytest.raises(ValueError, match="format"):
-            MemDepSummary.from_dict(payload)
+        assert program_summary_key(program, 192) \
+            != program_summary_key(program, 64)
+        assert program_summary_key(program, 192) \
+            != program_summary_key(_aliasing_program(), 192)
 
 
 class TestCaching:
-    def test_summary_cache_round_trip(self):
-        program = _loop_program()
-        cache = SummaryCache()
-        first = compute_memdep_summary(program, cache=cache)
-        hits = cache.stats.hits
-        second = compute_memdep_summary(program, cache=cache)
-        assert second == first
-        assert cache.stats.hits == hits + 1
-
-    def test_stale_cache_entry_recomputed(self):
-        program = _aliasing_program()
-        cache = SummaryCache()
-        key = memdep_summary_key(program, 192)
-        cache.put(key, {"format": "bogus"})
-        summary = compute_memdep_summary(program, window=192,
-                                         cache=cache)
-        assert summary.pair_count == 1
-
     def test_static_store_sets_memoized(self):
         program = build_corpus_variant("v4", "unsafe")
         table = static_store_sets(program)

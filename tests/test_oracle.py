@@ -101,13 +101,6 @@ def test_unmapped_control_flow_raises():
         run_oracle(b.build())
 
 
-def test_initial_registers():
-    b = ProgramBuilder()
-    b.add(3, 1, 2).halt()
-    result = run_oracle(b.build(), initial_registers={1: 30, 2: 12})
-    assert result.reg(3) == 42
-
-
 def test_trace_records_loads_and_stores():
     b = ProgramBuilder()
     b.li(1, 0x4000).li(2, 5).store(2, 1).load(3, 1).halt()

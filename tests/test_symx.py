@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from repro.analysis import analyze_program, report_from_dict
+from repro.analysis import analyze_program
 from repro.analysis.corpus import (
     CORPUS_VARIANTS,
     GADGET_KINDS,
@@ -376,22 +376,6 @@ class TestCertificates:
             assert set(summary) == {"merged_paths", "summarized_loops",
                                     "accelerated_loops",
                                     "summary_cache_hit"}
-
-    def test_report_from_dict_accepts_v2_documents(self):
-        report = analyze_program(build_corpus_variant("v1", "unsafe"),
-                                 name="v1-unsafe")
-        document = report.to_dict()
-        document["schema_version"] = 2
-        for entry in document["findings"]:
-            entry.pop("certificate", None)
-        rebuilt = report_from_dict(json.loads(json.dumps(document)))
-        assert rebuilt.name == report.name
-        assert [f.sink_pc for f in rebuilt.findings] == [
-            f.sink_pc for f in report.findings]
-
-    def test_report_from_dict_rejects_future_schema(self):
-        with pytest.raises(ValueError):
-            report_from_dict({"schema_version": 99, "findings": []})
 
 
 # ---------------------------------------------------------------------------
