@@ -357,9 +357,9 @@ class _CacheHitFilter(Defense):
     def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
                            l1_hit: bool) -> MissVerdict:
         stats = self.stats
-        stats.incr("suspect_accesses")
+        stats["suspect_accesses"] += 1
         if l1_hit:
-            stats.incr("filtered_by_cache_hit")
+            stats["filtered_by_cache_hit"] += 1
             return MissVerdict.PROCEED
         return self.judge_suspect_miss(cpu, inst)
 
@@ -367,7 +367,7 @@ class _CacheHitFilter(Defense):
                            inst: "DynInst") -> MissVerdict:
         """A suspect L1D miss is discarded and re-issued once
         :meth:`is_suspect` turns false."""
-        self.stats.incr("blocked_misses")
+        self.stats["blocked_misses"] += 1
         return MissVerdict.BLOCK
 
 
@@ -403,7 +403,7 @@ class CacheHitTPBufDefense(CacheHitDefense):
         tpbuf = cpu.tpbuf
         assert tpbuf is not None  # built for every uses_tpbuf defense
         if tpbuf.is_safe(inst, cpu.lsq):
-            self.stats.incr("filtered_by_tpbuf")
+            self.stats["filtered_by_tpbuf"] += 1
             return MissVerdict.PROCEED
         return super().judge_suspect_miss(cpu, inst)
 
@@ -570,7 +570,7 @@ class InvisiSpecDefense(CacheHitDefense):
 
     def judge_suspect_miss(self, cpu: "Processor",
                            inst: "DynInst") -> MissVerdict:
-        self.stats.incr("invisible_misses")
+        self.stats["invisible_misses"] += 1
         return MissVerdict.INVISIBLE
 
     def on_commit(self, cpu: "Processor", inst: "DynInst") -> None:
@@ -578,7 +578,7 @@ class InvisiSpecDefense(CacheHitDefense):
         if line is not None:
             inst.invisible_fill = None
             cpu.hierarchy.complete_miss(line)
-            cpu.stats.incr("invisible_exposures")
+            cpu.stats["invisible_exposures"] += 1
 
     def area_mm2(self, machine: "MachineParams") -> float:
         # Speculative buffer: one line of storage per LDQ entry.

@@ -25,10 +25,10 @@ class ICacheHitFilter:
         if not self.enabled:
             return True
         if not unresolved_branch_in_flight:
-            self.stats.incr("safe_npc")
+            self.stats["safe_npc"] += 1
             return True
         if l1i_hit:
-            self.stats.incr("unsafe_hits")
+            self.stats["unsafe_hits"] += 1
             return True
-        self.stats.incr("unsafe_miss_stalls")
+        self.stats["unsafe_miss_stalls"] += 1
         return False

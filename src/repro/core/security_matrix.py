@@ -75,9 +75,9 @@ class SecurityDependenceMatrix:
         enabled = self.enabled
         if enabled and instr.is_memory \
                 and len(self._producers) > len(self._staged):
-            self.stats.incr("rows_installed_nonzero")
+            self.stats["rows_installed_nonzero"] += 1
         else:
-            self.stats.incr("rows_installed_zero")
+            self.stats["rows_installed_zero"] += 1
         if enabled and (instr.is_branch or (instr.is_memory
                                             and not self.branch_only)):
             self._producers[seq] = None
@@ -132,7 +132,7 @@ class SecurityDependenceMatrix:
         vector = self._update_vector
         if not vector:
             return False
-        self.stats.incr("columns_cleared", len(vector))
+        self.stats["columns_cleared"] += len(vector)
         vector.clear()
         if self._staged:
             producers = self._producers

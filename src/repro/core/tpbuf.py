@@ -55,7 +55,7 @@ class TPBuf:
         Returns True when the access does *not* match the S-Pattern and
         may therefore speculatively refill the cache.
         """
-        self.stats.incr("queries")
+        self.stats["queries"] += 1
         seq = load.seq
         ppn = load.ppn
         assert ppn is not None
@@ -64,14 +64,14 @@ class TPBuf:
                 break
             if (older.suspect and older.completed
                     and older.ppn is not None and older.ppn != ppn):
-                self.stats.incr("unsafe")
+                self.stats["unsafe"] += 1
                 return False
         for older in lsq.stores():
             if older.seq >= seq:
                 break
             if (older.suspect and older.store_data_ready
                     and older.ppn is not None and older.ppn != ppn):
-                self.stats.incr("unsafe")
+                self.stats["unsafe"] += 1
                 return False
-        self.stats.incr("safe")
+        self.stats["safe"] += 1
         return True

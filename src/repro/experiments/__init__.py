@@ -4,75 +4,62 @@ Every driver returns a result object with a ``render()`` text view and
 the raw numbers, so the benchmark harness and the tests share one code
 path.  See DESIGN.md's per-experiment index for the mapping.
 """
-from .runner import (
-    SweepEngine,
-    SweepResult,
-    SweepRow,
-    run_benchmark,
-)
-from .fence_study import (
-    FENCE_STUDY_MODES,
-    FenceStudyResult,
-    FenceStudyRow,
-    run_fence_study,
-)
-from .figure5 import Figure5Result, run_figure5
-from .precision_study import (
-    PrecisionRow,
-    PrecisionStudyResult,
-    run_precision_study,
-)
-from .prescreen import PrescreenValidation, run_defense_prescreen
-from .shootout import (
-    ShootoutResult,
-    ShootoutRow,
-    run_defense_shootout,
-)
-from .table4 import Table4Result, run_table4, SCENARIOS
-from .table5 import Table5Result, run_table5
-from .table6 import Table6Result, run_table6
-from .lru_study import LRUStudyResult, run_lru_study
-from .area_study import run_area_study
-from .ablations import (
-    run_fence_ablation,
-    run_icache_filter_study,
-    run_matrix_ablation,
-)
-from .compare import compare_figure5, compare_table5, rank_correlation
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "SweepEngine",
-    "SweepResult",
-    "SweepRow",
-    "run_benchmark",
-    "FENCE_STUDY_MODES",
-    "FenceStudyRow",
-    "FenceStudyResult",
-    "run_fence_study",
-    "Figure5Result",
-    "run_figure5",
-    "PrecisionRow",
-    "PrecisionStudyResult",
-    "run_precision_study",
-    "PrescreenValidation",
-    "run_defense_prescreen",
-    "ShootoutResult",
-    "ShootoutRow",
-    "run_defense_shootout",
-    "Table4Result",
-    "run_table4",
-    "SCENARIOS",
-    "Table5Result",
-    "run_table5",
-    "Table6Result",
-    "run_table6",
-    "LRUStudyResult",
-    "run_lru_study",
-    "run_area_study",
-    "run_fence_ablation",
-    "run_icache_filter_study",
-    "run_matrix_ablation",
-    "compare_figure5",
-    "compare_table5",
-    "rank_correlation",
-]
+#: Each public name and the driver module that defines it.  The package
+#: imports a driver when one of its names is first read (PEP 562), so
+#: importing one module - a sweep worker imports only the runner - does
+#: not load every driver and, through them, the analysis ladder.
+_EXPORTS = {
+    "SweepEngine": "runner",
+    "SweepResult": "runner",
+    "SweepRow": "runner",
+    "run_benchmark": "runner",
+    "FENCE_STUDY_MODES": "fence_study",
+    "FenceStudyRow": "fence_study",
+    "FenceStudyResult": "fence_study",
+    "run_fence_study": "fence_study",
+    "Figure5Result": "figure5",
+    "run_figure5": "figure5",
+    "PrecisionRow": "precision_study",
+    "PrecisionStudyResult": "precision_study",
+    "run_precision_study": "precision_study",
+    "PrescreenValidation": "prescreen",
+    "run_defense_prescreen": "prescreen",
+    "ShootoutResult": "shootout",
+    "ShootoutRow": "shootout",
+    "run_defense_shootout": "shootout",
+    "Table4Result": "table4",
+    "run_table4": "table4",
+    "SCENARIOS": "table4",
+    "Table5Result": "table5",
+    "run_table5": "table5",
+    "Table6Result": "table6",
+    "run_table6": "table6",
+    "LRUStudyResult": "lru_study",
+    "run_lru_study": "lru_study",
+    "run_area_study": "area_study",
+    "run_fence_ablation": "ablations",
+    "run_icache_filter_study": "ablations",
+    "run_matrix_ablation": "ablations",
+    "compare_figure5": "compare",
+    "compare_table5": "compare",
+    "rank_correlation": "compare",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,15 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..isa.instructions import INSTRUCTION_BYTES, Instruction, Opcode
+from ..isa.instructions import INSTRUCTION_BYTES, Instruction
 from ..stats import StatGroup
 
 _TAKEN_THRESHOLD = 2  # 2-bit counters: 0,1 predict not-taken; 2,3 taken.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prediction:
-    """Fetch-time prediction for one instruction."""
+    """Fetch-time prediction for one instruction.  Not frozen: one is
+    built per prediction, and a slots class builds several times
+    faster."""
 
     taken: bool
     target: int
@@ -64,56 +66,53 @@ class BranchPredictor:
         fall-through when the BTB slot is cold).
         """
         fallthrough = pc + INSTRUCTION_BYTES
-        op = instruction.op
-        if op is Opcode.JMP:
-            self.stats.incr("predict_direct_jumps")
-            return Prediction(taken=True, target=instruction.target)
-        if op is Opcode.CALL:
-            self.stats.incr("predict_calls")
+        stats = self.stats
+        if instruction.is_conditional_branch:
+            # gshare direction, instruction-word target.
+            stats["predict_conditional"] += 1
+            if self._counters[self._counter_index(pc)] >= _TAKEN_THRESHOLD:
+                return Prediction(True, instruction.target)
+            return Prediction(False, fallthrough)
+        if instruction.is_call:
+            stats["predict_calls"] += 1
             self.ras_push(fallthrough)
-            return Prediction(taken=True, target=instruction.target)
-        if op is Opcode.RET:
-            self.stats.incr("predict_returns")
+            return Prediction(True, instruction.target)
+        if instruction.is_return:
+            stats["predict_returns"] += 1
             target = self.ras_pop()
             if target is None:
-                return Prediction(taken=False, target=fallthrough)
-            return Prediction(taken=True, target=target)
-        if op is Opcode.JMPI:
-            self.stats.incr("predict_indirect_jumps")
+                return Prediction(False, fallthrough)
+            return Prediction(True, target)
+        if instruction.is_indirect:  # JMPI
+            stats["predict_indirect_jumps"] += 1
             cached = self._btb[self.btb_index(pc)]
             if cached is None:
-                return Prediction(taken=False, target=fallthrough)
-            return Prediction(taken=True, target=cached)
-        # Conditional branch: gshare direction, instruction-word target.
-        self.stats.incr("predict_conditional")
-        counter = self._counters[self._counter_index(pc)]
-        taken = counter >= _TAKEN_THRESHOLD
-        return Prediction(
-            taken=taken,
-            target=instruction.target if taken else fallthrough,
-        )
+                return Prediction(False, fallthrough)
+            return Prediction(True, cached)
+        stats["predict_direct_jumps"] += 1  # JMP
+        return Prediction(True, instruction.target)
 
     # ---- training (at branch resolution) --------------------------------------
 
     def update(self, pc: int, instruction: Instruction, taken: bool,
                target: int, mispredicted: bool) -> None:
         """Train the predictor with the resolved outcome."""
-        op = instruction.op
+        stats = self.stats
         if mispredicted:
-            self.stats.incr("mispredictions")
-        self.stats.incr("resolved")
-        if op is Opcode.JMPI:
-            self._btb[self.btb_index(pc)] = target
-            return
-        if op in (Opcode.JMP, Opcode.CALL, Opcode.RET):
-            return
+            stats["mispredictions"] += 1
+        stats["resolved"] += 1
+        if not instruction.is_conditional_branch:
+            if instruction.is_indirect and not instruction.is_return:
+                self._btb[self.btb_index(pc)] = target  # JMPI
+            return  # JMP, CALL and RET train nothing else
         index = self._counter_index(pc)
         counter = self._counters[index]
         if taken:
-            self._counters[index] = min(3, counter + 1)
-        else:
-            self._counters[index] = max(0, counter - 1)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+            if counter < 3:
+                self._counters[index] = counter + 1
+        elif counter > 0:
+            self._counters[index] = counter - 1
+        self._history = ((self._history << 1) | taken) & self._history_mask
 
     # ---- return-address stack --------------------------------------------------
 

@@ -131,6 +131,102 @@ for _op in (ALU_REG_OPS | COND_BRANCH_OPS | {Opcode.STORE}):
     _SRC_PATTERN[_op] = 2
 
 
+# Functional-unit classes (``Instruction.fu_class``): the core keeps
+# one latency per class, indexed by it.
+FU_INT_ALU = 0
+FU_MUL = 1
+FU_DIV = 2
+
+
+# Decoded ALU operations (``Instruction.alu_fn``): each computes exactly
+# what :func:`evaluate_alu` computes for its opcodes, without walking
+# the opcode chain.  Module-level functions, not closures, so that a
+# decoded operation pickles by reference like any other function.
+def _alu_add(a: int, b: int) -> int:
+    return (a + b) & WORD_MASK
+
+
+def _alu_sub(a: int, b: int) -> int:
+    return (a - b) & WORD_MASK
+
+
+def _alu_mul(a: int, b: int) -> int:
+    return (a * b) & WORD_MASK
+
+
+def _alu_div(a: int, b: int) -> int:
+    if b == 0:
+        return WORD_MASK
+    return (a // b) & WORD_MASK
+
+
+def _alu_and(a: int, b: int) -> int:
+    return a & b & WORD_MASK
+
+
+def _alu_or(a: int, b: int) -> int:
+    return (a | b) & WORD_MASK
+
+
+def _alu_xor(a: int, b: int) -> int:
+    return (a ^ b) & WORD_MASK
+
+
+def _alu_shl(a: int, b: int) -> int:
+    return (a << (b & 63)) & WORD_MASK
+
+
+def _alu_shr(a: int, b: int) -> int:
+    return (a & WORD_MASK) >> (b & 63)
+
+
+def _alu_mov(a: int, b: int) -> int:
+    return a & WORD_MASK
+
+
+_ALU_FN = {
+    Opcode.ADD: _alu_add, Opcode.ADDI: _alu_add,
+    Opcode.SUB: _alu_sub,
+    Opcode.MUL: _alu_mul,
+    Opcode.DIV: _alu_div,
+    Opcode.AND: _alu_and, Opcode.ANDI: _alu_and,
+    Opcode.OR: _alu_or,
+    Opcode.XOR: _alu_xor, Opcode.XORI: _alu_xor,
+    Opcode.SHL: _alu_shl, Opcode.SHLI: _alu_shl,
+    Opcode.SHR: _alu_shr, Opcode.SHRI: _alu_shr,
+    Opcode.MOV: _alu_mov,
+}
+
+# Decoded conditional-branch comparisons (``Instruction.branch_cmp``),
+# each equal to :func:`branch_taken` for its opcode.  Flipping the sign
+# bit maps signed 64-bit order onto unsigned order.
+_SIGN_BIT = 1 << 63
+
+
+def _branch_eq(a: int, b: int) -> bool:
+    return (a & WORD_MASK) == (b & WORD_MASK)
+
+
+def _branch_ne(a: int, b: int) -> bool:
+    return (a & WORD_MASK) != (b & WORD_MASK)
+
+
+def _branch_lt(a: int, b: int) -> bool:
+    return ((a & WORD_MASK) ^ _SIGN_BIT) < ((b & WORD_MASK) ^ _SIGN_BIT)
+
+
+def _branch_ge(a: int, b: int) -> bool:
+    return ((a & WORD_MASK) ^ _SIGN_BIT) >= ((b & WORD_MASK) ^ _SIGN_BIT)
+
+
+_BRANCH_CMP = {
+    Opcode.BEQ: _branch_eq,
+    Opcode.BNE: _branch_ne,
+    Opcode.BLT: _branch_lt,
+    Opcode.BGE: _branch_ge,
+}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One static instruction.
@@ -157,30 +253,41 @@ class Instruction:
     # Optional label carried for diagnostics / disassembly.
     note: str = ""
 
-    # ---- classification / register usage -------------------------------
+    # ---- decoded facts ----------------------------------------------------
     #
-    # All of these are pure functions of ``op`` (plus rd/rs1/rs2 for
-    # dest/sources), cached as plain instance attributes by
-    # ``__post_init__`` because the simulator hot path reads them
-    # millions of times per run:
+    # Everything the simulator asks of a static instruction is decoded
+    # once here, as plain instance attributes: the core runs every
+    # instruction many times, and on its hot path an ``Opcode`` member
+    # read or an Enum-keyed lookup costs several attribute reads, and
+    # :func:`evaluate_alu` walks an if-chain over the opcode.  All are
+    # pure functions of ``op`` (plus rd/rs1/rs2 for dest/sources):
     #
     # - ``opclass`` — coarse class (the paper distinguishes MEMORY and
     #   BRANCH)
+    # - ``is_alu`` — ``opclass`` is ALU: the ALU ops, ``LI`` and ``MOV``
     # - ``is_load`` / ``is_store`` / ``is_flush``
     # - ``is_memory`` — memory instruction in the sense of the security
     #   dependence matrix formula (loads, stores and line flushes)
     # - ``is_branch`` / ``is_conditional_branch`` / ``is_indirect`` /
     #   ``is_call`` / ``is_return``
     # - ``is_serializing`` — issues only from the head of the ROB
-    #   (FENCE, RDCYCLE)
+    #   (FENCE, RDCYCLE); ``is_rdcycle`` — reads the cycle counter
+    # - ``is_halt``
     # - ``dest`` — destination architectural register or None (R0
     #   writes are discarded by the core)
     # - ``sources`` — architectural source registers, in operand order
     # - ``alu_imm`` — a register-immediate ALU op (:data:`ALU_IMM_OPS`):
     #   its second operand is ``imm``
+    # - ``alu_fn`` — for the opcodes :func:`evaluate_alu` accepts (the
+    #   ALU ops and ``MOV``), a module-level function ``(a, b) ->
+    #   result`` equal to ``evaluate_alu(op, a, b)``; None otherwise
+    # - ``branch_cmp`` — for a conditional branch, a module-level
+    #   function ``(a, b) -> taken`` equal to ``branch_taken(op, a,
+    #   b)``; None otherwise
+    # - ``fu_class`` — the functional unit it executes on
+    #   (:data:`FU_INT_ALU`, :data:`FU_MUL` or :data:`FU_DIV`)
     #
-    # and the facts dispatch needs, decoded once per static instruction
-    # instead of once per dynamic instance:
+    # and the facts dispatch needs:
     #
     # - ``needs_iq`` — takes an issue-queue entry (NOP and HALT do not)
     # - ``lsq_kind`` — the :class:`LSQKind` it occupies, or None
@@ -190,13 +297,15 @@ class Instruction:
     #   before it may issue: all of them, except a store, which issues
     #   on its address operand alone and captures its data later
     #
-    # They are intentionally NOT dataclass fields: equality, hashing,
-    # repr and pickling still consider only the encoding fields above.
+    # They are intentionally NOT dataclass fields: equality, hashing
+    # and repr consider only the encoding fields above, and
+    # :meth:`__reduce__` pickles only those, so a copy decodes afresh.
 
     def __post_init__(self) -> None:
         op = self.op
         put = object.__setattr__
         put(self, "opclass", _OPCLASS[op])
+        put(self, "is_alu", _OPCLASS[op] is OpClass.ALU)
         put(self, "is_load", op is Opcode.LOAD)
         put(self, "is_store", op is Opcode.STORE)
         put(self, "is_flush", op is Opcode.CLFLUSH)
@@ -210,7 +319,18 @@ class Instruction:
         put(self, "is_return", op is Opcode.RET)
         put(self, "is_serializing",
             op is Opcode.FENCE or op is Opcode.RDCYCLE)
+        put(self, "is_rdcycle", op is Opcode.RDCYCLE)
+        put(self, "is_halt", op is Opcode.HALT)
         put(self, "alu_imm", op in ALU_IMM_OPS)
+        put(self, "alu_fn", _ALU_FN.get(op))
+        put(self, "branch_cmp", _BRANCH_CMP.get(op))
+        if op is Opcode.MUL:
+            fu_class = FU_MUL
+        elif op is Opcode.DIV:
+            fu_class = FU_DIV
+        else:
+            fu_class = FU_INT_ALU
+        put(self, "fu_class", fu_class)
         dest = self.rd if _HAS_DEST[op] else None
         put(self, "dest", dest)
         pattern = _SRC_PATTERN[op]
@@ -231,6 +351,11 @@ class Instruction:
         put(self, "lsq_kind", lsq_kind)
         put(self, "renames_dest", dest is not None and dest != 0)
         put(self, "issue_operands", 1 if op is Opcode.STORE else pattern)
+
+    def __reduce__(self):
+        # Only the encoding: loading decodes the instruction again.
+        return (Instruction, (self.op, self.rd, self.rs1, self.rs2,
+                              self.imm, self.target, self.note))
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op.name.lower()]

@@ -15,7 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from ..errors import SimulationError
 from .instructions import INSTRUCTION_BYTES, WORD_BYTES, Instruction, Opcode
 
-_NOP = Instruction(Opcode.NOP)
+#: What an unmapped instruction address decodes as.
+UNMAPPED = Instruction(Opcode.NOP)
 
 
 @dataclass
@@ -216,11 +217,14 @@ class InstructionMemory:
     """Fetch-side view of one program."""
 
     def __init__(self, program: Program) -> None:
-        self._map: Dict[int, Instruction] = dict(program.iter_addressed())
+        #: Instruction by address (the fetch stage reads it directly,
+        #: with :data:`UNMAPPED` for an address not in it).
+        self.by_address: Dict[int, Instruction] = dict(
+            program.iter_addressed())
 
     def fetch(self, address: int) -> Instruction:
         """Instruction at ``address``; unmapped addresses decode as NOP."""
-        return self._map.get(address, _NOP)
+        return self.by_address.get(address, UNMAPPED)
 
     def is_mapped(self, address: int) -> bool:
-        return address in self._map
+        return address in self.by_address

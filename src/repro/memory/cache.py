@@ -74,9 +74,9 @@ class SetAssociativeCache:
         line = address >> self._line_shift
         lines = self._sets.get(line & self._set_mask)
         if lines is None or line not in lines:
-            self.stats.incr("misses")
+            self.stats["misses"] += 1
             return False
-        self.stats.incr("hits")
+        self.stats["hits"] += 1
         if update_lru:
             lines.remove(line)
             lines.append(line)
@@ -109,9 +109,9 @@ class SetAssociativeCache:
         evicted: Optional[int] = None
         if len(lines) == self._ways:
             evicted = lines.pop(0) << self._line_shift
-            self.stats.incr("evictions")
+            self.stats["evictions"] += 1
         lines.append(line)
-        self.stats.incr("fills")
+        self.stats["fills"] += 1
         return evicted
 
     def access(self, address: int, update_lru: bool = True) -> CacheAccess:
@@ -127,7 +127,7 @@ class SetAssociativeCache:
         if lines is None or line not in lines:
             return False
         lines.remove(line)
-        self.stats.incr("invalidations")
+        self.stats["invalidations"] += 1
         return True
 
     def flush_all(self) -> None:

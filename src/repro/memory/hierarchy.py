@@ -24,9 +24,10 @@ FLUSH_PRESENT_LATENCY = 42
 FLUSH_ABSENT_LATENCY = 14
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AccessResult:
-    """Outcome of a hierarchy access."""
+    """Outcome of a hierarchy access.  Not frozen: one is built per
+    access, and a slots class builds several times faster."""
 
     latency: int
     level: str          # "l1", "l2", "l3", or "mem"
@@ -84,27 +85,25 @@ class MemoryHierarchy:
                 update_l1_lru: bool) -> AccessResult:
         l1_latency = l1.params.hit_latency
         if l1.lookup(paddr, update_lru=update_l1_lru):
-            return AccessResult(latency=l1_latency, level="l1", l1_hit=True)
+            return AccessResult(l1_latency, "l1", True)
         level, outer_latency = self._fill_outer(paddr)
         # L1 evictions need no action (outer levels keep the line).
         l1.fill(paddr)
-        return AccessResult(
-            latency=l1_latency + outer_latency, level=level, l1_hit=False
-        )
+        return AccessResult(l1_latency + outer_latency, level, False)
 
     # ---- data side ------------------------------------------------------------
 
     def data_access(self, paddr: int, update_l1_lru: bool = True) -> AccessResult:
         """A demand load/store access that is allowed to change cache
         content (fills on miss)."""
-        self.stats.incr("data_accesses")
+        self.stats["data_accesses"] += 1
         return self._access(self.l1d, paddr, update_l1_lru)
 
     def data_hit_l1(self, paddr: int, update_lru: bool = True) -> bool:
         """L1D lookup *without fill*: the Cache-hit filter's check.  A
         hit optionally updates LRU state (policy-controlled); a miss
         changes nothing - the request is discarded."""
-        self.stats.incr("l1_filter_checks")
+        self.stats["l1_filter_checks"] += 1
         return self.l1d.lookup(paddr, update_lru=update_lru)
 
     def complete_miss(self, paddr: int) -> AccessResult:
@@ -113,11 +112,8 @@ class MemoryHierarchy:
         refill, including the L1D."""
         level, outer_latency = self._fill_outer(paddr)
         self.l1d.fill(paddr)
-        return AccessResult(
-            latency=self.params.l1d.hit_latency + outer_latency,
-            level=level,
-            l1_hit=False,
-        )
+        return AccessResult(self.params.l1d.hit_latency + outer_latency,
+                            level, False)
 
     def peek_miss(self, paddr: int) -> AccessResult:
         """Latency and supply level a demand miss *would* see, without
@@ -139,10 +135,8 @@ class MemoryHierarchy:
                 + self.params.l3.hit_latency
                 + self.params.dram_latency
             )
-        self.stats.incr("invisible_accesses")
-        return AccessResult(
-            latency=l1_latency + outer, level=level, l1_hit=False
-        )
+        self.stats["invisible_accesses"] += 1
+        return AccessResult(l1_latency + outer, level, False)
 
     def probe_data(self, paddr: int) -> bool:
         """Side-effect-free presence probe of the whole hierarchy."""
@@ -159,7 +153,7 @@ class MemoryHierarchy:
     # ---- instruction side -------------------------------------------------------
 
     def inst_access(self, paddr: int) -> AccessResult:
-        self.stats.incr("inst_accesses")
+        self.stats["inst_accesses"] += 1
         return self._access(self.l1i, paddr, update_l1_lru=True)
 
     def inst_hit_l1(self, paddr: int) -> bool:
@@ -176,9 +170,9 @@ class MemoryHierarchy:
         for cache in (self.l1i, self.l1d, self.l2, self.l3):
             if cache.invalidate(paddr):
                 present = True
-        self.stats.incr("flushes")
+        self.stats["flushes"] += 1
         if present:
-            self.stats.incr("flush_hits")
+            self.stats["flush_hits"] += 1
             return FLUSH_PRESENT_LATENCY, True
         return FLUSH_ABSENT_LATENCY, False
 

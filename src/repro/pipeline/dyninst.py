@@ -23,6 +23,12 @@ class InstState(IntEnum):
                      # in the IQ until no longer suspect (Section V.C)
 
 
+# Module constants: a member read through the class costs several
+# attribute reads, and every dynamic instruction starts DISPATCHED.
+_DISPATCHED = InstState.DISPATCHED
+_COMPLETED = InstState.COMPLETED
+
+
 class DynInst:
     """One in-flight instruction.
 
@@ -60,7 +66,7 @@ class DynInst:
         #: Issue operands still awaiting writeback (issue-queue wakeup).
         self.waiting = 0
         # Lifecycle.
-        self.state = InstState.DISPATCHED
+        self.state = _DISPATCHED
         self.squashed = False
         # Results.
         self.value = 0
@@ -94,7 +100,7 @@ class DynInst:
 
     @property
     def completed(self) -> bool:
-        return self.state is InstState.COMPLETED
+        return self.state is _COMPLETED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

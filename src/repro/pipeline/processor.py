@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.defense import MissVerdict, create_defense
 from ..core.icache_filter import ICacheHitFilter
@@ -51,14 +50,11 @@ from ..frontend.branch_predictor import BranchPredictor
 from ..isa.instructions import (
     INSTRUCTION_BYTES,
     WORD_BYTES,
+    WORD_MASK,
     Instruction,
     LSQKind,
-    Opcode,
-    branch_taken,
-    evaluate_alu,
-    mask64,
 )
-from ..isa.program import InstructionMemory, Program
+from ..isa.program import UNMAPPED, InstructionMemory, Program
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.replacement import SpeculativeLRUPolicy
 from ..memory.tlb import TLB, PageTable
@@ -91,15 +87,23 @@ _FORWARD_LATENCY = 2
 #: How often (in cycles) a wall-clock budget is polled during a run.
 _WALL_CLOCK_POLL_CYCLES = 4096
 
+# The Enum members the stages compare against, as module constants: on
+# the hot path a member read through its class costs several attribute
+# reads, a global one.
+_DISPATCHED = InstState.DISPATCHED
+_ISSUED = InstState.ISSUED
+_COMPLETED = InstState.COMPLETED
+_BLOCKED = InstState.BLOCKED
+_LOAD_QUEUE = LSQKind.LOAD
+_STORE_QUEUE = LSQKind.STORE
+_BLOCK = MissVerdict.BLOCK
+_INVISIBLE = MissVerdict.INVISIBLE
+_NORMAL_LRU = SpeculativeLRUPolicy.NORMAL
+_DELAYED_LRU = SpeculativeLRUPolicy.DELAYED
 
-@dataclass
-class _FetchedInst:
-    """One slot of the fetch-to-dispatch pipeline."""
-
-    pc: int
-    instr: Instruction
-    pred_target: int
-    ready_cycle: int
+#: One slot of the fetch-to-dispatch pipeline: (pc, instruction,
+#: predicted next pc, cycle it may dispatch).
+_FetchedInst = Tuple[int, Instruction, int, int]
 
 
 class Processor:
@@ -172,6 +176,10 @@ class Processor:
         self.fetch_pc = self.program.entry_point
         self._fetch_buffer: Deque[_FetchedInst] = deque()
         self._fetch_buffer_cap = core.fetch_width * (core.frontend_depth + 2)
+        self._fetch_width = core.fetch_width
+        self._frontend_depth = core.frontend_depth
+        self._line_mask = ~(self.machine.memory.line_bytes - 1)
+        self._instructions = self.imem.by_address
         self._fetch_stall_until = 0
         self._halt_in_fetch = False
 
@@ -193,10 +201,11 @@ class Processor:
         self._issue_blocked: List[DynInst] = []
         self._dispatch_width = core.dispatch_width
         self._issue_width = core.issue_width
-        #: Functional-unit latency by opcode (the ALU path of issue).
-        self._fu_latency = {op: core.int_alu_latency for op in Opcode}
-        self._fu_latency[Opcode.MUL] = core.mul_latency
-        self._fu_latency[Opcode.DIV] = core.div_latency
+        self._commit_width = core.commit_width
+        #: Functional-unit latency by ``Instruction.fu_class`` (the ALU
+        #: path of issue).
+        self._fu_latency = (core.int_alu_latency, core.mul_latency,
+                            core.div_latency)
 
         self.tracer = tracer
         #: Debug flag: run the structural invariant lint every step
@@ -343,7 +352,7 @@ class Processor:
                      self.store_buffer.next_deadline(),
                      self._fetch_stall_until, self._commit_stall_until]
         if self._fetch_buffer:
-            deadlines.append(self._fetch_buffer[0].ready_cycle)
+            deadlines.append(self._fetch_buffer[0][3])
         return min(deadline for deadline in deadlines
                    if deadline is not None and deadline > self.cycle)
 
@@ -371,9 +380,9 @@ class Processor:
         """Fetch one group; returns whether the I-side was accessed."""
         if self._halt_in_fetch or self.cycle < self._fetch_stall_until:
             return False
-        if len(self._fetch_buffer) >= self._fetch_buffer_cap:
+        fetch_buffer = self._fetch_buffer
+        if len(fetch_buffer) >= self._fetch_buffer_cap:
             return False
-        core = self.machine.core
 
         # One I-cache access per cycle for the current fetch line.
         translation = self.itlb.translate(self.fetch_pc)
@@ -390,29 +399,29 @@ class Processor:
             self._fetch_stall_until = self.cycle + result.latency
             return True
 
-        ready = self.cycle + core.frontend_depth
-        line_mask = ~(self.machine.memory.line_bytes - 1)
-        fetch_line = self.fetch_pc & line_mask
-        for _ in range(core.fetch_width):
-            pc = self.fetch_pc
+        ready = self.cycle + self._frontend_depth
+        line_mask = self._line_mask
+        instructions = self._instructions
+        pc = self.fetch_pc
+        fetch_line = pc & line_mask
+        for _ in range(self._fetch_width):
             if pc & line_mask != fetch_line:
                 break  # fetch groups do not cross instruction lines
-            instr = self.imem.fetch(pc)
-            if instr.op is Opcode.HALT:
-                self._fetch_buffer.append(_FetchedInst(pc, instr, 0, ready))
+            instr = instructions.get(pc, UNMAPPED)
+            if instr.is_halt:
+                fetch_buffer.append((pc, instr, 0, ready))
                 self._halt_in_fetch = True
                 break
             if instr.is_branch:
                 prediction = self.predictor.predict(pc, instr)
-                self._fetch_buffer.append(
-                    _FetchedInst(pc, instr, prediction.target, ready))
-                self.fetch_pc = prediction.target
+                fetch_buffer.append((pc, instr, prediction.target, ready))
+                pc = self.fetch_pc = prediction.target
                 if prediction.taken:
                     break  # redirect ends the fetch group
             else:
-                self._fetch_buffer.append(
-                    _FetchedInst(pc, instr, pc + INSTRUCTION_BYTES, ready))
-                self.fetch_pc = pc + INSTRUCTION_BYTES
+                next_pc = pc + INSTRUCTION_BYTES
+                fetch_buffer.append((pc, instr, next_pc, ready))
+                pc = self.fetch_pc = next_pc
         return True
 
     # ------------------------------------------------------------------
@@ -429,41 +438,40 @@ class Processor:
         for _ in range(self._dispatch_width):
             if not fetch_buffer:
                 return
-            entry = fetch_buffer[0]
-            if entry.ready_cycle > cycle:
+            pc, instr, pred_target, ready_cycle = fetch_buffer[0]
+            if ready_cycle > cycle:
                 return
-            instr = entry.instr
             if not rob.space:
-                stats.incr("dispatch_stall_rob")
+                stats["dispatch_stall_rob"] += 1
                 return
             needs_iq = instr.needs_iq
             if needs_iq and not iq.space:
-                stats.incr("dispatch_stall_iq")
+                stats["dispatch_stall_iq"] += 1
                 return
             lsq_kind = instr.lsq_kind
-            if lsq_kind is LSQKind.LOAD and not lsq.load_space:
-                stats.incr("dispatch_stall_ldq")
+            if lsq_kind is _LOAD_QUEUE and not lsq.load_space:
+                stats["dispatch_stall_ldq"] += 1
                 return
-            if lsq_kind is LSQKind.STORE and not lsq.store_space:
-                stats.incr("dispatch_stall_stq")
+            if lsq_kind is _STORE_QUEUE and not lsq.store_space:
+                stats["dispatch_stall_stq"] += 1
                 return
             renames_dest = instr.renames_dest
             if renames_dest and not rename.space:
-                stats.incr("dispatch_stall_prf")
+                stats["dispatch_stall_prf"] += 1
                 return
 
             fetch_buffer.popleft()
             self._seq += 1
-            inst = DynInst(self._seq, entry.pc, instr)
+            inst = DynInst(self._seq, pc, instr)
             inst.cycle_dispatched = cycle
             inst.psrcs = rename.lookup_sources(instr.sources)
             if renames_dest:
                 inst.pdst, inst.old_pdst = rename.allocate(instr.dest)
             rob.append(inst)
-            stats.incr("dispatched")
+            stats["dispatched"] += 1
 
             if instr.is_branch:
-                inst.pred_target = entry.pred_target
+                inst.pred_target = pred_target
                 self._unresolved_branches += 1
             if instr.is_serializing:
                 self._barrier_seqs.append(inst.seq)
@@ -471,12 +479,12 @@ class Processor:
                 self.defense.on_dispatch(self, inst)
 
             if not needs_iq:
-                inst.state = InstState.COMPLETED
+                inst.state = _COMPLETED
                 continue
             iq.insert(inst, rename.ready)
-            if lsq_kind is LSQKind.LOAD:
+            if lsq_kind is _LOAD_QUEUE:
                 lsq.allocate_load(inst)
-            elif lsq_kind is LSQKind.STORE:
+            elif lsq_kind is _STORE_QUEUE:
                 lsq.allocate_store(inst)
 
     # ------------------------------------------------------------------
@@ -495,8 +503,6 @@ class Processor:
         barrier = self._barrier_seqs[0] if self._barrier_seqs else None
         defense = self.defense
         gated = self._gates_issue
-        # Hoisted: an enum member lookup costs ten attribute reads.
-        filter_blocked = InstState.BLOCKED
         squashed = False
         for inst in ready:  # oldest first
             if inst.squashed:
@@ -510,12 +516,12 @@ class Processor:
                 or self.cycle < self._commit_stall_until
             ):
                 continue
-            if inst.state is filter_blocked:
+            if inst.state is _BLOCKED:
                 # Filter-blocked load: re-issue once the defense no
                 # longer finds it suspect (Section V.C).
                 if defense.is_suspect(self, inst):
                     continue
-                inst.state = InstState.DISPATCHED
+                inst.state = _DISPATCHED
             elif gated and instr.is_memory \
                     and not defense.gate_issue(self, inst):
                 # The defense holds it at issue (baseline's dependence
@@ -537,7 +543,7 @@ class Processor:
                 break
             if self.faults is not None \
                     and self.faults.drop_wakeup(self.cycle, inst):
-                self.stats.incr("issue_dropped_injected")
+                self.stats["issue_dropped_injected"] += 1
                 continue
             self._issue_inst(inst)
             issued += 1
@@ -553,9 +559,9 @@ class Processor:
 
     def _issue_inst(self, inst: DynInst) -> None:
         instr = inst.instr
-        inst.state = InstState.ISSUED
+        inst.state = _ISSUED
         inst.cycle_issued = self.cycle
-        self.stats.incr("issued")
+        self.stats["issued"] += 1
 
         # Security hazard detection: sample the defense's suspect
         # predicate at select time (by default the matrix row, Figure
@@ -568,47 +574,43 @@ class Processor:
 
         self.iq.mark_issued(inst)
 
-        op = instr.op
-        if op is Opcode.RDCYCLE:
+        if instr.is_alu:
+            # ALU / LI / MOV: compute now, write back after the FU
+            # latency.
+            value = self._compute_alu(inst)
+            self._schedule(self._fu_latency[instr.fu_class],
+                           lambda: self._complete_simple(inst, value))
+        elif instr.is_load:
+            self._begin_load(inst)
+        elif instr.is_branch:
+            self._schedule(1, lambda: self._resolve_branch(inst))
+        elif instr.is_memory:  # stores and line flushes
+            self._begin_store_address(inst)
+        elif instr.is_rdcycle:
             self._schedule(1, lambda: self._complete_simple(
                 inst, self.cycle))
-            return
-        if op is Opcode.FENCE:
+        else:  # FENCE
             self._schedule(1, lambda: self._complete_simple(inst, 0))
-            return
-        if instr.is_branch:
-            self._schedule(1, lambda: self._resolve_branch(inst))
-            return
-        if instr.is_load:
-            self._begin_load(inst)
-            return
-        if instr.is_store or instr.is_flush:
-            self._begin_store_address(inst)
-            return
-        # ALU / LI / MOV: compute now, write back after the FU latency.
-        value = self._compute_alu(inst)
-        self._schedule(self._fu_latency[op],
-                       lambda: self._complete_simple(inst, value))
 
     def _compute_alu(self, inst: DynInst) -> int:
         instr = inst.instr
-        op = instr.op
-        if op is Opcode.LI:
-            return mask64(instr.imm)
-        operand_a = self.rename.read(inst.psrcs[0])
-        if instr.alu_imm:
-            return evaluate_alu(op, operand_a, mask64(instr.imm))
-        if op is Opcode.MOV:
-            return operand_a
-        operand_b = self.rename.read(inst.psrcs[1])
-        return evaluate_alu(op, operand_a, operand_b)
+        alu = instr.alu_fn
+        if alu is None:  # LI
+            return instr.imm & WORD_MASK
+        values = self.rename.values
+        psrcs = inst.psrcs
+        if len(psrcs) == 2:  # register-register
+            return alu(values[psrcs[0]], values[psrcs[1]])
+        # Register-immediate (MOV ignores its second operand).
+        return alu(values[psrcs[0]], instr.imm & WORD_MASK)
 
     # ------------------------------------------------------------------
     # Simple completion & branch resolution
     # ------------------------------------------------------------------
 
     def _schedule(self, delay: int, action) -> None:
-        self.events.schedule(self.cycle + max(1, delay), action)
+        self.events.schedule(self.cycle + (delay if delay > 1 else 1),
+                             action)
 
     def _write_back(self, pdst: int, value: int) -> None:
         """Write a result to its physical register and wake the issue
@@ -620,12 +622,11 @@ class Processor:
     def _complete_simple(self, inst: DynInst, value: int) -> None:
         if inst.squashed:
             return
-        if inst.instr.op is Opcode.RDCYCLE:
-            value = self.cycle
-        inst.value = mask64(value)
+        value &= WORD_MASK
+        inst.value = value
         if inst.pdst is not None:
-            self._write_back(inst.pdst, inst.value)
-        inst.state = InstState.COMPLETED
+            self._write_back(inst.pdst, value)
+        inst.state = _COMPLETED
         inst.cycle_completed = self.cycle
         if self._taints_writeback:
             self.defense.on_writeback(self, inst)
@@ -643,22 +644,20 @@ class Processor:
             return
         instr = inst.instr
         fallthrough = inst.pc + INSTRUCTION_BYTES
-        if instr.op is Opcode.JMP:
-            taken, target = True, instr.target
-        elif instr.op is Opcode.CALL:
-            taken, target = True, instr.target
-            inst.value = fallthrough
-            if inst.pdst is not None:
-                self._write_back(inst.pdst, fallthrough)
-        elif instr.op in (Opcode.JMPI, Opcode.RET):
-            taken, target = True, self.rename.read(inst.psrcs[0])
-        else:
-            taken = branch_taken(
-                instr.op,
-                self.rename.read(inst.psrcs[0]),
-                self.rename.read(inst.psrcs[1]),
-            )
+        compare = instr.branch_cmp
+        if compare is not None:  # conditional
+            values = self.rename.values
+            psrcs = inst.psrcs
+            taken = compare(values[psrcs[0]], values[psrcs[1]])
             target = instr.target if taken else fallthrough
+        elif instr.is_indirect:  # JMPI, RET
+            taken, target = True, self.rename.values[inst.psrcs[0]]
+        else:  # JMP, CALL
+            taken, target = True, instr.target
+            if instr.is_call:
+                inst.value = fallthrough
+                if inst.pdst is not None:
+                    self._write_back(inst.pdst, fallthrough)
         actual_next = target if taken else fallthrough
         predicted_next = inst.pred_target
         inst.taken = taken
@@ -670,7 +669,7 @@ class Processor:
             # target, exercising recovery on a never-squashing path.
             inst.mispredicted = True
         inst.resolved = True
-        inst.state = InstState.COMPLETED
+        inst.state = _COMPLETED
         inst.cycle_completed = self.cycle
         self._unresolved_branches -= 1
         self.report.branches_resolved += 1
@@ -689,10 +688,9 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _begin_load(self, inst: DynInst) -> None:
-        instr = inst.instr
-        base = self.rename.read(inst.psrcs[0])
-        inst.vaddr = mask64(base + instr.imm)
-        translation = self.dtlb.translate(inst.vaddr)
+        base = self.rename.values[inst.psrcs[0]]
+        inst.vaddr = vaddr = (base + inst.instr.imm) & WORD_MASK
+        translation = self.dtlb.translate(vaddr)
         inst.paddr = translation.paddr
         inst.ppn = translation.ppn
         inst.addr_ready = True
@@ -707,20 +705,20 @@ class Processor:
             # Injected memory-dependence mispredict: replay as if an
             # older store's unknown address forced the load to wait.
             self._load_replay.append(inst)
-            self.stats.incr("load_wait_injected")
+            self.stats["load_wait_injected"] += 1
             return
         decision = self.lsq.check_load(inst)
         if decision.speculation_hazard:
             inst.speculated_past_store = True
-            self.stats.incr("load_speculated_past_store")
+            self.stats["load_speculated_past_store"] += 1
         source = decision.source
         if source is not None:
             if not source.store_data_ready:
                 self._load_replay.append(inst)
-                self.stats.incr("load_wait_store_data")
+                self.stats["load_wait_store_data"] += 1
                 return
             inst.forward_seq = source.seq
-            self.stats.incr("load_forwarded")
+            self.stats["load_forwarded"] += 1
             value = source.value
             self._schedule(_FORWARD_LATENCY,
                            lambda: self._complete_load(inst, value))
@@ -730,29 +728,29 @@ class Processor:
         assert inst.paddr is not None
         value = self.memory_image.get(inst.paddr & _WORD_ALIGN, 0)
         policy = self.security.lru_policy
-        update_lru = policy is SpeculativeLRUPolicy.NORMAL
+        update_lru = policy is _NORMAL_LRU
         hit = self.hierarchy.data_hit_l1(inst.paddr, update_lru=update_lru)
         filter_mode = self._filters_at_cache
         if inst.suspect and filter_mode and self._filter_bypass:
             # Injected filter-disable window: the suspect miss proceeds
             # as if the machine were unprotected for these cycles.
-            self.stats.incr("filter_bypassed_injected")
+            self.stats["filter_bypassed_injected"] += 1
         elif inst.suspect and filter_mode:
             self.report.suspect_accesses += 1
             verdict = self.defense.judge_suspect_load(self, inst, hit)
             if hit:
                 self.report.suspect_l1_hits += 1
-            elif verdict is MissVerdict.BLOCK:
+            elif verdict is _BLOCK:
                 # Discard the miss request; wait in the IQ for the
                 # security dependence to clear, then re-issue.
-                inst.state = InstState.BLOCKED
+                inst.state = _BLOCKED
                 inst.ever_blocked = True
                 inst.block_events += 1
                 self.iq.requeue(inst)
                 self.report.block_events += 1
-                self.stats.incr("filter_blocked_misses")
+                self.stats["filter_blocked_misses"] += 1
                 return
-            elif verdict is MissVerdict.INVISIBLE:
+            elif verdict is _INVISIBLE:
                 # InvisiSpec-style: read memory at miss latency without
                 # changing any cache state; the defense exposes the
                 # line when the load commits.
@@ -760,7 +758,7 @@ class Processor:
                 latency = result.latency
                 inst.mem_level = result.level
                 inst.invisible_fill = inst.paddr
-                self.stats.incr("invisible_loads")
+                self.stats["invisible_loads"] += 1
                 if self.faults is not None:
                     latency += self.faults.extra_fill_delay(self.cycle,
                                                             inst)
@@ -768,7 +766,7 @@ class Processor:
                                lambda: self._complete_load(inst, value))
                 return
         if hit:
-            if policy is SpeculativeLRUPolicy.DELAYED:
+            if policy is _DELAYED_LRU:
                 inst.pending_lru_line = inst.paddr
             latency = self.machine.memory.l1d.hit_latency
             inst.mem_level = "l1"
@@ -783,10 +781,11 @@ class Processor:
     def _complete_load(self, inst: DynInst, value: int) -> None:
         if inst.squashed:
             return
-        inst.value = mask64(value)
+        value &= WORD_MASK
+        inst.value = value
         if inst.pdst is not None:
-            self._write_back(inst.pdst, inst.value)
-        inst.state = InstState.COMPLETED
+            self._write_back(inst.pdst, value)
+        inst.state = _COMPLETED
         inst.cycle_completed = self.cycle
         if self._taints_writeback:
             self.defense.on_writeback(self, inst)
@@ -797,10 +796,9 @@ class Processor:
     # ------------------------------------------------------------------
 
     def _begin_store_address(self, inst: DynInst) -> None:
-        instr = inst.instr
-        base = self.rename.read(inst.psrcs[0])
-        inst.vaddr = mask64(base + instr.imm)
-        translation = self.dtlb.translate(inst.vaddr)
+        base = self.rename.values[inst.psrcs[0]]
+        inst.vaddr = vaddr = (base + inst.instr.imm) & WORD_MASK
+        translation = self.dtlb.translate(vaddr)
         inst.paddr = translation.paddr
         inst.ppn = translation.ppn
         delay = _AGU_LATENCY + translation.latency
@@ -822,16 +820,17 @@ class Processor:
             if not inst.store_data_ready:
                 self._stores_waiting_data.append(inst)
         else:  # CLFLUSH: complete; the flush itself happens at commit.
-            inst.state = InstState.COMPLETED
+            inst.state = _COMPLETED
             inst.cycle_completed = self.cycle
 
     def _try_capture_store_data(self, inst: DynInst) -> None:
         data_psrc = inst.psrcs[1]
-        if not self.rename.is_ready(data_psrc):
+        rename = self.rename
+        if not rename.ready[data_psrc]:
             return
-        inst.value = self.rename.read(data_psrc)
+        inst.value = rename.values[data_psrc]
         inst.store_data_ready = True
-        inst.state = InstState.COMPLETED
+        inst.state = _COMPLETED
         inst.cycle_completed = self.cycle
 
     # ------------------------------------------------------------------
@@ -880,7 +879,7 @@ class Processor:
         if not self.faults.want_spurious_squash(self.cycle):
             return
         candidates = [inst for inst in self.rob
-                      if inst.instr.op is not Opcode.HALT]
+                      if not inst.instr.is_halt]
         keep = self.faults.choose_squash_point(self.cycle, candidates)
         if keep is None:
             return
@@ -929,7 +928,7 @@ class Processor:
                 self.tracer.on_squash(inst, self.cycle)
             self.report.squashed_instructions += 1
         self.report.squashes += 1
-        self.stats.incr(f"squash_{kind}")
+        self.stats[f"squash_{kind}"] += 1
         self._fetch_buffer.clear()
         self.fetch_pc = redirect_pc
         self._fetch_stall_until = self.cycle + 1
@@ -942,14 +941,14 @@ class Processor:
     def _commit(self) -> None:
         if self.cycle < self._commit_stall_until:
             return
-        for _ in range(self.machine.core.commit_width):
+        for _ in range(self._commit_width):
             head = self.rob.head()
-            if head is None or head.state is not InstState.COMPLETED:
+            if head is None or head.state is not _COMPLETED:
                 return
             instr = head.instr
             if instr.is_store:
                 if self.store_buffer.full:
-                    self.stats.incr("commit_stall_store_buffer")
+                    self.stats["commit_stall_store_buffer"] += 1
                     return
                 assert head.paddr is not None
                 self.memory_image[head.paddr & _WORD_ALIGN] = head.value
@@ -959,7 +958,7 @@ class Processor:
                 assert head.paddr is not None
                 latency, _present = self.hierarchy.flush_line(head.paddr)
                 self._commit_stall_until = self.cycle + latency
-                self.stats.incr("flushes_committed")
+                self.stats["flushes_committed"] += 1
             elif instr.is_load:
                 if head.pending_lru_line is not None:
                     self.hierarchy.touch_l1d(head.pending_lru_line)
@@ -983,7 +982,7 @@ class Processor:
             self.report.committed += 1
             self._last_commit_cycle = self.cycle
 
-            if instr.op is Opcode.HALT:
+            if instr.is_halt:
                 self.halted = True
                 self.report.halted = True
                 # Drain: discard wrong-path youngsters so architectural
@@ -1012,7 +1011,7 @@ class Processor:
             report.tpbuf_queries = self.tpbuf.stats.get("queries")
             report.tpbuf_safe = self.tpbuf.stats.get("safe")
             if self.lsq.allocations:
-                self.tpbuf.stats.set("allocations", self.lsq.allocations)
+                self.tpbuf.stats["allocations"] = self.lsq.allocations
         groups = [
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,
@@ -1034,4 +1033,4 @@ def _add_repeats(group: StatGroup, before: Dict[str, int],
     for key, value in group.as_dict().items():
         delta = value - before.get(key, 0)
         if delta:
-            group.incr(key, delta * times)
+            group[key] += delta * times

@@ -10,7 +10,7 @@ from collections import deque
 from typing import Deque, List, Tuple
 
 from ..errors import SimulationError
-from ..isa.instructions import mask64
+from ..isa.instructions import WORD_MASK
 
 
 class RenameState:
@@ -37,8 +37,15 @@ class RenameState:
         return self._map[arch_reg]
 
     def lookup_sources(self, arch_regs: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Current physical registers of an instruction's sources."""
-        return tuple(map(self._map.__getitem__, arch_regs))
+        """Current physical registers of an instruction's sources (an
+        instruction has at most two)."""
+        if not arch_regs:
+            return ()
+        mapping = self._map
+        if len(arch_regs) == 1:
+            return (mapping[arch_regs[0]],)
+        first, second = arch_regs
+        return (mapping[first], mapping[second])
 
     def allocate(self, arch_reg: int) -> tuple[int, int]:
         """Rename a destination; returns (new_phys, old_phys)."""
@@ -55,11 +62,8 @@ class RenameState:
 
     def write(self, phys_reg: int, value: int) -> None:
         """Produce a result: value becomes visible to consumers."""
-        self.values[phys_reg] = mask64(value)
+        self.values[phys_reg] = value & WORD_MASK
         self.ready[phys_reg] = True
-
-    def read(self, phys_reg: int) -> int:
-        return self.values[phys_reg]
 
     def is_ready(self, phys_reg: int) -> bool:
         return self.ready[phys_reg]

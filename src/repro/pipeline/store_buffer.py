@@ -40,7 +40,7 @@ class StoreBuffer:
         """Accept a committed store (caller must check ``full``)."""
         assert not self.full, "store buffer overflow"
         self._entries.append(paddr)
-        self.stats.incr("accepted")
+        self.stats["accepted"] += 1
 
     def tick(self, cycle: int) -> bool:
         """Advance the drain engine by one cycle; returns whether a
@@ -51,15 +51,15 @@ class StoreBuffer:
                 return False
             self._entries.popleft()
             self._drain_done_cycle = None
-            self.stats.incr("drained")
+            self.stats["drained"] += 1
             finished = True
         if self._entries and self._drain_done_cycle is None:
             result = self._hierarchy.data_access(self._entries[0])
             self._drain_done_cycle = cycle + result.latency
             if result.l1_hit:
-                self.stats.incr("drain_l1_hits")
+                self.stats["drain_l1_hits"] += 1
             else:
-                self.stats.incr("drain_l1_misses")
+                self.stats["drain_l1_misses"] += 1
             return True
         return finished
 

@@ -6,50 +6,49 @@ them into a single report at the end of a run.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, Mapping
 
 
-class StatGroup:
-    """A named collection of monotonically increasing counters."""
+class StatGroup(dict):
+    """A named collection of monotonically increasing counters.
+
+    The group is the counter mapping itself, so a counter is bumped
+    with ``group[key] += amount`` and costs no method call.  A counter
+    never bumped reads as 0 and is not created by the read: only the
+    counters a run bumped appear in :meth:`as_dict`.
+    """
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
-        self._counters: Dict[str, int] = defaultdict(int)
 
-    def incr(self, key: str, amount: int = 1) -> None:
-        """Increase counter ``key`` by ``amount``."""
-        self._counters[key] += amount
+    def __missing__(self, key: str) -> int:
+        return 0
 
-    def set(self, key: str, value: int) -> None:
-        """Set counter ``key`` to an absolute value."""
-        self._counters[key] = value
-
-    def get(self, key: str) -> int:
-        """Current value of ``key`` (0 if never touched)."""
-        return self._counters.get(key, 0)
+    def get(self, key: str, default: int = 0) -> int:  # type: ignore[override]
+        """Current value of ``key`` (``default``, 0, if never bumped)."""
+        return dict.get(self, key, default)
 
     def ratio(self, numerator: str, denominator: str, default: float = 0.0) -> float:
         """``numerator / denominator`` guarding against a zero denominator."""
-        denom = self.get(denominator)
+        denom = self[denominator]
         if denom == 0:
             return default
-        return self.get(numerator) / denom
+        return self[numerator] / denom
 
     def merge(self, other: "StatGroup") -> None:
         """Fold another group's counters into this one."""
-        for key, value in other._counters.items():
-            self._counters[key] += value
+        for key, value in other.items():
+            self[key] += value
 
     def as_dict(self) -> Dict[str, int]:
         """A plain-dict snapshot of all counters."""
-        return dict(self._counters)
-
-    def reset(self) -> None:
-        self._counters.clear()
+        return dict(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.items()))
         return f"StatGroup({self.name}: {inner})"
 
 

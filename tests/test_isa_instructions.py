@@ -1,7 +1,18 @@
 """Unit tests for instruction classification and ALU/branch semantics."""
+import dataclasses
+import pickle
+import pickletools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.instructions import (
+    ALU_IMM_OPS,
+    ALU_REG_OPS,
+    COND_BRANCH_OPS,
+    FU_DIV,
+    FU_INT_ALU,
+    FU_MUL,
     Instruction,
     Opcode,
     OpClass,
@@ -10,6 +21,17 @@ from repro.isa.instructions import (
     mask64,
     to_signed,
 )
+
+WORD_MAX = (1 << 64) - 1
+#: The opcodes evaluate_alu accepts: the ALU ops and MOV.
+ALU_OPS = sorted(ALU_REG_OPS | ALU_IMM_OPS | {Opcode.MOV},
+                 key=lambda op: op.value)
+BRANCH_OPS = sorted(COND_BRANCH_OPS, key=lambda op: op.value)
+#: Operands at the edges of the 64-bit domain: the sign bit, all ones,
+#: shift counts 0, 63, 64 and 65, and divisor 0.
+EDGE_OPERANDS = [0, 1, 2, 63, 64, 65, (1 << 63) - 1, 1 << 63, WORD_MAX]
+operands = st.one_of(st.sampled_from(EDGE_OPERANDS),
+                     st.integers(min_value=0, max_value=WORD_MAX))
 
 
 class TestClassification:
@@ -164,3 +186,93 @@ class TestHelpers:
         assert to_signed((1 << 64) - 1) == -1
         assert to_signed(5) == 5
         assert to_signed(1 << 63) == -(1 << 63)
+
+
+def _accepts(reference, op) -> bool:
+    try:
+        reference(op, 1, 1)
+    except ValueError:
+        return False
+    return True
+
+
+class TestDecodedSemantics:
+    """The functions an instruction decodes once are what the core runs
+    in place of evaluate_alu and branch_taken, which stay the
+    reference (the in-order oracle's semantics)."""
+
+    @pytest.mark.parametrize("op", ALU_OPS, ids=lambda op: op.name)
+    def test_alu_fn_matches_evaluate_alu_on_edges(self, op):
+        alu = Instruction(op).alu_fn
+        for a in EDGE_OPERANDS:
+            for b in EDGE_OPERANDS:
+                assert alu(a, b) == evaluate_alu(op, a, b), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(op=st.sampled_from(ALU_OPS), a=operands, b=operands)
+    def test_alu_fn_matches_evaluate_alu(self, op, a, b):
+        assert Instruction(op).alu_fn(a, b) == evaluate_alu(op, a, b)
+
+    @pytest.mark.parametrize("op", BRANCH_OPS, ids=lambda op: op.name)
+    def test_branch_cmp_matches_branch_taken_on_edges(self, op):
+        compare = Instruction(op).branch_cmp
+        for a in EDGE_OPERANDS:
+            for b in EDGE_OPERANDS:
+                assert compare(a, b) == branch_taken(op, a, b), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(op=st.sampled_from(BRANCH_OPS), a=operands, b=operands)
+    def test_branch_cmp_matches_branch_taken(self, op, a, b):
+        assert Instruction(op).branch_cmp(a, b) == branch_taken(op, a, b)
+
+    def test_only_alu_opcodes_decode_a_function(self):
+        for op in Opcode:
+            decoded = Instruction(op).alu_fn is not None
+            assert decoded == _accepts(evaluate_alu, op), op
+
+    def test_only_conditional_branches_decode_a_comparison(self):
+        for op in Opcode:
+            decoded = Instruction(op).branch_cmp is not None
+            assert decoded == _accepts(branch_taken, op), op
+
+    def test_functional_unit_classes(self):
+        for op in Opcode:
+            expected = {Opcode.MUL: FU_MUL, Opcode.DIV: FU_DIV}.get(
+                op, FU_INT_ALU)
+            assert Instruction(op).fu_class == expected, op
+
+    def test_flags_name_their_opcode(self):
+        for op in Opcode:
+            inst = Instruction(op)
+            assert inst.is_halt == (op is Opcode.HALT)
+            assert inst.is_rdcycle == (op is Opcode.RDCYCLE)
+            assert inst.is_alu == (inst.opclass is OpClass.ALU)
+
+
+def _decoded_names(inst):
+    fields = {field.name for field in dataclasses.fields(Instruction)}
+    return set(vars(inst)) - fields
+
+
+class TestPickle:
+    """An instruction pickles only its encoding; loading decodes it
+    again, the decoded functions included."""
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_round_trip_redecodes(self, op):
+        inst = Instruction(op, rd=3, rs1=1, rs2=2, imm=-5, target=0x1040,
+                           note="probe")
+        decoded = _decoded_names(inst)
+        assert len(decoded) >= 20
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(inst, protocol=protocol)
+            copy = pickle.loads(data)
+            assert copy == inst
+            for name in decoded:
+                assert getattr(copy, name) == getattr(inst, name), name
+            # Every string the pickle holds (a GLOBAL opcode's argument
+            # is "module name").
+            strings = {word for _, arg, _ in pickletools.genops(data)
+                       if isinstance(arg, str) for word in arg.split()}
+            assert strings <= {"repro.isa.instructions", "Instruction",
+                               "Opcode", "probe"}, strings

@@ -102,28 +102,30 @@ class TestPresets:
 class TestStats:
     def test_incr_get(self):
         group = StatGroup("g")
-        group.incr("x")
-        group.incr("x", 4)
+        group["x"] += 1
+        group["x"] += 4
         assert group.get("x") == 5
         assert group.get("missing") == 0
+        assert group["missing"] == 0
+        assert group.as_dict() == {"x": 5}  # reading creates nothing
 
     def test_ratio_guards_zero(self):
         group = StatGroup("g")
         assert group.ratio("a", "b", default=0.5) == 0.5
-        group.incr("a", 3)
-        group.incr("b", 4)
+        group["a"] += 3
+        group["b"] += 4
         assert group.ratio("a", "b") == 0.75
 
     def test_merge(self):
         a, b = StatGroup("a"), StatGroup("b")
-        a.incr("x", 1)
-        b.incr("x", 2)
+        a["x"] += 1
+        b["x"] += 2
         a.merge(b)
         assert a.get("x") == 3
 
     def test_combine(self):
         a = StatGroup("a")
-        a.incr("x")
+        a["x"] += 1
         assert combine([a]) == {"a": {"x": 1}}
 
     def test_safe_div(self):

@@ -1,6 +1,9 @@
 """Guard the public API surface: everything advertised in __all__ is
 importable and the README quickstart works verbatim."""
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,18 @@ class TestPackageSurface:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), (module_name, name)
+
+    def test_sweep_imports_skip_the_analysis_ladder(self):
+        # What a sweep worker imports must not load every experiment
+        # driver and, through them, the static analyses.
+        code = ("import sys, repro.experiments.runner, repro.perf.parallel; "
+                "print(sorted(name for name in ('repro.analysis', "
+                "'repro.experiments.fence_study') if name in sys.modules))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestReadmeQuickstart:

@@ -174,7 +174,8 @@ class TestTPBufProperties:
         """Model-based check of equation 1 over random LSQ residents of
         random kind, V (a page or none), S, W, page and age: the
         incoming load is allocated at ``position`` in program order."""
-        lsq = _lsq()
+        # Room for eight residents of one kind plus the incoming load.
+        lsq = LoadStoreQueue(9, 9)
         position = min(position, len(entries))
         seqs = [index + 1 + (index >= position)
                 for index in range(len(entries))]
