@@ -43,8 +43,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..isa.instructions import Opcode
 from ..isa.oracle import run_oracle
 from ..isa.program import FenceRewrite, Program, insert_fences
-from .memdep import MemDepSummary, compute_memdep_summary, \
-    v4_finding_may_bypass
+from .memdep import compute_memdep_summary, v4_finding_may_bypass
 from .report import AnalysisReport, Finding, GadgetKind
 from .symx import CertifyResult, Verdict, certify_program
 from .taint import DEFAULT_WINDOW, analyze_program
@@ -194,13 +193,13 @@ def _memdep_filter(
     program: Program,
     findings: List[Finding],
     window: int,
-) -> Tuple[List[Finding], List[Finding], Optional[MemDepSummary]]:
+) -> Tuple[List[Finding], List[Finding]]:
     """Split ``findings`` into (needs repair, memdep-refuted): a V4
     finding whose source store provably cannot be bypassed by any of
     its loads needs no store-barrier fence.  Non-V4 findings always
     need repair; the summary is only computed when V4 findings exist."""
     if not any(f.kind is GadgetKind.SPECTRE_V4 for f in findings):
-        return findings, [], None
+        return findings, []
     summary = compute_memdep_summary(program, window=window)
     keep: List[Finding] = []
     dropped: List[Finding] = []
@@ -210,7 +209,7 @@ def _memdep_filter(
             dropped.append(finding)
         else:
             keep.append(finding)
-    return keep, dropped, summary
+    return keep, dropped
 
 
 def synthesize_fences(
@@ -262,7 +261,7 @@ def synthesize_fences(
         surviving = _surviving(report, refined)
         memdep_dropped: List[Finding] = []
         if memdep and surviving:
-            surviving, memdep_dropped, _ = _memdep_filter(
+            surviving, memdep_dropped = _memdep_filter(
                 rewrite.program, surviving, window)
         if not surviving or iterations > budget:
             break

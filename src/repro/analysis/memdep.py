@@ -56,8 +56,8 @@ from ..isa.program import Program
 from .cfg import BasicBlock, ControlFlowGraph, build_cfg
 from .dataflow import DataflowResult
 from .report import Finding
-from .summaries import (SummaryCache, compute_program_summaries,
-                        program_summary_key)
+from .summaries import (ProgramSummaries, SummaryCache,
+                        compute_program_summaries, program_summary_key)
 from .taint import DEFAULT_WINDOW
 from .valueset import (ValueSet, ValueSetState, address_set,
                        compute_value_sets, disjoint_word_ranges)
@@ -271,17 +271,21 @@ def compute_memdep_summary(
     program: Program,
     *,
     window: int = DEFAULT_WINDOW,
-    cfg: Optional[ControlFlowGraph] = None,
+    summaries: Optional[ProgramSummaries] = None,
 ) -> MemDepSummary:
     """Compute the program's static store sets.
 
     The value-set fixpoint is clamped with the loop-summary induction
     caps of :func:`compute_program_summaries` — the same acceleration
     the refinement tier uses — so loop-carried store addresses stay
-    bounded where plain widening would smear them to TOP.
+    bounded where plain widening would smear them to TOP.  A caller
+    that already summarized ``program`` at ``window`` passes those
+    ``summaries`` instead of having them computed again.
     """
-    cfg = cfg if cfg is not None else build_cfg(program)
-    summaries = compute_program_summaries(program, window=window, cfg=cfg)
+    cfg = build_cfg(program)
+    if summaries is None:
+        summaries = compute_program_summaries(program, window=window,
+                                              cfg=cfg)
     values: DataflowResult[ValueSetState] = compute_value_sets(
         program, cfg, summaries.induction_caps())
     positions = _position_index(cfg)

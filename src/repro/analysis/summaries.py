@@ -108,7 +108,6 @@ class InductionRange:
     step: int
     lo: int
     hi: int
-    step_pc: int  #: address of the unique ``ADDI reg, reg, step``
 
     def cap(self) -> ValueSet:
         stride = math.gcd(self.init, self.step) or self.step
@@ -122,7 +121,6 @@ class LoopSummary:
 
     header: int  #: header block start address
     blocks: Tuple[int, ...]  #: body block start addresses (sorted)
-    back_edge_pcs: Tuple[int, ...]  #: addresses of the back-edge branches
     written_regs: Tuple[int, ...]  #: registers any body block may write
     writes_memory: bool
     inductions: Tuple[InductionRange, ...]
@@ -371,7 +369,7 @@ def _find_inductions(
         if hi >= _CAP_CEILING or init > hi:
             continue
         found.append(InductionRange(reg=reg, init=init, step=step,
-                                    lo=0, hi=hi, step_pc=step_addr))
+                                    lo=0, hi=hi))
     return found
 
 
@@ -418,16 +416,10 @@ def summarize_program(program: Program, *, window: int,
                 loop_sources[header], window, known)
             for induction in inductions:
                 known[induction.reg] = induction
-        back_pcs = []
-        for source in loop_sources[header]:
-            block = cfg.blocks[source]
-            if block.instructions:
-                back_pcs.append(block.instructions[-1][0])
         loops.append(LoopSummary(
             header=cfg.blocks[header].start,
             blocks=tuple(sorted(cfg.blocks[index].start
                                 for index in body)),
-            back_edge_pcs=tuple(sorted(back_pcs)),
             written_regs=written,
             writes_memory=stores,
             inductions=tuple(inductions),

@@ -302,8 +302,8 @@ def _cmd_analyze(args: argparse.Namespace) -> Outcome:
                 finding_memdep_block,
             )
 
-            memdep_summary = compute_memdep_summary(program,
-                                                    window=window)
+            memdep_summary = compute_memdep_summary(
+                program, window=window, summaries=summaries)
             memdep_blocks = {}
             for finding in report.findings:
                 block = finding_memdep_block(memdep_summary, finding)

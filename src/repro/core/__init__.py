@@ -4,10 +4,11 @@
   registry name and the knobs of the mechanism.
 - :mod:`defense` - the pluggable :class:`Defense` strategy interface
   and the registered defense zoo (the paper's four configurations in
-  :data:`PAPER_DEFENSES`, plus literature schemes).  Each defense owns
-  its cache-stage verdict: the Cache-hit filter is
-  :meth:`CacheHitDefense.judge_suspect_load` and the TPBuf filter
-  overrides its miss decision (Sections V.C / V.D, Table II).
+  :data:`PAPER_DEFENSES`, plus literature schemes).  The core applies
+  the Cache-hit rule (a suspect L1D hit proceeds); each defense judges
+  a suspect miss: :meth:`CacheHitDefense.judge_suspect_load` blocks
+  it and the TPBuf filter lets a safe one proceed (Sections V.C / V.D,
+  Table II).
 - :mod:`security_matrix` - the NxN security dependence matrix that
   lives in the issue queue (Section V.B).
 - :mod:`tpbuf` - the Trusted Page Buffer and S-Pattern detection

@@ -39,10 +39,9 @@ See ``docs/defenses.md`` for the full contract.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Tuple, Type
 
 from ..errors import DefenseConfigError
-from ..stats import StatGroup
 from .area_model import (
     cache_area_mm2,
     comparator_area_mm2,
@@ -77,17 +76,20 @@ class MissVerdict(Enum):
     PROCEED = "proceed"   # safe: access the cache as a normal load
     BLOCK = "block"       # unsafe: discard the request, re-issue later
     #: InvisiSpec-style: read memory at miss latency but change no
-    #: cache state; the line is exposed (filled) at commit.
+    #: cache state; the commit stage exposes (fills) the line.
     INVISIBLE = "invisible"
 
 
 class Defense:
     """Strategy interface for a speculation defense.
 
-    One instance is created per :class:`Processor` (defenses may keep
-    per-run state, initialized in :meth:`attach`), but configs and
-    sweep tasks reference defenses *by name* so they stay picklable
-    for spawn-based parallel executors.
+    One instance is created per :class:`Processor`, so a defense keeps
+    the per-run state only it has (STT's taint map, the store sets) in
+    its own ``__init__`` or :meth:`transform_program`; every other fact
+    it reads is the core's (the matrix, the LSQ, the TPBuf,
+    ``cpu.unresolved_branches``).  Configs and sweep tasks reference
+    defenses *by name* so they stay picklable for spawn-based parallel
+    executors.
 
     Class attributes (identity):
 
@@ -107,9 +109,10 @@ class Defense:
 
     - ``tags_suspect`` — ``uses_matrix``, or :meth:`is_suspect`;
     - ``gates_issue`` — :meth:`gate_issue`;
-    - ``filters_at_cache`` — :meth:`judge_suspect_load`;
-    - ``wants_events`` — any of :meth:`on_dispatch`,
-      :meth:`on_resolve`, :meth:`on_commit`, :meth:`on_squash`;
+    - ``filters_at_cache`` — :meth:`judge_suspect_load` (the core then
+      lets a suspect L1D hit proceed and asks the defense about a
+      suspect miss);
+    - ``wants_events`` — :meth:`on_commit` or :meth:`on_squash`;
     - ``taints_writeback`` — :meth:`on_writeback`.
 
     Coverage declaration (consumed by the static pre-screen in
@@ -150,18 +153,7 @@ class Defense:
         super().__init_subclass__(**kwargs)
         _derive_wiring(cls)
 
-    # ---- lifecycle ---------------------------------------------------------
-
-    def __init__(self) -> None:
-        #: Counters of the cache-stage verdicts (``suspect_accesses``,
-        #: ``filtered_by_cache_hit``, ``filtered_by_tpbuf``,
-        #: ``blocked_misses``, ``invisible_misses``), reported as
-        #: ``SimReport.raw["hazard_filters"]``.
-        self.stats = StatGroup("hazard_filters")
-
-    def attach(self, cpu: "Processor") -> None:
-        """Initialize per-run state; called once at the end of
-        ``Processor.__init__``."""
+    # ---- program -----------------------------------------------------------
 
     def transform_program(self, program: "Program") -> "Program":
         """Software defenses rewrite the program here; hardware
@@ -197,23 +189,18 @@ class Defense:
         this are skipped (``docs/defenses.md``)."""
         return True
 
-    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
-                           l1_hit: bool) -> MissVerdict:
-        """Fate of a suspect load at the L1D: ``PROCEED`` (access the
-        cache normally), ``BLOCK`` (discard, re-issue once
+    def judge_suspect_load(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        """Fate of a suspect load that misses the L1D: ``PROCEED``
+        (access the cache normally), ``BLOCK`` (discard, re-issue once
         :meth:`is_suspect` turns false), or ``INVISIBLE`` (read memory
-        without changing cache state; expose at commit).  The default
-        lets every suspect load proceed; the paper's Cache-hit filter
-        is :class:`CacheHitDefense`'s."""
+        without changing cache state; the commit stage exposes the
+        line).  Overriding it switches on the Cache-hit rule of
+        Section V.C, which the core applies: a suspect L1D hit changes
+        no cache content and proceeds without being judged."""
         return MissVerdict.PROCEED
 
     # ---- event hooks -------------------------------------------------------
-
-    def on_dispatch(self, cpu: "Processor", inst: "DynInst") -> None:
-        """Every instruction entering the ROB."""
-
-    def on_resolve(self, cpu: "Processor", inst: "DynInst") -> None:
-        """A branch resolved (correctly or not)."""
 
     def on_commit(self, cpu: "Processor", inst: "DynInst") -> None:
         """An instruction retired."""
@@ -232,8 +219,7 @@ class Defense:
 _HOOK_FLAGS = {
     "gates_issue": ("gate_issue",),
     "filters_at_cache": ("judge_suspect_load",),
-    "wants_events": ("on_dispatch", "on_resolve", "on_commit",
-                     "on_squash"),
+    "wants_events": ("on_commit", "on_squash"),
     "taints_writeback": ("on_writeback",),
 }
 
@@ -348,38 +334,21 @@ class BaselineDefense(Defense):
                                core.issue_width)
 
 
-class _CacheHitFilter(Defense):
-    """The Cache-hit filter's cache-stage verdict (Section V.C), shared
-    by every defense that lets suspect L1D hits proceed: a hit cannot
-    change cache content; a miss is left to :meth:`judge_suspect_miss`,
-    which blocks it unless a subclass decides otherwise."""
-
-    def judge_suspect_load(self, cpu: "Processor", inst: "DynInst",
-                           l1_hit: bool) -> MissVerdict:
-        stats = self.stats
-        stats["suspect_accesses"] += 1
-        if l1_hit:
-            stats["filtered_by_cache_hit"] += 1
-            return MissVerdict.PROCEED
-        return self.judge_suspect_miss(cpu, inst)
-
-    def judge_suspect_miss(self, cpu: "Processor",
-                           inst: "DynInst") -> MissVerdict:
-        """A suspect L1D miss is discarded and re-issued once
-        :meth:`is_suspect` turns false."""
-        self.stats["blocked_misses"] += 1
-        return MissVerdict.BLOCK
-
-
 @register_defense
-class CacheHitDefense(_CacheHitFilter):
-    """Conditional Speculation with the Cache-hit filter."""
+class CacheHitDefense(Defense):
+    """Conditional Speculation with the Cache-hit filter: a suspect
+    L1D hit proceeds (the core's rule); a miss is discarded and
+    re-issued once :meth:`is_suspect` turns false."""
 
     name = "cache_hit"
     summary = "suspect L1D hits proceed; misses discard and re-issue"
     provenance = "Li et al., HPCA 2019, Section V.C"
     uses_matrix = True
     covers_sources = ("branch", "indirect", "return", "store")
+
+    def judge_suspect_load(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        return MissVerdict.BLOCK
 
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
@@ -396,16 +365,15 @@ class CacheHitTPBufDefense(CacheHitDefense):
     provenance = "Li et al., HPCA 2019, Section V.D"
     uses_tpbuf = True
 
-    def judge_suspect_miss(self, cpu: "Processor",
+    def judge_suspect_load(self, cpu: "Processor",
                            inst: "DynInst") -> MissVerdict:
         """A miss that does not match the S-Pattern is safe and
         proceeds as a normal miss; a matching one is blocked."""
         tpbuf = cpu.tpbuf
         assert tpbuf is not None  # built for every uses_tpbuf defense
         if tpbuf.is_safe(inst, cpu.lsq):
-            self.stats["filtered_by_tpbuf"] += 1
             return MissVerdict.PROCEED
-        return super().judge_suspect_miss(cpu, inst)
+        return MissVerdict.BLOCK
 
     def area_mm2(self, machine: "MachineParams") -> float:
         core = machine.core
@@ -419,39 +387,15 @@ class CacheHitTPBufDefense(CacheHitDefense):
 # ---------------------------------------------------------------------------
 
 
-class _BranchAgeTracker(Defense):
-    """Shared machinery: an ordered list of unresolved-branch ages for
-    defenses that reason about control speculation without the
-    security dependence matrix."""
-
-    def attach(self, cpu: "Processor") -> None:
-        self._branch_seqs: List[int] = []
-
-    def on_dispatch(self, cpu: "Processor", inst: "DynInst") -> None:
-        if inst.instr.is_branch:
-            self._branch_seqs.append(inst.seq)
-
-    def on_resolve(self, cpu: "Processor", inst: "DynInst") -> None:
-        self._discard_branch(inst.seq)
-
-    def on_squash(self, cpu: "Processor", inst: "DynInst") -> None:
-        if inst.instr.is_branch and not inst.resolved:
-            self._discard_branch(inst.seq)
-
-    def _discard_branch(self, seq: int) -> None:
-        try:
-            self._branch_seqs.remove(seq)
-        except ValueError:
-            pass
-
-    def _control_speculative(self, seq: int) -> bool:
-        """Is an instruction with this age behind an unresolved branch?"""
-        seqs = self._branch_seqs
-        return bool(seqs) and seqs[0] < seq
+def _control_speculative(cpu: "Processor", inst: "DynInst") -> bool:
+    """Is ``inst`` behind an unresolved branch?  The core keeps the
+    unresolved branches oldest first, so the oldest one decides."""
+    branches = cpu.unresolved_branches
+    return bool(branches) and next(iter(branches)) < inst.seq
 
 
 @register_defense
-class DelayOnMissDefense(_BranchAgeTracker, _CacheHitFilter):
+class DelayOnMissDefense(Defense):
     """NDA-style delay-on-miss: loads behind an unresolved branch may
     hit the L1D but a miss is delayed until the branch resolves.
 
@@ -469,14 +413,18 @@ class DelayOnMissDefense(_BranchAgeTracker, _CacheHitFilter):
     covers_sources = ("branch", "indirect", "return")
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
-        return self._control_speculative(inst.seq)
+        return _control_speculative(cpu, inst)
+
+    def judge_suspect_load(self, cpu: "Processor",
+                           inst: "DynInst") -> MissVerdict:
+        return MissVerdict.BLOCK
 
     def area_mm2(self, machine: "MachineParams") -> float:
         return comparator_area_mm2(machine.core.iq_entries)
 
 
 @register_defense
-class EagerDelayDefense(_BranchAgeTracker):
+class EagerDelayDefense(Defense):
     """Eager variant: *no* memory instruction issues while an older
     branch is unresolved — delay-on-miss without the L1D-hit escape
     hatch.  Maximum control-speculation safety of this family, maximum
@@ -488,7 +436,7 @@ class EagerDelayDefense(_BranchAgeTracker):
     covers_sources = ("branch", "indirect", "return")
 
     def gate_issue(self, cpu: "Processor", inst: "DynInst") -> bool:
-        return not self._control_speculative(inst.seq)
+        return not _control_speculative(cpu, inst)
 
     def area_mm2(self, machine: "MachineParams") -> float:
         return comparator_area_mm2(machine.core.iq_entries)
@@ -535,7 +483,7 @@ class DelayOnMissStoreSetDefense(DelayOnMissDefense):
         return program
 
     def is_suspect(self, cpu: "Processor", inst: "DynInst") -> bool:
-        if self._control_speculative(inst.seq):
+        if _control_speculative(cpu, inst):
             return True
         return (inst.pc in self._store_sets
                 and cpu.lsq.unresolved_store_older_than(inst.seq))
@@ -555,10 +503,10 @@ class InvisiSpecDefense(CacheHitDefense):
     Suspect loads (matrix definition, so all speculation sources are
     covered) that hit the L1D proceed as under the Cache-hit filter;
     those that miss read their value from memory at miss latency but
-    leave *every* cache level untouched; the line is exposed (filled)
-    only when the load commits.  A squashed transient load therefore
-    never changes cache state — the transmission channel the attacks
-    in our suite rely on.  The cost is the lost refill reuse on
+    leave *every* cache level untouched; the commit stage exposes
+    (fills) the line when the load retires.  A squashed transient load
+    therefore never changes cache state — the transmission channel the
+    attacks in our suite rely on.  The cost is the lost refill reuse on
     correct-path speculative misses, paid as repeat outer-level
     accesses, modelled without an extra commit stall (the exposure
     overlaps retirement).
@@ -568,17 +516,9 @@ class InvisiSpecDefense(CacheHitDefense):
     summary = "suspect misses stay invisible; expose line at commit"
     provenance = "Yan et al. InvisiSpec, MICRO 2018"
 
-    def judge_suspect_miss(self, cpu: "Processor",
+    def judge_suspect_load(self, cpu: "Processor",
                            inst: "DynInst") -> MissVerdict:
-        self.stats["invisible_misses"] += 1
         return MissVerdict.INVISIBLE
-
-    def on_commit(self, cpu: "Processor", inst: "DynInst") -> None:
-        line = inst.invisible_fill
-        if line is not None:
-            inst.invisible_fill = None
-            cpu.hierarchy.complete_miss(line)
-            cpu.stats["invisible_exposures"] += 1
 
     def area_mm2(self, machine: "MachineParams") -> float:
         # Speculative buffer: one line of storage per LDQ entry.
@@ -608,7 +548,7 @@ class STTDefense(Defense):
     uses_matrix = True
     covers_sources = ("branch", "indirect", "return", "store")
 
-    def attach(self, cpu: "Processor") -> None:
+    def __init__(self) -> None:
         #: physical register -> the in-flight suspect load that made it
         #: speculative (transitively).
         self._taint: Dict[int, "DynInst"] = {}

@@ -41,7 +41,3 @@ class EventQueue:
     @property
     def pending(self) -> int:
         return self._pending
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._pending = 0

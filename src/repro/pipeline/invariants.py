@@ -24,6 +24,9 @@ Checked invariants:
   a defense that tags suspects (it declares the matrix or overrides
   ``is_suspect``) marks an instruction suspect, and only a memory
   instruction.
+- **Unresolved branches**: the core's record
+  (``Processor.unresolved_branches``) lists exactly the ROB's
+  unresolved branches, oldest first.
 
 The issue and load/store queues keep their residents in age order
 with no slots, free lists or backlinks, so there is no bookkeeping to
@@ -127,6 +130,18 @@ def check_rename(cpu: "Processor") -> None:
         _fail(cpu.cycle, f"rename: {exc}")
 
 
+def check_unresolved_branches(cpu: "Processor") -> None:
+    """The record the I-cache filter, the watchdog and the branch-age
+    defenses read must be the ROB's unresolved branches in age
+    order."""
+    expected = [inst.seq for inst in cpu.rob
+                if inst.instr.is_branch and not inst.resolved]
+    actual = list(cpu.unresolved_branches)
+    if actual != expected:
+        _fail(cpu.cycle, f"unresolved branches {actual} but the ROB's "
+                         f"are {expected}")
+
+
 def check_processor_invariants(cpu: "Processor") -> None:
     """Run every structural invariant check (debug aid, O(structures))."""
     check_rob(cpu)
@@ -135,3 +150,4 @@ def check_processor_invariants(cpu: "Processor") -> None:
     check_defense_wiring(cpu)
     check_lsq(cpu)
     check_rename(cpu)
+    check_unresolved_branches(cpu)

@@ -187,7 +187,11 @@ class Processor:
         self.cycle = 0
         self.halted = False
         self._seq = 0
-        self._unresolved_branches = 0
+        #: Sequence numbers of the in-flight branches that have not
+        #: resolved, oldest first (a dict used as an ordered set): the
+        #: I-cache filter, the watchdog and the branch-age defenses read
+        #: it.
+        self.unresolved_branches: Dict[int, None] = {}
         self._barrier_seqs: Deque[int] = deque()  # FENCE / RDCYCLE seqs
         self._pending_squash: Optional[tuple] = None  # (keep_seq, pc, kind)
         self._load_replay: List[DynInst] = []
@@ -236,7 +240,6 @@ class Processor:
         self._filters_at_cache = self.defense.filters_at_cache
         self._defense_events = self.defense.wants_events
         self._taints_writeback = self.defense.taints_writeback
-        self.defense.attach(self)
 
     # ------------------------------------------------------------------
     # Public API
@@ -390,7 +393,7 @@ class Processor:
             self._fetch_stall_until = self.cycle + translation.latency
             return True
         line_hit = self.hierarchy.inst_hit_l1(translation.paddr)
-        unsafe_npc = self._unresolved_branches > 0
+        unsafe_npc = bool(self.unresolved_branches)
         if not self.icache_filter.allow_fetch(line_hit, unsafe_npc):
             self.report.icache_stall_cycles += 1
             return True
@@ -472,11 +475,9 @@ class Processor:
 
             if instr.is_branch:
                 inst.pred_target = pred_target
-                self._unresolved_branches += 1
+                self.unresolved_branches[inst.seq] = None
             if instr.is_serializing:
                 self._barrier_seqs.append(inst.seq)
-            if self._defense_events:
-                self.defense.on_dispatch(self, inst)
 
             if not needs_iq:
                 inst.state = _COMPLETED
@@ -671,14 +672,12 @@ class Processor:
         inst.resolved = True
         inst.state = _COMPLETED
         inst.cycle_completed = self.cycle
-        self._unresolved_branches -= 1
+        del self.unresolved_branches[inst.seq]
         self.report.branches_resolved += 1
         self.predictor.update(inst.pc, instr, taken, target,
                               inst.mispredicted)
         if self._taints_writeback and inst.pdst is not None:
             self.defense.on_writeback(self, inst)  # CALL link register
-        if self._defense_events:
-            self.defense.on_resolve(self, inst)
         if inst.mispredicted:
             self.report.branch_mispredicts += 1
             self._request_squash(inst.seq, actual_next, "branch")
@@ -736,35 +735,38 @@ class Processor:
             # as if the machine were unprotected for these cycles.
             self.stats["filter_bypassed_injected"] += 1
         elif inst.suspect and filter_mode:
+            # The Cache-hit rule (Section V.C): a suspect hit changes no
+            # cache content and proceeds; the defense judges a miss.
             self.report.suspect_accesses += 1
-            verdict = self.defense.judge_suspect_load(self, inst, hit)
             if hit:
                 self.report.suspect_l1_hits += 1
-            elif verdict is _BLOCK:
-                # Discard the miss request; wait in the IQ for the
-                # security dependence to clear, then re-issue.
-                inst.state = _BLOCKED
-                inst.ever_blocked = True
-                inst.block_events += 1
-                self.iq.requeue(inst)
-                self.report.block_events += 1
-                self.stats["filter_blocked_misses"] += 1
-                return
-            elif verdict is _INVISIBLE:
-                # InvisiSpec-style: read memory at miss latency without
-                # changing any cache state; the defense exposes the
-                # line when the load commits.
-                result = self.hierarchy.peek_miss(inst.paddr)
-                latency = result.latency
-                inst.mem_level = result.level
-                inst.invisible_fill = inst.paddr
-                self.stats["invisible_loads"] += 1
-                if self.faults is not None:
-                    latency += self.faults.extra_fill_delay(self.cycle,
-                                                            inst)
-                self._schedule(latency,
-                               lambda: self._complete_load(inst, value))
-                return
+            else:
+                verdict = self.defense.judge_suspect_load(self, inst)
+                if verdict is _BLOCK:
+                    # Discard the miss request; wait in the IQ for the
+                    # security dependence to clear, then re-issue.
+                    inst.state = _BLOCKED
+                    inst.ever_blocked = True
+                    inst.block_events += 1
+                    self.iq.requeue(inst)
+                    self.report.block_events += 1
+                    self.stats["filter_blocked_misses"] += 1
+                    return
+                if verdict is _INVISIBLE:
+                    # InvisiSpec-style: read memory at miss latency
+                    # without changing any cache state; the commit
+                    # stage exposes the line.
+                    result = self.hierarchy.peek_miss(inst.paddr)
+                    latency = result.latency
+                    inst.mem_level = result.level
+                    inst.invisible_fill = inst.paddr
+                    self.stats["invisible_loads"] += 1
+                    if self.faults is not None:
+                        latency += self.faults.extra_fill_delay(
+                            self.cycle, inst)
+                    self._schedule(
+                        latency, lambda: self._complete_load(inst, value))
+                    return
         if hit:
             if policy is _DELAYED_LRU:
                 inst.pending_lru_line = inst.paddr
@@ -911,7 +913,7 @@ class Processor:
             inst.squashed = True
             instr = inst.instr
             if instr.is_branch and not inst.resolved:
-                self._unresolved_branches -= 1
+                del self.unresolved_branches[inst.seq]
             if instr.is_serializing:
                 self._remove_barrier(inst.seq)
             if instr.needs_iq:
@@ -962,6 +964,11 @@ class Processor:
             elif instr.is_load:
                 if head.pending_lru_line is not None:
                     self.hierarchy.touch_l1d(head.pending_lru_line)
+                elif head.invisible_fill is not None:
+                    # An invisible read's line is exposed (filled) once
+                    # the load is no longer speculative.
+                    self.hierarchy.complete_miss(head.invisible_fill)
+                    self.stats["invisible_exposures"] += 1
                 self.report.committed_loads += 1
             elif instr.is_branch:
                 self.report.committed_branches += 1
@@ -1016,7 +1023,7 @@ class Processor:
             self.stats, self.hierarchy.stats, self.hierarchy.l1d.stats,
             self.hierarchy.l1i.stats, self.hierarchy.l2.stats,
             self.hierarchy.l3.stats, self.predictor.stats,
-            self.defense.stats, self.iq.matrix.stats, self.itlb.stats,
+            self.iq.matrix.stats, self.itlb.stats,
             self.dtlb.stats, self.store_buffer.stats,
             self.icache_filter.stats,
         ]

@@ -163,7 +163,7 @@ class ForwardProgressWatchdog:
             stq_occupancy=cpu.lsq.store_occupancy(),
             fetch_buffer=len(cpu._fetch_buffer),
             events_pending=cpu.events.pending,
-            unresolved_branches=cpu._unresolved_branches,
+            unresolved_branches=len(cpu.unresolved_branches),
             head_desc=repr(head) if head is not None else "",
             head_state=head.state.name if head is not None else "",
             head_seq=head.seq if head is not None else -1,

@@ -279,6 +279,27 @@ class TestAnalyzeCommand:
         assert doc["fence_synthesis"]["clean"]
         assert doc["fence_synthesis"]["fence_count"] >= 1
 
+    def test_analyze_json_summarizes_the_program_once(self, tmp_path,
+                                                      monkeypatch,
+                                                      capsys):
+        """The memdep block of ``--json`` reuses the summaries the
+        refinement computed."""
+        from repro.analysis import summaries
+
+        calls = []
+        summarize = summaries.summarize_program
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(summaries, "summarize_program", counted)
+        out_json = tmp_path / "refined.json"
+        assert main(["analyze", "corpus:v4", "--refine",
+                     "--json", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["findings"]
+        assert len(calls) == 1
+
     def test_analyze_secret_flag_parses_hex(self):
         args = build_parser().parse_args(
             ["analyze", "p.s", "--secret", "0x10FC0", "--secret", "8"])

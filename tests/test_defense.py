@@ -1,19 +1,21 @@
 """Tests of the Conditional Speculation mechanisms on hand-crafted
 programs: suspect tagging, Baseline issue-blocking, the Cache-hit
-filter and the TPBuf filter, plus the defenses' cache-stage verdicts."""
+filter and the TPBuf filter, plus the defenses' cache-stage verdicts
+and InvisiSpec's exposure at commit."""
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import run_to_halt
 from repro import Processor, SecurityConfig, tiny_config
-from repro.core.defense import MissVerdict, create_defense
+from repro.core.defense import DEFENSE_REGISTRY, MissVerdict, create_defense
 from repro.core.tpbuf import TPBuf
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa import ProgramBuilder
 from repro.memory.replacement import SpeculativeLRUPolicy
 from repro.pipeline.dyninst import DynInst, InstState
 from repro.pipeline.lsq import LoadStoreQueue
+from repro.workloads import spec_program
 
 
 def suspect_scenario_program():
@@ -151,30 +153,51 @@ def _load(seq=2, ppn=0x100):
     return SimpleNamespace(seq=seq, ppn=ppn)
 
 
-class TestFilterDecisionLogic:
-    """``judge_suspect_load`` of the defenses that filter at the L1D."""
+#: The defenses that judge suspect L1D misses (``filters_at_cache``).
+FILTERING = ("cache_hit", "cache_hit_tpbuf", "delay_on_miss",
+             "delay_on_miss_ss", "invisispec")
 
-    def test_hit_always_proceeds(self):
-        for name in ("cache_hit", "cache_hit_tpbuf", "delay_on_miss",
-                     "delay_on_miss_ss", "invisispec"):
-            defense = create_defense(name)
-            assert defense.judge_suspect_load(None, _load(), True) \
-                is MissVerdict.PROCEED, name
-            assert defense.stats.as_dict() == {
-                "suspect_accesses": 1, "filtered_by_cache_hit": 1}, name
+
+def _filtered_run(name):
+    """A run with suspect L1D hits and misses under every defense of
+    :data:`FILTERING`."""
+    return run_to_halt(spec_program("bzip2", scale=0.05),
+                       machine=tiny_config(), security=SecurityConfig(name))
+
+
+class TestFilterDecisionLogic:
+    """``judge_suspect_load`` of the defenses that filter at the L1D,
+    and the Cache-hit rule the core applies before asking it."""
+
+    def test_hit_always_proceeds(self, monkeypatch):
+        """The core lets a suspect L1D hit proceed unjudged: each
+        filtering defense is asked about its suspect misses only."""
+        for name in FILTERING:
+            cls = DEFENSE_REGISTRY[name]
+            calls = []
+
+            def counted(self, cpu, inst, judge=cls.judge_suspect_load,
+                        calls=calls):
+                calls.append(inst.seq)
+                return judge(self, cpu, inst)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cls, "judge_suspect_load", counted)
+                _, report = _filtered_run(name)
+            assert report.suspect_l1_hits > 0, name
+            assert len(calls) \
+                == report.suspect_accesses - report.suspect_l1_hits > 0, name
 
     def test_cache_hit_mode_blocks_misses(self):
         for name in ("cache_hit", "delay_on_miss"):
             defense = create_defense(name)
-            assert defense.judge_suspect_load(None, _load(), False) \
+            assert defense.judge_suspect_load(None, _load()) \
                 is MissVerdict.BLOCK, name
-            assert defense.stats.get("blocked_misses") == 1, name
 
     def test_invisispec_misses_stay_invisible(self):
         defense = create_defense("invisispec")
-        assert defense.judge_suspect_load(None, _load(), False) \
+        assert defense.judge_suspect_load(None, _load()) \
             is MissVerdict.INVISIBLE
-        assert defense.stats.get("invisible_misses") == 1
 
     def test_tpbuf_mode_consults_buffer(self):
         # An older suspect load on page 0x100 has written back.
@@ -185,12 +208,10 @@ class TestFilterDecisionLogic:
         lsq.allocate_load(older)
         cpu = SimpleNamespace(tpbuf=TPBuf(), lsq=lsq)
         defense = create_defense("cache_hit_tpbuf")
-        assert defense.judge_suspect_load(cpu, _load(2, 0x100), False) \
+        assert defense.judge_suspect_load(cpu, _load(2, 0x100)) \
             is MissVerdict.PROCEED
-        assert defense.judge_suspect_load(cpu, _load(2, 0x200), False) \
+        assert defense.judge_suspect_load(cpu, _load(2, 0x200)) \
             is MissVerdict.BLOCK
-        assert defense.stats.get("filtered_by_tpbuf") == 1
-        assert defense.stats.get("blocked_misses") == 1
 
     def test_tpbuf_mode_requires_buffer(self):
         # The TPBuf defense declares the buffer; the processor builds
@@ -202,13 +223,46 @@ class TestFilterDecisionLogic:
             assert (cpu.tpbuf is not None) is (name == "cache_hit_tpbuf")
 
     def test_safe_fraction(self):
-        defense = create_defense("cache_hit")
-        defense.judge_suspect_load(None, _load(), True)
-        defense.judge_suspect_load(None, _load(), False)
-        stats = defense.stats
-        safe = stats.get("filtered_by_cache_hit") \
-            + stats.get("filtered_by_tpbuf")
-        assert safe / stats.get("suspect_accesses") == 0.5
+        """Under the Cache-hit filter alone, the safe suspect accesses
+        (Section VI.C) are the ones that hit the L1D."""
+        _, report = _filtered_run("cache_hit")
+        assert 0 < report.suspect_l1_hits < report.suspect_accesses
+        assert report.safe_fraction \
+            == report.suspect_l1_hits / report.suspect_accesses
+
+
+class TestInvisibleLoads:
+    """InvisiSpec's suspect misses read without filling any cache; the
+    commit stage exposes the line of a load that retires."""
+
+    def test_committed_invisible_load_is_exposed(self):
+        cpu, report = run_to_halt(suspect_scenario_program(),
+                                  machine=tiny_config(),
+                                  security=SecurityConfig("invisispec"))
+        counters = report.raw["processor"]
+        assert counters["invisible_loads"] \
+            == counters["invisible_exposures"] > 0
+        assert cpu.hierarchy.l1d.contains(cpu.vaddr_to_paddr(0x40000))
+
+    def test_squashed_invisible_load_leaves_no_line(self):
+        b = ProgramBuilder()
+        b.data_word(0x4000, 1)
+        b.li(1, 0x4000).clflush(1).fence()
+        b.load(2, 1)                  # slow bound
+        b.bne(2, 0, "skip")           # taken; cold prediction wrong
+        b.li(3, 0x40000)
+        b.load(4, 3)                  # transient suspect miss
+        b.label("skip")
+        b.halt()
+        program = b.build()
+        # Unprotected, the wrong path leaves the line behind.
+        cpu, _ = run_to_halt(program, machine=tiny_config())
+        assert cpu.hierarchy.probe_data(cpu.vaddr_to_paddr(0x40000))
+        cpu, report = run_to_halt(program, machine=tiny_config(),
+                                  security=SecurityConfig("invisispec"))
+        assert report.raw["processor"]["invisible_loads"] == 1
+        assert "invisible_exposures" not in report.raw["processor"]
+        assert not cpu.hierarchy.probe_data(cpu.vaddr_to_paddr(0x40000))
 
 
 class TestLRUPolicies:

@@ -79,12 +79,10 @@ WIRING = {
     "cache_hit": {"uses_matrix", "tags_suspect", "filters_at_cache"},
     "cache_hit_tpbuf": {"uses_matrix", "tags_suspect", "filters_at_cache",
                         "uses_tpbuf"},
-    "delay_on_miss": {"tags_suspect", "filters_at_cache", "wants_events"},
-    "eager_delay": {"gates_issue", "wants_events"},
-    "delay_on_miss_ss": {"tags_suspect", "filters_at_cache",
-                         "wants_events"},
-    "invisispec": {"uses_matrix", "tags_suspect", "filters_at_cache",
-                   "wants_events"},
+    "delay_on_miss": {"tags_suspect", "filters_at_cache"},
+    "eager_delay": {"gates_issue"},
+    "delay_on_miss_ss": {"tags_suspect", "filters_at_cache"},
+    "invisispec": {"uses_matrix", "tags_suspect", "filters_at_cache"},
     "stt": {"uses_matrix", "tags_suspect", "gates_issue", "wants_events",
             "taints_writeback"},
     "slh": set(),
@@ -106,7 +104,7 @@ class TestDerivedWiring:
         class Probe(Defense):
             name = "probe"
 
-            def attach(self, cpu):
+            def __init__(self):
                 self.gate_calls = 0
                 self.commits = 0
 

@@ -284,10 +284,11 @@ def _machine_state(cpu):
     counters and the cycle number."""
     groups = (cpu.hierarchy.stats, cpu.hierarchy.l1d.stats,
               cpu.hierarchy.l1i.stats, cpu.itlb.stats, cpu.dtlb.stats,
-              cpu.predictor.stats, cpu.defense.stats, cpu.iq.matrix.stats,
+              cpu.predictor.stats, cpu.iq.matrix.stats,
               cpu.store_buffer.stats)
     return (cpu.fetch_pc, len(cpu._fetch_buffer), cpu._fetch_stall_until,
             cpu._commit_stall_until, cpu._seq, cpu._pending_squash,
+            list(cpu.unresolved_branches),
             cpu.events.pending, cpu.events.next_deadline(),
             len(cpu.store_buffer), cpu.store_buffer.next_deadline(),
             cpu.iq.occupancy(),

@@ -14,7 +14,7 @@ from repro.analysis.memdep import (
     v4_finding_may_bypass,
 )
 from repro.analysis.report import GadgetKind
-from repro.analysis.summaries import program_summary_key
+from repro.analysis.summaries import program_summary_key, summarize_program
 from repro.isa import ProgramBuilder
 from repro.isa.instructions import Opcode
 
@@ -211,6 +211,14 @@ class TestDeterminism:
         second = compute_memdep_summary(program)
         assert first == second
         assert first is not second
+
+    def test_given_summaries_give_the_same_store_sets(self):
+        program = _loop_program()
+        summaries = summarize_program(program, window=64)
+        assert summaries.induction_caps()
+        assert compute_memdep_summary(program, window=64,
+                                      summaries=summaries) \
+            == compute_memdep_summary(program, window=64)
 
     def test_identical_programs_share_key_and_hash(self):
         one, two = _loop_program(), _loop_program()

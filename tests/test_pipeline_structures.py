@@ -427,9 +427,3 @@ class TestStoreBufferAndEvents:
             events.fire(cycle)
         assert fired == ["b", "a"]
         assert events.pending == 0
-
-    def test_event_queue_clear(self):
-        events = EventQueue()
-        events.schedule(1, lambda: None)
-        events.clear()
-        assert events.fire(1) == 0

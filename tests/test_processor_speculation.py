@@ -243,3 +243,32 @@ class TestPipelineInvariants:
         del cpu.iq.ready[0]
         with pytest.raises(InvariantViolation, match="ready set"):
             check_processor_invariants(cpu)
+
+    def test_unresolved_branch_record_is_checked(self):
+        """The core's unresolved-branch record must list the ROB's
+        unresolved branches oldest first: a lost, a stale or a
+        misordered entry trips the lint."""
+        import pytest
+        from repro.pipeline.invariants import (InvariantViolation,
+                                               check_processor_invariants)
+        cpu = Processor(spectre_v1_like_program(), machine=tiny_config(),
+                        security=SecurityConfig("delay_on_miss"),
+                        check_invariants=True)
+        while len(cpu.unresolved_branches) < 2 and not cpu.halted:
+            cpu.step()
+        assert len(cpu.unresolved_branches) >= 2
+        check_processor_invariants(cpu)
+        record = cpu.unresolved_branches
+        oldest, *younger = record
+        corruptions = (
+            {seq: None for seq in younger},                     # lost
+            {**record, max(record) + 1: None},                  # stale
+            {**{seq: None for seq in younger}, oldest: None},   # order
+        )
+        for corrupt in corruptions:
+            cpu.unresolved_branches = corrupt
+            with pytest.raises(InvariantViolation,
+                               match="unresolved branches"):
+                check_processor_invariants(cpu)
+        cpu.unresolved_branches = record
+        check_processor_invariants(cpu)
